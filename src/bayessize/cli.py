@@ -412,6 +412,13 @@ def _emit(text: str, out_path: str | None):
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a negative LO ("--range -0.55:-0.26") as a flag; the
+    # "--range=LO:HI" form parses either sign.  A following option is left
+    # alone, so a missing value is still reported as one.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--range" and not argv[i + 1].startswith("--"):
+            argv[i : i + 2] = [f"--range={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
         settings = _merge(args)

@@ -679,7 +679,18 @@ class GridPosterior:
             raise DomainError("grid nodes must be uniformly spaced")
         if np.any(~np.isfinite(density)) or np.any(density < 0.0):
             raise DomainError("grid density values must be finite and nonnegative")
+        self._normalise(nodes, density, step)
 
+    @classmethod
+    def _trusted(cls, nodes: np.ndarray, density: np.ndarray, step: float) -> "GridPosterior":
+        """Build from a grid the caller made itself: uniformly spaced nodes
+        ``step`` apart and finite, nonnegative densities.  Skips the checks
+        of the public constructor."""
+        self = cls.__new__(cls)
+        self._normalise(nodes, density, step)
+        return self
+
+    def _normalise(self, nodes: np.ndarray, density: np.ndarray, step: float):
         total = float(np.trapezoid(density, dx=step))
         if not (math.isfinite(total) and total > 0.0):
             raise AccuracyError("grid density has non-positive total mass")
@@ -768,64 +779,114 @@ class GridPosterior:
     def prob_above(self, theta1: float) -> float:
         return 1.0 - self.cdf(_finite("theta1", theta1))
 
-    def _superlevel(self, cut: float) -> tuple[float, float, float] | None:
-        d, x, cdf = self.density, self.nodes, self._node_cdf
-        mask = d >= cut
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return None
-        first, last = int(idx[0]), int(idx[-1])
-        if last - first + 1 != idx.size:
-            raise UnsupportedShapeError(
-                "posterior density has a disconnected super-level set; "
-                "highest-density intervals require a single interval"
-            )
-        if first == 0:
-            xl, cl = float(x[0]), 0.0
-        else:
-            t = (cut - d[first - 1]) / (d[first] - d[first - 1])
-            xl = float(x[first - 1] + t * self.step)
-            cl = float(cdf[first - 1] + 0.5 * (d[first - 1] + cut) * (xl - x[first - 1]))
-        if last == d.size - 1:
-            xr, cr = float(x[-1]), 1.0
-        else:
-            t = (d[last] - cut) / (d[last] - d[last + 1])
-            xr = float(x[last] + t * self.step)
-            cr = float(cdf[last] + 0.5 * (d[last] + cut) * (xr - x[last]))
-        return xl, xr, max(cr - cl, 0.0)
+    def _invert_cdf(self, targets: np.ndarray) -> np.ndarray:
+        """Leftmost points where the trapezoid CDF reaches each target.
+
+        Within a segment the density is linear and the CDF quadratic; the
+        root is taken in the cancellation-free form ``2g / (d + sqrt(...))``.
+        """
+        d, cdf = self.density, self._node_cdf
+        # Targets lie in [0, 1], so only a zero target needs j clipped.
+        j = np.maximum(np.searchsorted(cdf, targets, side="left") - 1, 0)
+        gain = targets - cdf[j]
+        slope = (d[j + 1] - d[j]) / self.step
+        root = np.sqrt(np.maximum(d[j] * d[j] + 2.0 * slope * gain, 0.0))
+        # The denominator vanishes only where the gain does (t = 0 then).
+        t = 2.0 * gain / np.maximum(d[j] + root, np.finfo(float).tiny)
+        return self.nodes[j] + np.minimum(t, self.step)
+
+    def _equal_density_ends(self, lo: float, hi: float) -> tuple[float, float]:
+        """Slide an interval, at equal mass, to where its end densities agree.
+
+        Each end moves within one segment, where the density is linear with
+        slope ``rise > 0`` (left) or ``fall < 0`` (right); equal mass gained
+        and lost gives ``c^2 = (d_hi^2 rise - d_lo^2 fall) / (rise - fall)``
+        for the common density.  The interval is returned unchanged when an
+        end would leave its segment (the optimum then is a node or the
+        support's edge, where the interval already is) or the ends are not
+        on a rising and a falling flank.
+        """
+        x, d = self.nodes, self.density
+        d_lo, d_hi = float(np.interp(lo, x, d)), float(np.interp(hi, x, d))
+        side = "right" if d_hi > d_lo else "left"
+        p = min(max(int(np.searchsorted(x, lo, side)) - 1, 0), d.size - 2)
+        q = min(max(int(np.searchsorted(x, hi, side)) - 1, 0), d.size - 2)
+        rise = float(d[p + 1] - d[p]) / self.step
+        fall = float(d[q + 1] - d[q]) / self.step
+        if not rise > 0.0 > fall:
+            return lo, hi
+        c = math.sqrt((d_hi * d_hi * rise - d_lo * d_lo * fall) / (rise - fall))
+        new_lo = lo + (c - d_lo) / rise
+        new_hi = hi + (c - d_hi) / fall
+        if x[p] <= new_lo <= x[p + 1] and x[q] <= new_hi <= x[q + 1]:
+            return new_lo, new_hi
+        return lo, hi
 
     def hpd(self, level: float) -> HpdInterval:
-        """Highest-density interval by bisection on the density cutoff.
+        """Highest-density interval by a direct shortest-interval search.
 
-        The captured mass lands in ``[level, level + 2 / K]`` for a grid
-        of ``K`` nodes; disconnected super-level sets raise
-        ``UnsupportedShapeError``.
+        Each node is tried as the left end, the right end being where the
+        trapezoid CDF has gained ``level``, and mirrored as the right end;
+        the shortest candidate (cf. Chen and Shao 1999) is slid to equal end
+        densities, so the ends move continuously with the data.  The mass
+        lands in ``[level, level + 2 / K]`` for a grid of ``K`` nodes.  A
+        node outside the interval denser than both ends, or one inside it
+        less dense than either, means a disconnected super-level set and
+        raises ``UnsupportedShapeError``.
         """
         level = _check_level(level)
         cached = self._hpd_cache.get(level)
         if cached is not None:
             return cached
 
-        c_lo, c_hi = 0.0, float(self.density.max())
-        best = self._superlevel(0.0)
-        for _ in range(80):
-            c = 0.5 * (c_lo + c_hi)
-            seg = self._superlevel(c)
-            if seg is not None and seg[2] >= level:
-                best = seg
-                c_lo = c
-            else:
-                c_hi = c
-            if c_hi - c_lo <= 1e-15 * max(c_hi, 1.0):
-                break
-        if best is None or best[2] < level:
-            raise AccuracyError("highest-density search failed to reach the level")
-        result = HpdInterval(best[0], best[1], best[2])
+        x, d, cdf = self.nodes, self.density, self._node_cdf
+        # The mass below the optimal ends' density c fits under c, so
+        # c >= (1 - level) / span; a node with no neighbour that dense
+        # cannot bracket an end and is not tried.
+        dense = d >= (1.0 - level) / (x[-1] - x[0])
+        near = dense.copy()
+        near[1:] |= dense[:-1]
+        near[:-1] |= dense[1:]
+        starts = near & (cdf + level <= cdf[-1])
+        ends = near & (cdf >= level)
+        lows = np.concatenate((x[starts], self._invert_cdf(cdf[ends] - level)))
+        highs = np.concatenate((self._invert_cdf(cdf[starts] + level), x[ends]))
+        best = int(np.argmin(highs - lows))
+        lo, hi = self._equal_density_ends(float(lows[best]), float(highs[best]))
+
+        mass = self.cdf(hi) - self.cdf(lo)
+        pad = np.finfo(float).eps * self.step
+        while mass < level:  # rounding can leave the mass an ulp short
+            lo, hi = max(lo - pad, float(x[0])), min(hi + pad, float(x[-1]))
+            mass = self.cdf(hi) - self.cdf(lo)
+            pad *= 2.0
+
+        d_lo, d_hi = np.interp(lo, x, d), np.interp(hi, x, d)
+        left = int(np.searchsorted(x, lo, side="left"))
+        right = int(np.searchsorted(x, hi, side="right"))
+        outside = max(d[:left].max(initial=0.0), d[right:].max(initial=0.0))
+        inside = d[left:right].min(initial=np.inf)
+        # A denser node outside or a valley inside; slack for flat stretches.
+        if outside > max(d_lo, d_hi) * (1 + 1e-9) or inside < min(d_lo, d_hi) * (1 - 1e-9):
+            raise UnsupportedShapeError(
+                "posterior density has a disconnected super-level set; "
+                "highest-density intervals require a single interval"
+            )
+        result = HpdInterval(lo, hi, mass)
         self._hpd_cache[level] = result
         return result
 
 
 Posterior = Union[NormalPosterior, GammaPosterior, BetaPosterior, GridPosterior]
+
+# The exponential-rate grid, rates k / K for k = 1..K, and its logarithms,
+# shared read-only by every rate posterior.
+_RATE_NODES = np.arange(1, GRID_NODES + 1, dtype=float) / GRID_NODES
+_RATE_NODES.setflags(write=False)
+_RATE_STEP = float(_RATE_NODES[1] - _RATE_NODES[0])
+with np.errstate(divide="ignore"):
+    _LOG_RATE = np.log(_RATE_NODES)
+    _LOG1M_RATE = np.log1p(-_RATE_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -865,16 +926,13 @@ def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterio
                 "rates on (0, 1] with beta prior need b >= 1; the posterior "
                 "density is unbounded at 1 otherwise"
             )
-        k = np.arange(1, GRID_NODES + 1, dtype=float)
-        x = k / GRID_NODES
-        with np.errstate(divide="ignore"):
-            log_post = (prior.a - 1.0 + stat.n) * np.log(x) - x * stat.s
-            if prior.b != 1.0:
-                log_post = log_post + (prior.b - 1.0) * np.log1p(-x)
-        finite_max = log_post[np.isfinite(log_post)].max()
-        d = np.exp(log_post - finite_max)
-        d[~np.isfinite(log_post)] = 0.0
-        return GridPosterior(x, d)
+        # Only the rate 1 term can be infinite (-inf, when b > 1), and it
+        # exponentiates to a zero density.
+        log_post = (prior.a - 1.0 + stat.n) * _LOG_RATE - _RATE_NODES * stat.s
+        if prior.b != 1.0:
+            log_post = log_post + (prior.b - 1.0) * _LOG1M_RATE
+        d = np.exp(log_post - log_post.max())
+        return GridPosterior._trusted(_RATE_NODES, d, _RATE_STEP)
 
     raise ConfigurationError(
         f"no conjugate update for family {family!r} with prior {prior!r}"

@@ -1,8 +1,7 @@
-"""Deterministic quadrature helpers used by the model and oracle layers.
+"""Cumulative quadrature table behind the gamma and beta posterior CDFs.
 
-Only composite rules with fixed, reproducible node layouts live here.
-Callers that need an error estimate compare two node budgets themselves;
-nothing in this module consumes randomness.
+The table has a fixed, reproducible node layout and consumes no
+randomness.
 """
 
 from __future__ import annotations
@@ -14,31 +13,6 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 
 Vectorized = Callable[[np.ndarray], np.ndarray]
-
-
-def simpson_fixed(f: Vectorized, lo: float, hi: float, nodes: int) -> float:
-    """Composite Simpson rule with an odd number of equally spaced nodes."""
-    if nodes < 3 or nodes % 2 == 0:
-        raise DomainError(f"Simpson rule needs an odd node count >= 3, got {nodes}")
-    if not lo < hi:
-        raise DomainError(f"integration range must satisfy lo < hi, got [{lo}, {hi}]")
-    x = np.linspace(lo, hi, nodes)
-    y = np.asarray(f(x), dtype=float)
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = (hi - lo) / (nodes - 1)
-    return float(np.dot(w, y) * h / 3.0)
-
-
-def simpson_weights(nodes: int, lo: float, hi: float) -> np.ndarray:
-    """Weight vector matching :func:`simpson_fixed` on the same grid."""
-    if nodes < 3 or nodes % 2 == 0:
-        raise DomainError(f"Simpson rule needs an odd node count >= 3, got {nodes}")
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (hi - lo) / (nodes - 1) / 3.0
 
 
 def cumulative_table(

@@ -158,6 +158,24 @@ def test_size_rejects_malformed_range(capsys, raw):
     assert "--range" in err
 
 
+def test_size_negative_range_parses_with_or_without_equals(capsys):
+    # argparse would read "-0.55:-0.26" after a bare --range as a flag
+    argv = ["size", "--model", "normal", "--sigma2", "0.2", "--criterion", "apvc",
+            "--eps", "0.01"]
+    spaced = run(argv + ["--range", "-0.55:-0.26"], capsys)
+    joined = run(argv + ["--range=-0.55:-0.26"], capsys)
+    assert spaced == joined
+    code, out, err = spaced
+    assert code == 0
+    assert err == ""
+    assert kv(out)["n_min"] == "20"
+    # a bare --range followed by another option still lacks its value
+    code, out, err = run(argv[:1] + ["--range"] + argv[1:], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--range: expected one argument" in err
+
+
 def test_size_rejects_quantile_criterion(capsys):
     # the expected-quantile functional has no threshold inequality to invert
     code, _, err = run(

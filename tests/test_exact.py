@@ -8,8 +8,11 @@ posterior mean (an independent derivation path from the library's).
 
 import math
 
+import numpy as np
 import pytest
+from scipy import integrate, stats
 
+import bayessize.exact as exact
 from bayessize.criteria import (
     asymptotic_centered_mass,
     asymptotic_expected_quantile,
@@ -286,12 +289,78 @@ def test_scaled_gaps_settle_for_normal_quantile():
 
 def test_oracle_is_deterministic_across_node_budgets():
     base = expbeta_expected(PosteriorVariance(), 0.5, 100)
-    fine = expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=4001)
+    fine = expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=128)
     assert base.method == "suffstat_quadrature"
     assert base.error_estimate is not None and base.error_estimate <= 1e-6
     assert abs(fine.value - base.value) / base.value <= 1e-6
     again = expbeta_expected(PosteriorVariance(), 0.5, 100)
     assert again.value == base.value
+    # any integer type is a node budget, numpy's included
+    assert expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=np.int64(32)) == base
+
+
+def _nested_quad_expected_variance(theta0, n, a=1.5, b=1.5):
+    """E[Var(rate | s)] by nested scipy quadrature: the rate posterior's
+    moments by adaptive quadrature on (0, 1), averaged over the
+    Gamma(n, theta0) law of s on its probability scale.  Shares neither
+    the grid posterior nor the Gauss-Laguerre rule with the oracle."""
+    law = stats.gamma(n, scale=1.0 / theta0)
+    power = a + n - 1.0
+
+    def post_variance(s):
+        peak = min(power / s, 1.0 - 1e-9)
+
+        def kernel(r, k):
+            log_k = power * math.log(r / peak) - s * (r - peak) + (b - 1.0) * math.log1p(-r)
+            return r**k * math.exp(log_k)
+
+        m0, m1, m2 = (
+            integrate.quad(kernel, 0.0, 1.0, args=(k,), points=[peak],
+                           epsabs=0.0, epsrel=1e-11, limit=200)[0]
+            for k in range(3)
+        )
+        mean = m1 / m0
+        return m2 / m0 - mean * mean
+
+    return integrate.quad(lambda u: post_variance(law.ppf(u)), 0.0, 1.0,
+                          epsabs=0.0, epsrel=1e-9, limit=200)[0]
+
+
+@pytest.mark.parametrize("theta0, n", [(0.25, 10), (0.75, 100), (1.0, 30)])
+def test_oracle_variance_matches_nested_scipy_quadrature(theta0, n):
+    # The remaining gap is the grid posterior's trapezoid rule, largest at
+    # theta0 = 1 where the posterior leans on the support's edge.
+    oracle = expbeta_expected(PosteriorVariance(), theta0, n)
+    assert oracle.method == "suffstat_quadrature"
+    assert oracle.error_estimate <= 1e-5
+    ref = _nested_quad_expected_variance(theta0, n)
+    assert abs(oracle.value - ref) / ref <= 5e-5
+
+
+def test_oracle_reaches_the_largest_node_budget():
+    # 2 * 256 nodes put s far into the tails of the sampling law, where the
+    # posterior piles onto the first few grid nodes.
+    fine = expbeta_expected_many(
+        [PosteriorVariance(), HpdWidth(0.95)], 0.25, 10, nodes=256
+    )
+    base = expbeta_expected_many([PosteriorVariance(), HpdWidth(0.95)], 0.25, 10)
+    for f, b in zip(fine, base):
+        assert abs(f.value - b.value) / b.value <= 1e-5
+
+
+def test_oracle_accuracy_error_names_the_cell(monkeypatch):
+    rule = exact._laguerre_rule
+
+    def skewed(q, alpha):
+        x, w = rule(q, alpha)
+        return (1.01 * x, w) if q == 8 else (x, w)
+
+    monkeypatch.setattr(exact, "_laguerre_rule", skewed)
+    with pytest.raises(AccuracyError) as info:
+        expbeta_expected(PosteriorVariance(), 0.5, 30, nodes=8)
+    message = str(info.value)
+    for part in ("theta0=0.5", "n=30", "BetaPrior(a=1.5, b=1.5)", "PosteriorVariance()", "q=8"):
+        assert part in message
 
 
 def test_oracle_shares_one_sweep_across_functionals():
@@ -342,6 +411,8 @@ def test_oracle_validates_arguments():
         expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=2000)
     with pytest.raises(DomainError):
         expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=3)
+    with pytest.raises(DomainError):
+        expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=32.0)
     with pytest.raises(ConfigurationError):
         expbeta_expected(PosteriorVariance(), 0.5, 100, prior="flat")
     with pytest.raises(DomainError):

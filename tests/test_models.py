@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from bayessize.errors import (
@@ -348,6 +349,76 @@ def test_grid_hpd_no_wider_than_equal_tails():
     assert box.hi - box.lo <= et + 2.0 * post.step
 
 
+def _rate_grid(theta0, n, u):
+    # s at probability u of its Gamma(n, theta0) sampling law
+    s = float(stats.gamma.ppf(u, n) / theta0)
+    return posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(n, s))
+
+
+def _gamma_grid(shape, rate):
+    hi = stats.gamma.ppf(1.0 - 1e-9, shape, scale=1.0 / rate)
+    return GridPosterior.from_log_density(
+        lambda x: stats.gamma.logpdf(x, shape, scale=1.0 / rate), 0.0, hi
+    )
+
+
+_HPD_GRIDS = st.one_of(
+    st.builds(_rate_grid, st.floats(0.05, 1.0), st.integers(1, 200), st.floats(0.001, 0.999)),
+    st.builds(_beta_grid, st.floats(1.0, 60.0), st.floats(1.0, 60.0)),
+    st.builds(_gamma_grid, st.floats(1.0, 60.0), st.floats(0.1, 50.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=_HPD_GRIDS, level=st.floats(0.05, 0.99))
+def test_grid_hpd_properties(grid, level):
+    box = grid.hpd(level)
+    assert level <= box.mass <= level + 2.0 / grid.nodes.size
+    tail = 0.5 * (1.0 - level)
+    equal_tail = grid.quantile(1.0 - tail) - grid.quantile(tail)
+    assert box.hi - box.lo <= equal_tail + 2.0 * grid.step
+    if box.lo > grid.nodes[0] and box.hi < grid.nodes[-1]:
+        d_lo, d_hi = np.interp([box.lo, box.hi], grid.nodes, grid.density)
+        assert abs(d_lo - d_hi) <= np.abs(np.diff(grid.density)).max()
+
+
+@pytest.mark.parametrize("level", [0.05, 0.5, 0.95, 0.999])
+@pytest.mark.parametrize(
+    "grid",
+    [_rate_grid(0.25, 10, 0.5), _rate_grid(1.0, 3, 0.9), _beta_grid(1.0, 40.0),
+     _beta_grid(30.0, 2.0), _gamma_grid(1.0, 5.0), _gamma_grid(40.0, 2.0)],
+)
+def test_grid_hpd_no_wider_than_any_node_anchored_interval(grid, level):
+    # hpd() tries only nodes next to density >= (1 - level) / span; no
+    # interval with an end on any node and mass `level` may be shorter
+    x, cdf = grid.nodes, grid._node_cdf
+    starts, ends = cdf + level <= cdf[-1], cdf >= level
+    widths = np.r_[grid._invert_cdf(cdf[starts] + level) - x[starts],
+                   x[ends] - grid._invert_cdf(cdf[ends] - level)]
+    box = grid.hpd(level)
+    assert box.hi - box.lo <= widths.min() * (1.0 + 1e-12)
+
+
+def test_grid_hpd_ends_move_continuously_with_the_data():
+    # An end snapped to a node would jump by a whole step (2.4e-4) as s
+    # moves; the rate-study oracle integrates these ends over s.
+    fam, prior = ExponentialRate(), BetaPrior(1.5, 1.5)
+    boxes = [
+        posterior(fam, prior, SufficientStat(30, float(s))).hpd(0.95)
+        for s in np.linspace(60.0, 60.01, 41)
+    ]
+    ends = np.array([(box.lo, box.hi) for box in boxes])
+    assert np.abs(np.diff(ends, axis=0)).max() <= 1e-5
+
+
+def test_rate_posterior_grid_matches_the_checked_constructor():
+    post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(30, 60.0))
+    checked = GridPosterior(np.array(post.nodes), np.array(post.density))
+    assert checked.step == post.step
+    np.testing.assert_allclose(checked.density, post.density, rtol=1e-12)
+    assert checked.hpd(0.95).lo == pytest.approx(post.hpd(0.95).lo, rel=1e-12)
+
+
 def test_gamma_hpd_via_grid():
     box = GammaPosterior(8.5, 12.5).hpd(0.9)
     assert 0.9 <= box.mass <= 0.9 + 2.0 / GRID_NODES + 1e-9
@@ -363,11 +434,23 @@ def test_hpd_rejects_unbounded_densities():
         BetaPosterior(0.8, 2.0).hpd(0.9)
 
 
-def test_hpd_rejects_disconnected_superlevel_sets():
+def _bimodal_grid():
     x = np.linspace(0.0, 1.0, 512)
     bimodal = np.exp(-0.5 * ((x - 0.2) / 0.05) ** 2) + np.exp(-0.5 * ((x - 0.8) / 0.05) ** 2)
+    return GridPosterior(x, bimodal)
+
+
+def test_hpd_rejects_disconnected_superlevel_sets():
+    # the other peak lies outside the shortest interval
     with pytest.raises(UnsupportedShapeError):
-        GridPosterior(x, bimodal).hpd(0.5)
+        _bimodal_grid().hpd(0.5)
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95])
+def test_hpd_rejects_a_valley_inside_the_interval(level):
+    # the shortest interval spans both peaks and the valley between them
+    with pytest.raises(UnsupportedShapeError):
+        _bimodal_grid().hpd(level)
 
 
 def test_grid_constructor_guards():
