@@ -35,15 +35,13 @@ def main(argv=None) -> int:
                         help="simulation replicates for table 3 (default %(default)s)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="stream seed for table 3 (default %(default)s)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel replicate workers for table 3")
     parser.add_argument("--csv-dir", type=Path,
                         help="also write one table<N>.csv per table into this directory")
     args = parser.parse_args(argv)
 
     for index in [args.table] if args.table else [1, 2, 3]:
         start = time.perf_counter()
-        rows = build_table(index, m=args.m, seed=args.seed, workers=args.workers)
+        rows = build_table(index, m=args.m, seed=args.seed)
         elapsed = time.perf_counter() - start
         print(TITLES[index])
         print(render_text(rows), end="")

@@ -6,6 +6,10 @@ The first three pair with their conjugate priors and yield closed-form
 posterior families; the exponential-rate model pairs with a beta prior
 restricted to rates in (0, 1] and is represented on a dense grid.
 
+The gamma and beta posterior CDFs are closed forms, the regularized
+incomplete gamma and beta functions of :mod:`bayessize.specfun`; their
+quantiles invert them by a bracketed Newton iteration.
+
 Posterior objects are immutable once constructed and safe to share
 across threads.  All numeric posterior summaries (quantiles, interval
 masses, highest-density regions) resolve to 1e-8 in probability or
@@ -27,9 +31,8 @@ from .errors import (
     DomainError,
     UnsupportedShapeError,
 )
-from .quadrature import cumulative_table
-from .randomness import bernoulli_deviate, normal_deviate, poisson_deviate
-from .specfun import ln_gamma, std_normal_cdf, std_normal_quantile
+from .randomness import normal_deviate, poisson_deviate
+from .specfun import beta_i, gamma_p, ln_gamma, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "NormalKnownVariance",
@@ -53,15 +56,10 @@ __all__ = [
     "inf_weighted_info",
     "sample_suffstat",
     "posterior",
-    "post_mean",
-    "post_variance",
-    "post_quantile",
-    "post_interval_mass",
-    "post_hpd",
-    "post_prob_above",
 ]
 
 GRID_NODES = 4096
+_TINY = float(np.finfo(float).tiny)
 
 
 def _positive(name: str, x: float) -> float:
@@ -339,68 +337,6 @@ class HpdInterval:
     mass: float
 
 
-# ---------------------------------------------------------------------------
-# Numeric CDF support for the gamma and beta posteriors
-#
-# Both densities are integrated in a transformed variable that absorbs the
-# endpoint behaviour (u = sqrt(x) for the gamma, x = sin^2(pi u / 2) for
-# the beta), tabulated cumulatively once per posterior, then evaluated
-# with a local Simpson correction so single-point CDF values do not
-# inherit the table's interpolation error.
-
-
-class _TransformedCdf:
-    def __init__(self, integrand, u_lo: float, u_hi: float):
-        self._f = integrand
-        self.edges, self.cum, self.residual = cumulative_table(
-            integrand, u_lo, u_hi, tol=1e-12
-        )
-        self.total = float(self.cum[-1])
-        if not (math.isfinite(self.total) and self.total > 0.0):
-            raise AccuracyError("posterior density integrated to a non-positive total")
-
-    def _local(self, u0: float, u1: float) -> float:
-        if u1 <= u0:
-            return 0.0
-        x = np.linspace(u0, u1, 5)
-        y = np.asarray(self._f(x), dtype=float)
-        h = (u1 - u0) / 4.0
-        return float((y[0] + 4.0 * y[1] + 2.0 * y[2] + 4.0 * y[3] + y[4]) * h / 3.0)
-
-    def cdf(self, u: float) -> float:
-        if u <= self.edges[0]:
-            return 0.0
-        if u >= self.edges[-1]:
-            return 1.0
-        i = int(np.searchsorted(self.edges, u, side="right")) - 1
-        raw = float(self.cum[i]) + self._local(float(self.edges[i]), u)
-        return min(max(raw / self.total, 0.0), 1.0)
-
-    def quantile(self, p: float) -> float:
-        target = p * self.total
-        j = int(np.searchsorted(self.cum, target, side="left"))
-        j = min(max(j, 1), self.cum.size - 1)
-        a, b = float(self.edges[j - 1]), float(self.edges[j])
-        u = 0.5 * (a + b)
-        for _ in range(80):
-            err = self.cdf(u) - p
-            if abs(err) <= 1e-11:
-                return u
-            if err > 0.0:
-                b = u
-            else:
-                a = u
-            slope = float(self._f(np.array([u]))[0]) / self.total
-            if slope > 0.0:
-                step = u - err / slope
-                u = step if a < step < b else 0.5 * (a + b)
-            else:
-                u = 0.5 * (a + b)
-        if abs(self.cdf(u) - p) > 1e-8:
-            raise AccuracyError(f"quantile iteration did not reach 1e-8 at p={p!r}")
-        return u
-
-
 def _check_prob(alpha: float) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
@@ -472,31 +408,54 @@ class NormalPosterior:
 
 
 class _NumericPosterior:
-    """Shared plumbing for posteriors evaluated through a cached CDF table."""
+    """Quantiles and interval masses computed from a scalar ``cdf``.
 
-    _table: _TransformedCdf | None
+    The gamma and beta posteriors supply ``_cdf`` for positive ``x``, the
+    vectorised ``_log_pdf``, a starting point ``_guess(p)`` and ``_hi``, a
+    point above every representable quantile.  ``GridPosterior`` overrides
+    ``cdf`` and ``quantile``: it inverts its piecewise quadratic CDF directly.
+    """
 
-    def _ensure_table(self) -> _TransformedCdf:
-        table = object.__getattribute__(self, "_table")
-        if table is None:
-            table = self._build_table()
-            object.__setattr__(self, "_table", table)
-        return table
-
-    def _build_table(self) -> _TransformedCdf:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _to_u(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _from_u(self, u: float) -> float:
-        raise NotImplementedError
+    __slots__ = ()
 
     def cdf(self, x: float) -> float:
-        return self._ensure_table().cdf(self._to_u(x))
+        if math.isnan(x):
+            raise DomainError("x must not be NaN")
+        return 0.0 if x <= 0.0 else self._cdf(x)
 
     def quantile(self, alpha: float) -> float:
-        return self._from_u(self._ensure_table().quantile(_check_prob(alpha)))
+        """Invert ``cdf`` by Newton steps, bisecting whenever a step leaves
+        the bracket the evaluated points have built up.
+
+        The result is within 1e-8 in probability or, where no double comes
+        that close (a beta quantile within about 1e-16 of 1 when ``b`` is
+        small), a double next to the exact quantile.  Otherwise raises
+        ``AccuracyError``.
+        """
+        p = _check_prob(alpha)
+        lo, hi = 0.0, self._hi
+        x = min(max(self._guess(p), 1e-300), hi * (1.0 - 2.0**-52))
+        for _ in range(100):
+            err = self.cdf(x) - p
+            if err == 0.0:
+                return x
+            if err > 0.0:
+                hi = x
+            elif err < 0.0:
+                lo = x
+            # The CDF's slope is the density; capping the exponent sends a
+            # step from a vanishing density out of the bracket, not to inf.
+            new = x - err * math.exp(min(-float(self._log_pdf(x)), 700.0))
+            if abs(new - x) <= 1e-12 * x and abs(err) <= 1e-8:
+                return x
+            if new == x:  # a step below one ulp: try the neighbouring double
+                new = math.nextafter(x, lo if err > 0.0 else hi)
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi)
+                if not lo < new < hi:  # no double lies between lo and hi
+                    return x
+            x = new
+        raise AccuracyError(f"{self!r}: quantile did not reach 1e-8 at p={p!r}")
 
     def interval_mass(self, lo: float, hi: float) -> float:
         if not lo <= hi:
@@ -517,7 +476,6 @@ class GammaPosterior(_NumericPosterior):
     def __post_init__(self):
         object.__setattr__(self, "shape", _positive("shape", self.shape))
         object.__setattr__(self, "rate", _positive("rate", self.rate))
-        object.__setattr__(self, "_table", None)
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -533,49 +491,31 @@ class GammaPosterior(_NumericPosterior):
                 out = out + (self.shape - 1.0) * np.log(x)
         return out
 
-    def _upper_cut(self) -> float:
-        # Wilson-Hilferty upper quantile, inflated; the cumulative table's
-        # self-normalisation makes the residual truncation negligible.
-        z = std_normal_quantile(1.0 - 1e-13)
-        k = self.shape
-        wh = k * (1.0 - 1.0 / (9.0 * k) + z / (3.0 * math.sqrt(k))) ** 3 / self.rate
-        return 1.5 * wh + 20.0 / self.rate
+    def _cdf(self, x: float) -> float:
+        y = self.rate * x
+        return 1.0 if math.isinf(y) else gamma_p(self.shape, y)
 
     @property
-    def _power(self) -> int:
-        # Integration variable u = x^(1/q).  The integrand near zero behaves
-        # like u^(q*shape - 1); u = sqrt(x) already gives an exact polynomial
-        # corner for half-integer shapes and a flat one for large shapes, and
-        # otherwise the exponent is pushed past Simpson's smoothness order.
-        edge = 2.0 * self.shape - 1.0
-        if edge >= 4.5 or edge == math.floor(edge):
-            return 2
-        return max(2, math.ceil(5.5 / self.shape))
+    def _hi(self) -> float:
+        # Forty standard deviations (plus forty units for small shapes)
+        # past the mean, where the upper tail is far below 1e-16.
+        k = self.shape
+        return (k + 40.0 * math.sqrt(k) + 40.0) / self.rate
 
-    def _build_table(self) -> _TransformedCdf:
-        q = self._power
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            x = u**q
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ld = self._log_pdf(x)
-                jac = float(q) * u ** (q - 1)
-                vals = np.where(np.isneginf(ld), 0.0, np.exp(ld)) * jac
-            return np.nan_to_num(vals, nan=0.0, posinf=0.0)
-
-        return _TransformedCdf(integrand, 0.0, self._upper_cut() ** (1.0 / q))
-
-    def _to_u(self, x: float) -> float:
-        if math.isnan(x):
-            raise DomainError("x must not be NaN")
-        if x <= 0.0:
-            return 0.0
-        if math.isinf(x):
-            return float(self._ensure_table().edges[-1])
-        return x ** (1.0 / self._power)
-
-    def _from_u(self, u: float) -> float:
-        return u**self._power
+    def _guess(self, p: float) -> float:
+        # Numerical Recipes 6.2.1: Wilson-Hilferty above shape 1, raised to
+        # the power law y^k / Gamma(k + 1) >= P(k, y), a lower bound on the
+        # quantile that is sharp in the far lower tail.  Below shape 1, the
+        # power law near zero and an exponential tail beyond.
+        k = self.shape
+        if k > 1.0:
+            z = std_normal_quantile(p)
+            y = k * max(1.0 - 1.0 / (9.0 * k) + z / (3.0 * math.sqrt(k)), 0.0) ** 3
+            y = max(y, math.exp((math.log(p) + ln_gamma(k + 1.0)) / k))
+        else:
+            t = 1.0 - k * (0.253 + 0.12 * k)
+            y = (p / t) ** (1.0 / k) if p < t else 1.0 - math.log1p(-(p - t) / (1.0 - t))
+        return y / self.rate
 
     def hpd(self, level: float) -> HpdInterval:
         level = _check_level(level)
@@ -595,11 +535,11 @@ class BetaPosterior(_NumericPosterior):
 
     a: float
     b: float
+    _hi = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "a", _positive("a", self.a))
         object.__setattr__(self, "b", _positive("b", self.b))
-        object.__setattr__(self, "_table", None)
 
     def mean(self) -> float:
         return self.a / (self.a + self.b)
@@ -618,30 +558,30 @@ class BetaPosterior(_NumericPosterior):
                 out = out + (self.b - 1.0) * np.log1p(-x)
         return out
 
-    def _build_table(self) -> _TransformedCdf:
-        def integrand(u: np.ndarray) -> np.ndarray:
-            half = 0.5 * math.pi * u
-            x = np.sin(half) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ld = self._log_pdf(x)
-                jac = 0.5 * math.pi * np.sin(math.pi * u)
-                vals = np.where(np.isneginf(ld), 0.0, np.exp(ld)) * jac
-            return np.nan_to_num(vals, nan=0.0, posinf=0.0)
+    def _cdf(self, x: float) -> float:
+        return 1.0 if x >= 1.0 else beta_i(self.a, self.b, x)
 
-        return _TransformedCdf(integrand, 0.0, 1.0)
-
-    def _to_u(self, x: float) -> float:
-        if math.isnan(x):
-            raise DomainError("x must not be NaN")
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        return 2.0 / math.pi * math.asin(math.sqrt(x))
-
-    def _from_u(self, u: float) -> float:
-        s = math.sin(0.5 * math.pi * u)
-        return s * s
+    def _guess(self, p: float) -> float:
+        # Numerical Recipes 6.4.  Near 0 the CDF follows x^a / (a B(a, b))
+        # and near 1 it follows 1 - (1 - x)^b / (b B(a, b)).  Solved for p,
+        # the first law bounds the quantile from below when b >= 1 (above
+        # when b < 1), the second from above when a >= 1 (below when a < 1).
+        a, b = self.a, self.b
+        ln_beta = ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+        lower = math.exp(min(math.log(a * p) + ln_beta, 0.0) / a)  # capped at 1
+        upper = -math.expm1(min(math.log(b * (1.0 - p)) + ln_beta, 0.0) / b)
+        if a < 1.0 and b < 1.0:
+            return lower if lower < a / (a + b) or upper <= 0.0 else upper
+        if a < 1.0 or b < 1.0:
+            return max(lower, upper) if a < 1.0 else min(lower, upper)
+        z = -std_normal_quantile(p)
+        al = (z * z - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        w = z * math.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
+            al + 5.0 / 6.0 - 2.0 / (3.0 * h)
+        )
+        x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
+        return min(max(x, lower), upper)  # a normal-based start, clipped
 
     def hpd(self, level: float) -> HpdInterval:
         level = _check_level(level)
@@ -654,12 +594,13 @@ class BetaPosterior(_NumericPosterior):
         return grid.hpd(level)
 
 
-class GridPosterior:
+class GridPosterior(_NumericPosterior):
     """Posterior represented by densities on a uniform grid of nodes.
 
     The density is trapezoid-normalised so the node weights (density
     times trapezoid weight) are nonnegative and sum to one.  Quantiles
-    invert the trapezoid CDF with linear interpolation between nodes.
+    invert the trapezoid CDF exactly: within a segment the density is
+    linear and the CDF quadratic.
     """
 
     __slots__ = ("nodes", "density", "step", "_node_cdf", "_hpd_cache")
@@ -761,23 +702,16 @@ class GridPosterior:
         return min(float(self._node_cdf[i] + partial), 1.0)
 
     def quantile(self, alpha: float) -> float:
+        # The scalar form of _invert_cdf, without its array overhead.
         alpha = _check_prob(alpha)
-        cdf = self._node_cdf
-        j = int(np.searchsorted(cdf, alpha, side="left"))
-        j = min(max(j, 1), cdf.size - 1)
-        seg = cdf[j] - cdf[j - 1]
-        if seg <= 0.0:
-            return float(self.nodes[j])
-        t = (alpha - cdf[j - 1]) / seg
-        return float(self.nodes[j - 1] + t * self.step)
-
-    def interval_mass(self, lo: float, hi: float) -> float:
-        if not lo <= hi:
-            raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
-        return max(self.cdf(hi) - self.cdf(lo), 0.0)
-
-    def prob_above(self, theta1: float) -> float:
-        return 1.0 - self.cdf(_finite("theta1", theta1))
+        d, cdf = self.density, self._node_cdf
+        j = int(np.searchsorted(cdf, alpha, side="left")) - 1
+        gain = alpha - float(cdf[j])
+        d_j = float(d[j])
+        slope = (float(d[j + 1]) - d_j) / self.step
+        root = math.sqrt(max(d_j * d_j + 2.0 * slope * gain, 0.0))
+        t = 2.0 * gain / max(d_j + root, _TINY)
+        return float(self.nodes[j]) + min(t, self.step)
 
     def _invert_cdf(self, targets: np.ndarray) -> np.ndarray:
         """Leftmost points where the trapezoid CDF reaches each target.
@@ -792,7 +726,7 @@ class GridPosterior:
         slope = (d[j + 1] - d[j]) / self.step
         root = np.sqrt(np.maximum(d[j] * d[j] + 2.0 * slope * gain, 0.0))
         # The denominator vanishes only where the gain does (t = 0 then).
-        t = 2.0 * gain / np.maximum(d[j] + root, np.finfo(float).tiny)
+        t = 2.0 * gain / np.maximum(d[j] + root, _TINY)
         return self.nodes[j] + np.minimum(t, self.step)
 
     def _equal_density_ends(self, lo: float, hi: float) -> tuple[float, float]:
@@ -937,31 +871,3 @@ def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterio
     raise ConfigurationError(
         f"no conjugate update for family {family!r} with prior {prior!r}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Posterior summaries (free-function view of the posterior methods)
-
-
-def post_mean(post: Posterior) -> float:
-    return post.mean()
-
-
-def post_variance(post: Posterior) -> float:
-    return post.variance()
-
-
-def post_quantile(post: Posterior, alpha: float) -> float:
-    return post.quantile(alpha)
-
-
-def post_interval_mass(post: Posterior, lo: float, hi: float) -> float:
-    return post.interval_mass(lo, hi)
-
-
-def post_hpd(post: Posterior, level: float) -> HpdInterval:
-    return post.hpd(level)
-
-
-def post_prob_above(post: Posterior, theta1: float) -> float:
-    return post.prob_above(theta1)

@@ -1,17 +1,12 @@
 """Seeded Monte Carlo estimation of expected posterior functionals.
 
 Replicate ``j`` draws its data from the uniform stream keyed by
-``(seed, j)``, so estimates are bitwise reproducible and independent of
-how replicates are scheduled.  Worker threads only partition the
-replicate index range; results are written into a preallocated array by
-index and reduced in index order, which keeps parallel runs identical to
-sequential ones.
+``(seed, j)``, so estimates are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +44,13 @@ class MonteCarloEstimate:
     seed: int
 
 
-def _check_counts(n: int, m: int, seed: int, workers: int):
+def _check_counts(n: int, m: int, seed: int):
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
         raise DomainError(f"replicate count must be an integer >= 2, got {m!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise DomainError(f"workers must be a positive integer, got {workers!r}")
 
 
 def simulate_many(
@@ -68,7 +61,6 @@ def simulate_many(
     m: int,
     functionals: list[Functional],
     seed: int,
-    workers: int = 1,
 ) -> list[MonteCarloEstimate]:
     """Estimate several expected functionals from one set of replicates.
 
@@ -78,32 +70,20 @@ def simulate_many(
     :func:`simulate_g` calls at the same seed, while sharing the per
     replicate sampling and posterior construction.
     """
-    _check_counts(n, m, seed, workers)
+    _check_counts(n, m, seed)
     if not functionals:
         raise DomainError("at least one functional is required")
 
     values = np.empty((len(functionals), m))
-
-    def run_replicate(j: int):
+    for j in range(m):
         try:
             rng = SeededGenerator(seed, stream_id=j)
             stat = sample_suffstat(family, theta0, n, rng)
             post = posterior(family, prior, stat)
             for i, functional in enumerate(functionals):
                 values[i, j] = evaluate(functional, post)
-        except ReplicateError:
-            raise
         except Exception as exc:
             raise ReplicateError(j, exc) from exc
-
-    if workers == 1:
-        for j in range(m):
-            run_replicate(j)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for worker_error in pool.map(_trap, [run_replicate] * m, range(m)):
-                if worker_error is not None:
-                    raise worker_error
 
     out = []
     for i in range(len(functionals)):
@@ -114,14 +94,6 @@ def simulate_many(
     return out
 
 
-def _trap(fn, j):
-    try:
-        fn(j)
-        return None
-    except ReplicateError as exc:
-        return exc
-
-
 def simulate_g(
     family: LikelihoodFamily,
     prior,
@@ -130,12 +102,10 @@ def simulate_g(
     m: int,
     functional: Functional,
     seed: int,
-    workers: int = 1,
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the expected value of ``functional``.
 
     Runs ``m`` replicates of size ``n`` at ``theta0`` and averages the
-    functional over the realised posteriors.  Output depends only on the
-    arguments, not on ``workers``.
+    functional over the realised posteriors.
     """
-    return simulate_many(family, prior, theta0, n, m, [functional], seed, workers)[0]
+    return simulate_many(family, prior, theta0, n, m, [functional], seed)[0]

@@ -2,16 +2,19 @@
 
 Everything here is pure: plain floats in, plain floats out, no state.
 The rest of the package builds on these primitives, so their accuracy
-targets are the tightest in the tree (standard normal inversion to
-1e-9 or better over the open unit interval).
+targets are the tightest in the tree: the normal quantile is good to
+about 1e-16 relative, and the regularized incomplete gamma and beta
+functions to a few 1e-11 absolute for shapes up to 2e4 (their log-space
+prefactors lose about shape * 1e-16).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 
 __all__ = [
     "Polynomial",
@@ -19,6 +22,8 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_quantile",
     "ln_gamma",
+    "gamma_p",
+    "beta_i",
     "normal_moment",
     "normal_abs_moment",
     "hermite_poly",
@@ -28,6 +33,9 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STD_NORMAL = NormalDist()
+_EPS = 2.220446049250313e-16
+_TINY = 1e-300  # Lentz's guard against a zero denominator
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -114,77 +122,16 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-# Rational minimax coefficients for the inverse normal CDF (Acklam's
-# approximation, |relative error| < 1.2e-9); one Halley step below pushes
-# the result to full double precision.
-_ACKLAM_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ACKLAM_SPLIT = 0.02425
-
-
 def std_normal_quantile(p: float) -> float:
     """Inverse of :func:`std_normal_cdf` on the open interval (0, 1).
 
-    A rational initial guess is polished with one Halley iteration, so the
-    inversion residual ``|cdf(quantile(p)) - p|`` stays below 1e-9 across
-    the whole domain (far below it except in the extreme tails).
+    Wichura's AS241 rational approximations (``statistics.NormalDist``),
+    accurate to about 1e-16 relative over the whole domain.
     """
     p = _require_finite("p", p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie strictly inside (0, 1), got {p!r}")
-
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - _ACKLAM_SPLIT:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-            * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-
-    # Halley polish: e is the CDF residual, u its Newton correction.
-    e = std_normal_cdf(x) - p
-    u = e * _SQRT_2PI * math.exp(0.5 * x * x)
-    x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def ln_gamma(x: float) -> float:
@@ -193,6 +140,104 @@ def ln_gamma(x: float) -> float:
     if x <= 0.0:
         raise DomainError(f"ln_gamma requires a positive argument, got {x!r}")
     return math.lgamma(x)
+
+
+def _max_terms(shape: float) -> int:
+    # Series and continued fractions below need O(sqrt(shape)) terms
+    # (Numerical Recipes, 6.2 and 6.4); the cap leaves a wide margin.
+    return 200 + int(40.0 * math.sqrt(shape))
+
+
+def gamma_p(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma function ``P(a, x)``, ``a > 0``.
+
+    Below ``x = a + 1`` the power series of ``P`` is summed; above it the
+    continued fraction of ``Q = 1 - P`` is evaluated by the modified Lentz
+    method (Numerical Recipes, 6.2).  The prefactor ``x^a e^-x / Gamma(a)``
+    is formed in log space.  Raises ``AccuracyError`` if the expansion
+    has not converged at its term cap.
+    """
+    a, x = _require_finite("a", a), _require_finite("x", x)
+    if a <= 0.0 or x < 0.0:
+        raise DomainError(f"gamma_p needs a > 0 and x >= 0, got a={a!r}, x={x!r}")
+    if x == 0.0:
+        return 0.0
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    limit = _max_terms(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for k in range(1, limit):
+            term *= x / (a + k)
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                return min(total * prefactor, 1.0)
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        h = d
+        for i in range(1, limit):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+            c = b + an / c
+            if abs(c) < _TINY:
+                c = _TINY
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) <= _EPS:
+                return max(1.0 - prefactor * h, 0.0)
+    raise AccuracyError(f"incomplete gamma P({a!r}, {x!r}) did not converge in {limit} terms")
+
+
+def _beta_fraction(a: float, b: float, x: float, limit: int) -> float:
+    # Continued fraction of I_x(a, b) by modified Lentz (Numerical Recipes 6.4).
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+    h = d
+    for m in range(1, limit):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return h
+    raise AccuracyError(
+        f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge in {limit} terms"
+    )
+
+
+def beta_i(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function ``I_x(a, b)`` for ``0 <= x <= 1``.
+
+    The continued fraction converges fast below ``x = (a + 1) / (a + b + 2)``;
+    above it the symmetry ``I_x(a, b) = 1 - I_{1-x}(b, a)`` is used.  The
+    prefactor ``x^a (1 - x)^b / B(a, b)`` is formed in log space.  Raises
+    ``AccuracyError`` if the fraction has not converged at its term cap.
+    """
+    a, b, x = _require_finite("a", a), _require_finite("b", b), _require_finite("x", x)
+    if a <= 0.0 or b <= 0.0 or not 0.0 <= x <= 1.0:
+        raise DomainError(
+            f"beta_i needs a, b > 0 and 0 <= x <= 1, got a={a!r}, b={b!r}, x={x!r}"
+        )
+    if x == 0.0 or x == 1.0:
+        return x
+    prefactor = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    limit = _max_terms(max(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return min(prefactor * _beta_fraction(a, b, x, limit) / a, 1.0)
+    return max(1.0 - prefactor * _beta_fraction(b, a, 1.0 - x, limit) / b, 0.0)
 
 
 def normal_moment(order: int) -> float:

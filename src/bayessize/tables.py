@@ -151,7 +151,7 @@ _RATE_FUNCTIONALS: tuple[tuple[str, Functional], ...] = (
 )
 
 
-def _rate_rows(m: int, seed: int, workers: int) -> list[TableRow]:
+def _rate_rows(m: int, seed: int) -> list[TableRow]:
     family = ExponentialRate()
     prior = BetaPrior(1.5, 1.5)
     params = f"a={prior.a!r};b={prior.b!r}"
@@ -160,9 +160,7 @@ def _rate_rows(m: int, seed: int, workers: int) -> list[TableRow]:
     rows = []
     for theta0 in RATE_STUDY:
         for n in TABLE_NS:
-            estimates = simulate_many(
-                family, prior, theta0, n, m, functionals, seed, workers
-            )
+            estimates = simulate_many(family, prior, theta0, n, m, functionals, seed)
             oracles = expbeta_expected_many(functionals, theta0, n, prior)
             for name, functional, est, oracle in zip(
                 names, functionals, estimates, oracles
@@ -180,7 +178,6 @@ def build_table(
     *,
     m: int = DEFAULT_REPLICATES,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> list[TableRow]:
     """Rows of benchmark table 1, 2, or 3.
 
@@ -192,7 +189,7 @@ def build_table(
     if which == 2:
         return _conjugate_rows()
     if which == 3:
-        return _rate_rows(m, seed, workers)
+        return _rate_rows(m, seed)
     raise DomainError(f"unknown table index {which!r}; expected 1, 2, or 3")
 
 

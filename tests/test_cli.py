@@ -348,6 +348,20 @@ def test_simulate_two_replicate_smoke(capsys):
     assert math.isfinite(float(pairs["std_err"]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "bernoulli", "--a", "0.5", "--b", "0.5", "--theta0", "0.02", "--n", "5"],
+        ["--model", "poisson", "--a", "1", "--b", "0.5", "--theta0", "0.05", "--n", "3"],
+    ],
+)
+def test_simulate_handles_posterior_shapes_below_one(argv, capsys):
+    # Zero counts are common here, leaving a posterior shape below 1.
+    code, out, err = run(["simulate", *argv, "--criterion", "alc", "--m", "200"], capsys)
+    assert code == 0 and err == ""
+    assert 0.0 < float(kv(out)["mean"]) < 1.0
+
+
 def test_simulate_repeats_are_byte_identical(capsys):
     argv = ["simulate", "--model", "exp", "--criterion", "alc",
             "--theta0", "0.25", "--n", "30", "--m", "40"]

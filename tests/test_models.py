@@ -8,10 +8,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import stats
+from hypothesis import example, given, settings, strategies as st
+from scipy import special, stats
 
 from bayessize.errors import (
+    AccuracyError,
     ConfigurationError,
     CriterionUnsatisfiableError,
     DomainError,
@@ -35,11 +36,6 @@ from bayessize.models import (
     in_domain,
     inf_weighted_info,
     param_bounds,
-    post_hpd,
-    post_interval_mass,
-    post_mean,
-    post_quantile,
-    post_variance,
     posterior,
     sample_suffstat,
 )
@@ -272,16 +268,20 @@ def test_gamma_posterior_benchmark_object():
     assert above == pytest.approx(ref, abs=1e-8)
 
 
-@pytest.mark.parametrize("shape, rate", [(0.9, 2.0), (3.0, 0.5), (40.0, 12.0)])
+@pytest.mark.parametrize(
+    "shape, rate",
+    [(0.9, 2.0), (3.0, 0.5), (40.0, 12.0), (0.5, 4.0), (0.05, 1.0), (4012.0, 210.0)],
+)
 def test_gamma_posterior_matches_scipy(shape, rate):
     post = GammaPosterior(shape, rate)
     dist = stats.gamma(a=shape, scale=1.0 / rate)
     assert post.mean() == pytest.approx(dist.mean(), rel=1e-12)
     assert post.variance() == pytest.approx(dist.var(), rel=1e-12)
-    for p in (0.05, 0.5, 0.9):
+    for p in (1e-30, 0.05, 0.5, 0.9):
         assert post.quantile(p) == pytest.approx(dist.ppf(p), rel=1e-7)
-    for x in (dist.ppf(0.2), dist.ppf(0.8)):
-        assert post.cdf(x) == pytest.approx(dist.cdf(x), abs=1e-8)
+    for x in dist.ppf([1e-6, 0.2, 0.5, 0.8, 1.0 - 1e-6]):
+        assert post.cdf(x) == pytest.approx(dist.cdf(x), abs=1e-10)
+        assert post.cdf(x) == pytest.approx(special.gammainc(shape, rate * x), abs=1e-10)
 
 
 def test_beta_posterior_quantile_against_incomplete_beta():
@@ -291,13 +291,49 @@ def test_beta_posterior_quantile_against_incomplete_beta():
     assert post.mean() == pytest.approx(0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("a, b", [(1.0, 4.0), (2.5, 1.0), (7.0, 3.0)])
+@pytest.mark.parametrize(
+    "a, b",
+    [(1.0, 4.0), (2.5, 1.0), (7.0, 3.0), (0.5, 0.5), (0.5, 10.5), (0.3, 5.0),
+     (12.0, 0.2), (4012.0, 2100.0)],
+)
 def test_beta_posterior_matches_scipy(a, b):
     post = BetaPosterior(a, b)
     dist = stats.beta(a, b)
     assert post.variance() == pytest.approx(dist.var(), rel=1e-12)
-    for p in (0.1, 0.5, 0.95):
-        assert post.quantile(p) == pytest.approx(dist.ppf(p), abs=1e-7)
+    for p in (1e-30, 0.1, 0.5, 0.95):
+        assert post.quantile(p) == pytest.approx(dist.ppf(p), rel=1e-7)
+    for x in dist.ppf([1e-6, 0.2, 0.5, 0.8, 1.0 - 1e-6]):
+        assert post.cdf(x) == pytest.approx(dist.cdf(x), abs=1e-10)
+        assert post.cdf(x) == pytest.approx(special.betainc(a, b, x), abs=1e-10)
+
+
+_SHAPES = st.floats(0.05, 1e4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.builds(GammaPosterior, _SHAPES, st.floats(0.01, 100.0)),
+        st.builds(BetaPosterior, _SHAPES, _SHAPES),
+    ),
+    st.floats(1e-6, 1.0 - 1e-6),
+)
+# Shapes far below the drawn range, whose starting guesses once overflowed.
+@example(BetaPosterior(1e-4, 1e-3), 0.5)
+@example(BetaPosterior(1e-3, 1e-4), 0.9)
+@example(BetaPosterior(1e-3, 5.0), 0.5)
+def test_quantile_inverts_cdf_for_small_and_large_shapes(post, p):
+    q = post.quantile(p)
+    if abs(post.cdf(q) - p) > 1e-8:
+        # Only allowed where no double is closer: q's neighbours straddle p.
+        assert post.cdf(math.nextafter(q, -math.inf)) <= p <= post.cdf(math.nextafter(q, math.inf))
+
+
+def test_quantile_failure_names_the_posterior(monkeypatch):
+    post = GammaPosterior(2.0, 1.0)
+    monkeypatch.setattr(GammaPosterior, "_cdf", lambda self, x: math.nan)
+    with pytest.raises(AccuracyError, match=r"GammaPosterior\(shape=2\.0.*p=0\.3"):
+        post.quantile(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +354,13 @@ def test_grid_posterior_reproduces_beta_oracle(a, b):
     assert grid.variance() == pytest.approx(dist.var(), abs=1e-5)
     for p in (0.025, 0.5, 0.975):
         assert grid.quantile(p) == pytest.approx(dist.ppf(p), abs=1e-5)
+
+
+@pytest.mark.parametrize("n, s", [(100, 400.0), (10, 30.0), (1000, 2000.0)])
+def test_grid_quantile_inverts_the_trapezoid_cdf(n, s):
+    post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(n, s))
+    for p in (1e-6, 0.025, 0.05, 0.5, 0.975, 1.0 - 1e-6):
+        assert post.cdf(post.quantile(p)) == pytest.approx(p, abs=1e-12)
 
 
 def test_grid_posterior_weights_sum_to_one():
@@ -480,7 +523,7 @@ def test_exp_beta_average_hpd_tracks_truth():
     lows, highs = [], []
     for j in range(m):
         stat = sample_suffstat(fam, theta0, n, SeededGenerator(20060301, stream_id=j))
-        box = post_hpd(posterior(fam, prior, stat), 0.95)
+        box = posterior(fam, prior, stat).hpd(0.95)
         lows.append(box.lo)
         highs.append(box.hi)
     avg_lo, avg_hi = float(np.mean(lows)), float(np.mean(highs))
@@ -530,8 +573,8 @@ def test_lower_tail_mass_is_the_quantile_level():
     ]
     for post, bottom in cases:
         for alpha in (0.05, 0.5, 0.9):
-            q = post_quantile(post, alpha)
-            assert post_interval_mass(post, bottom, q) == pytest.approx(alpha, abs=1e-6)
+            q = post.quantile(alpha)
+            assert post.interval_mass(bottom, q) == pytest.approx(alpha, abs=1e-6)
 
 
 def test_prob_above_below_support_is_one():
@@ -593,7 +636,7 @@ def test_posterior_variance_vanishes_with_sample_size():
     sizes = (100, 1_000, 10_000)
 
     def variances(make_stat, fam, prior):
-        out = [post_variance(posterior(fam, prior, make_stat(n))) for n in sizes]
+        out = [posterior(fam, prior, make_stat(n)).variance() for n in sizes]
         assert out[0] > out[1] > out[2]
         assert out[2] < 0.05 * out[0]
 
@@ -603,10 +646,3 @@ def test_posterior_variance_vanishes_with_sample_size():
     variances(
         lambda n: SufficientStat(n, n / 0.5), ExponentialRate(), BetaPrior(1.5, 1.5)
     )
-
-
-def test_free_function_summaries_delegate():
-    post = NormalPosterior(1.0, 0.25)
-    assert post_mean(post) == post.mean()
-    assert post_variance(post) == post.variance()
-    assert post_quantile(post, 0.3) == post.quantile(0.3)

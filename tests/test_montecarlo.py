@@ -207,13 +207,6 @@ def test_repeated_runs_are_identical(family, prior, theta0):
     assert first == second
 
 
-def test_worker_count_does_not_change_the_estimate():
-    args = (ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 50, 40, PosteriorVariance())
-    sequential = simulate_g(*args, seed=12)
-    threaded = simulate_g(*args, seed=12, workers=4)
-    assert sequential == threaded
-
-
 def test_batch_run_matches_single_functional_runs():
     functionals = [PosteriorVariance(), PosteriorQuantile(0.05), CredibleLength(0.05)]
     batch = simulate_many(
@@ -244,14 +237,6 @@ def test_replicate_failure_carries_index_and_cause():
     assert err.value.cause is not None
 
 
-def test_replicate_failure_surfaces_from_worker_pool():
-    with pytest.raises(ReplicateError):
-        simulate_g(
-            Poisson(), GammaPrior(1.0, 0.5), 1e-12, 3, 8, HpdWidth(0.95),
-            seed=1, workers=3,
-        )
-
-
 def test_unsupported_pair_fails_on_first_replicate():
     with pytest.raises(ReplicateError) as err:
         simulate_g(Poisson(), BetaPrior(2.0, 2.0), 0.5, 5, 4, PosteriorVariance(), seed=3)
@@ -267,17 +252,16 @@ def test_unsupported_pair_fails_on_first_replicate():
         dict(m=True),
         dict(seed=-1),
         dict(seed=2**64),
-        dict(workers=0),
     ],
 )
 def test_simulation_rejects_bad_counts(kwargs):
-    args = dict(n=10, m=4, seed=0, workers=1)
+    args = dict(n=10, m=4, seed=0)
     args.update(kwargs)
     with pytest.raises(DomainError):
         simulate_g(
             NormalKnownVariance(0.2), NormalPrior(0.25, 0.3), 0.5,
             args["n"], args["m"], PosteriorVariance(),
-            seed=args["seed"], workers=args["workers"],
+            seed=args["seed"],
         )
 
 

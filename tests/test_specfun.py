@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayessize.errors import DomainError
+import bayessize.specfun as specfun
+from bayessize.errors import AccuracyError, DomainError
 from bayessize.specfun import (
     Polynomial,
+    beta_i,
     expect_half_variance,
     expect_std_normal,
+    gamma_p,
     gaussian_product_expectation,
     hermite_poly,
     ln_gamma,
@@ -100,6 +103,45 @@ def test_ln_gamma_rejects_nonpositive():
     for x in (0.0, -1.0, -3.5):
         with pytest.raises(DomainError):
             ln_gamma(x)
+
+
+@pytest.mark.parametrize(
+    "a, x", [(0.05, 1e-20), (0.5, 0.1), (0.5, 7.0), (3.0, 2.5), (3.0, 4.5), (4012.0, 3950.0)]
+)
+def test_gamma_p_matches_mpmath(a, x):
+    expected = float(mpmath.gammainc(a, 0, x, regularized=True))
+    assert gamma_p(a, x) == pytest.approx(expected, rel=1e-10, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "a, b, x",
+    [(0.5, 0.5, 1e-12), (0.5, 0.5, 0.999), (0.3, 5.0, 0.01), (7.0, 3.0, 0.4),
+     (7.0, 3.0, 0.9), (401.0, 210.0, 0.655)],
+)
+def test_beta_i_matches_mpmath(a, b, x):
+    expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
+    assert beta_i(a, b, x) == pytest.approx(expected, rel=1e-10, abs=1e-15)
+
+
+def test_incomplete_functions_edges_and_domain():
+    assert gamma_p(2.0, 0.0) == 0.0
+    assert gamma_p(1.0, 2.0) == pytest.approx(-math.expm1(-2.0), rel=1e-14)
+    assert beta_i(2.0, 3.0, 0.0) == 0.0 and beta_i(2.0, 3.0, 1.0) == 1.0
+    assert beta_i(1.0, 1.0, 0.3) == pytest.approx(0.3, rel=1e-14)
+    for args in [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)]:
+        with pytest.raises(DomainError):
+            gamma_p(*args)
+    for args in [(0.0, 1.0, 0.5), (1.0, 1.0, 1.5), (1.0, 1.0, math.nan)]:
+        with pytest.raises(DomainError):
+            beta_i(*args)
+
+
+def test_incomplete_functions_raise_at_their_term_cap(monkeypatch):
+    monkeypatch.setattr(specfun, "_max_terms", lambda shape: 3)
+    for call in (lambda: gamma_p(50.0, 45.0), lambda: gamma_p(50.0, 55.0),
+                 lambda: beta_i(50.0, 40.0, 0.5), lambda: beta_i(50.0, 40.0, 0.6)):
+        with pytest.raises(AccuracyError, match="did not converge"):
+            call()
 
 
 def _double_factorial(k):
