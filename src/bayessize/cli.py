@@ -11,6 +11,7 @@ error, 2 criterion unsatisfiable, 3 numerical-accuracy failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import secrets
 import sys
 from dataclasses import dataclass
@@ -101,6 +102,7 @@ def _add_options(sub: argparse.ArgumentParser):
     sub.add_argument("--fresh-seed", dest="fresh_seed", action="store_const", const=True)
 
 
+@functools.cache  # built on first use, then shared: parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bayessize", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -302,7 +303,8 @@ def sample_suffstat(
     Uniform consumption is fixed per family so that seeded runs are
     reproducible: the normal mean uses one deviate (its exact law), the
     Bernoulli and exponential sums use one uniform per observation, and
-    the Poisson sum uses however many the inversion walk needs, in order.
+    the Poisson sum is one deviate of mean ``n * theta0`` (its exact law):
+    inversion below a mean of 10, PTRS above.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
@@ -313,10 +315,7 @@ def sample_suffstat(
         s = theta0 + math.sqrt(family.sigma2 / n) * normal_deviate(rng)
         return SufficientStat(n, s)
     if isinstance(family, Poisson):
-        total = 0
-        for _ in range(n):
-            total += poisson_deviate(rng, theta0)
-        return SufficientStat(n, float(total))
+        return SufficientStat(n, float(poisson_deviate(rng, n * theta0)))
     if isinstance(family, Bernoulli):
         u = rng.uniforms(n)
         return SufficientStat(n, float(int(np.count_nonzero(u < theta0))))
@@ -410,9 +409,10 @@ class NormalPosterior:
 class _NumericPosterior:
     """Quantiles and interval masses computed from a scalar ``cdf``.
 
-    The gamma and beta posteriors supply ``_cdf`` for positive ``x``, the
-    vectorised ``_log_pdf``, a starting point ``_guess(p)`` and ``_hi``, a
-    point above every representable quantile.  ``GridPosterior`` overrides
+    The gamma and beta posteriors supply ``_cdf`` for positive ``x``,
+    ``_log_pdf_at``, the log density at a float inside the support, a
+    starting point ``_guess(p)`` and ``_hi``, a point above every
+    representable quantile.  ``GridPosterior`` overrides
     ``cdf`` and ``quantile``: it inverts its piecewise quadratic CDF directly.
     """
 
@@ -445,7 +445,7 @@ class _NumericPosterior:
                 lo = x
             # The CDF's slope is the density; capping the exponent sends a
             # step from a vanishing density out of the bracket, not to inf.
-            new = x - err * math.exp(min(-float(self._log_pdf(x)), 700.0))
+            new = x - err * math.exp(min(-self._log_pdf_at(x), 700.0))
             if abs(new - x) <= 1e-12 * x and abs(err) <= 1e-8:
                 return x
             if new == x:  # a step below one ulp: try the neighbouring double
@@ -483,13 +483,20 @@ class GammaPosterior(_NumericPosterior):
     def variance(self) -> float:
         return self.shape / (self.rate * self.rate)
 
+    @cached_property
+    def _log_norm(self) -> float:
+        """Log of the density's normalising constant, rate^shape / Gamma(shape)."""
+        return self.shape * math.log(self.rate) - math.lgamma(self.shape)
+
     def _log_pdf(self, x: np.ndarray) -> np.ndarray:
-        const = self.shape * math.log(self.rate) - ln_gamma(self.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = const - self.rate * x
+            out = self._log_norm - self.rate * x
             if self.shape != 1.0:  # avoid 0 * -inf at x = 0
                 out = out + (self.shape - 1.0) * np.log(x)
         return out
+
+    def _log_pdf_at(self, x: float) -> float:
+        return self._log_norm - self.rate * x + (self.shape - 1.0) * math.log(x)
 
     def _cdf(self, x: float) -> float:
         y = self.rate * x
@@ -548,15 +555,23 @@ class BetaPosterior(_NumericPosterior):
         t = self.a + self.b
         return self.a * self.b / (t * t * (t + 1.0))
 
+    @cached_property
+    def _log_norm(self) -> float:
+        """Log of the density's normalising constant, 1 / B(a, b)."""
+        return -(math.lgamma(self.a) + math.lgamma(self.b) - math.lgamma(self.a + self.b))
+
     def _log_pdf(self, x: np.ndarray) -> np.ndarray:
-        ln_beta = ln_gamma(self.a) + ln_gamma(self.b) - ln_gamma(self.a + self.b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.zeros_like(x) - ln_beta
+            out = np.zeros_like(x) + self._log_norm
             if self.a != 1.0:  # avoid 0 * -inf at the endpoints
                 out = out + (self.a - 1.0) * np.log(x)
             if self.b != 1.0:
                 out = out + (self.b - 1.0) * np.log1p(-x)
         return out
+
+    def _log_pdf_at(self, x: float) -> float:
+        return (self._log_norm + (self.a - 1.0) * math.log(x)
+                + (self.b - 1.0) * math.log1p(-x))
 
     def _cdf(self, x: float) -> float:
         return 1.0 if x >= 1.0 else beta_i(self.a, self.b, x)
@@ -567,7 +582,7 @@ class BetaPosterior(_NumericPosterior):
         # the first law bounds the quantile from below when b >= 1 (above
         # when b < 1), the second from above when a >= 1 (below when a < 1).
         a, b = self.a, self.b
-        ln_beta = ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+        ln_beta = -self._log_norm
         lower = math.exp(min(math.log(a * p) + ln_beta, 0.0) / a)  # capped at 1
         upper = -math.expm1(min(math.log(b * (1.0 - p)) + ln_beta, 0.0) / b)
         if a < 1.0 and b < 1.0:

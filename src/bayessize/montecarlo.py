@@ -14,20 +14,10 @@ import numpy as np
 from .errors import DomainError, ReplicateError
 from .functionals import Functional, evaluate
 from .models import LikelihoodFamily, posterior, sample_suffstat
-from .randomness import (
-    SeededGenerator,
-    bernoulli_deviate,
-    exponential_deviate,
-    normal_deviate,
-    poisson_deviate,
-)
+from .randomness import SeededGenerator
 
 __all__ = [
     "SeededGenerator",
-    "normal_deviate",
-    "exponential_deviate",
-    "bernoulli_deviate",
-    "poisson_deviate",
     "MonteCarloEstimate",
     "simulate_g",
     "simulate_many",

@@ -4,6 +4,10 @@ Determinism contract: a stream is fully identified by ``(seed,
 stream_id)``, and every deviate is a fixed transform of uniforms drawn in
 a fixed order.  Two runs with the same keys therefore produce bitwise
 identical draws regardless of platform, process count, or call site.
+
+A Poisson deviate costs O(1) at any mean: chop-down inversion below a
+mean of 10 (one uniform), PTRS transformed rejection from 10 up (two
+uniforms per trial; 1.3 trials per draw at a mean of 10, 1.13 at 1e6).
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ __all__ = [
     "poisson_deviate",
 ]
 
-# exp(-mean) underflows past this point and the inversion loop below
-# would never terminate.
-_POISSON_MEAN_LIMIT = 700.0
+# PTRS's constants are fitted for means of 10 and above; below, the
+# inversion walk takes about ``mean`` steps and is as cheap.
+_PTRS_MIN_MEAN = 10.0
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class SeededGenerator:
@@ -83,17 +88,13 @@ def bernoulli_deviate(rng, p: float) -> int:
 
 
 def poisson_deviate(rng, mean: float) -> int:
-    """Poisson draw by chop-down inversion of the CDF.
-
-    Walks the probability mass from zero upward, so the cost grows with
-    the mean; means large enough to underflow ``exp(-mean)`` are refused.
+    """Poisson draw: chop-down inversion of the CDF below a mean of 10,
+    Hoermann's PTRS (transformed rejection with squeeze) from 10 up.
     """
     if not (isinstance(mean, (int, float)) and math.isfinite(mean)) or mean <= 0.0:
         raise DomainError(f"mean must be a positive finite number, got {mean!r}")
-    if mean >= _POISSON_MEAN_LIMIT:
-        raise DomainError(
-            f"mean {mean!r} exceeds the inversion range ({_POISSON_MEAN_LIMIT})"
-        )
+    if mean >= _PTRS_MIN_MEAN:
+        return _poisson_ptrs(rng, mean)
     u = rng.uniform()
     k = 0
     pk = math.exp(-mean)
@@ -105,3 +106,45 @@ def poisson_deviate(rng, mean: float) -> int:
         if k > 100_000_000:  # unreachable for admissible means; guards fp pathologies
             raise DomainError(f"Poisson inversion failed to terminate for mean {mean!r}")
     return k
+
+
+def _poisson_ptrs(rng, mean: float) -> int:
+    # W. Hoermann, "The transformed rejection method for generating Poisson
+    # random variables", Insurance: Mathematics and Economics 12 (1993),
+    # algorithm PTRS.
+    b = 0.931 + 2.53 * math.sqrt(mean)
+    a = -0.059 + 0.02483 * b
+    log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = rng.uniform() - 0.5
+        v = 1.0 - rng.uniform()  # in (0, 1], so log(v) is finite
+        us = 0.5 - abs(u)
+        # The hat's thin edges; also rejects us = 0 (u = -1/2) before it divides.
+        if us < 0.013 and v > us:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
+        if us >= 0.07 and v <= v_r:  # the squeeze: accepted without the pmf
+            return k
+        if k >= 0 and (
+            math.log(v) + log_inv_alpha - math.log(a / (us * us) + b)
+            <= _poisson_log_pmf(k, mean)
+        ):
+            return k
+
+
+def _poisson_log_pmf(k: int, mean: float) -> float:
+    """``log P(K = k)`` for ``K ~ Poisson(mean)``.
+
+    From k = 30 up, in the saddle-point form of C. Loader (2000), "Fast and
+    accurate computation of binomial probabilities": Stirling's series for
+    ``log k!`` and the deviance ``k log(k / mean) - (k - mean)`` through
+    ``log1p``.  Its error stays near 1e-16 |k - mean|; the direct form's
+    grows like ``mean`` 1e-16, 1e-3 at a mean of 1e12.
+    """
+    if k < 30:
+        return k * math.log(mean) - mean - math.lgamma(k + 1)
+    d = k - mean
+    k2 = float(k) * k
+    stirling = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * k2)) / k2) / k
+    return -0.5 * (_LOG_2PI + math.log(k)) - stirling - (k * math.log1p(d / mean) - d)

@@ -213,6 +213,24 @@ def test_missing_subcommand(capsys):
     assert err != ""
 
 
+def test_shared_parser_matches_a_fresh_one(capsys):
+    # main builds its parser once per process; interleaved subcommands and a
+    # usage error must leave nothing behind in it.
+    size = ["size", "--model", "bernoulli", "--criterion", "acc", "--len", "0.1",
+            "--alpha", "0.05", "--range", "0.4:0.6"]
+    calls = [size, ["table", "1"], ["size", "--model", "normal", "--eps", "abc"], size]
+    shared = [run(argv, capsys) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0]
+    assert "--eps: invalid float value" in shared[2][2]
+    assert shared[0] == shared[3]
+
+
 # ---------------------------------------------------------------------------
 # eval
 

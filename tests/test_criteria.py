@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bayessize.criteria import (
+    _CEIL_SLACK,
     Acc,
     Alc,
     Apvc,
@@ -302,32 +303,57 @@ def _random_criterion(kind, rng):
 
 
 def _satisfied(criterion, inf_info, n):
-    """Re-evaluate the defining inequality from its forward closed form."""
+    """Re-evaluate the defining inequality from its forward closed form.
+
+    ``_ceil_snap`` counts a size within ``_CEIL_SLACK`` below the real
+    solution as meeting the criterion, so the slack is given in ``n`` too.
+    """
+    n = n + _CEIL_SLACK
     if isinstance(criterion, Apvc):
-        return 1.0 / (n * inf_info) <= criterion.eps * (1.0 + 1e-9)
+        return 1.0 / (n * inf_info) <= criterion.eps
     if isinstance(criterion, Acc):
         mass = 2.0 * std_normal_cdf(0.5 * criterion.length * math.sqrt(n * inf_info)) - 1.0
-        return mass >= 1.0 - criterion.alpha - 1e-9
+        return mass >= 1.0 - criterion.alpha
     if isinstance(criterion, Alc):
         spread = std_normal_quantile(1.0 - 0.5 * criterion.alpha) - std_normal_quantile(
             0.5 * criterion.alpha
         )
-        return spread / math.sqrt(n * inf_info) <= criterion.length * (1.0 + 1e-9)
+        return spread / math.sqrt(n * inf_info) <= criterion.length
     mass = std_normal_cdf(math.sqrt(0.5 * n * inf_info))
-    return mass >= 1.0 - criterion.alpha - 1e-9
+    return mass >= 1.0 - criterion.alpha
+
+
+# Fixed per kind, so every run draws the same configurations.
+_RANDOM_CONFIG_SEEDS = {"apvc": 1, "acc": 2, "alc": 3, "es": 4}
 
 
 @pytest.mark.parametrize("kind", ["apvc", "acc", "alc", "es"])
 def test_solved_size_is_minimal_on_random_configs(kind):
-    rng = np.random.default_rng(abs(hash(kind)) % 2**32)
+    rng = np.random.default_rng(_RANDOM_CONFIG_SEEDS[kind])
     for _ in range(N_RANDOM):
         criterion, fam = _random_criterion(kind, rng)
         res = min_sample_size(criterion, fam)
         assert res.n_min >= 1
-        assert res.n_min == math.ceil(res.n_real - 1e-9)
+        assert res.n_min == math.ceil(res.n_real - _CEIL_SLACK)
         assert _satisfied(criterion, res.inf_info, res.n_min)
         if res.n_min > 1:
             assert not _satisfied(criterion, res.inf_info, res.n_min - 1)
+
+
+@pytest.mark.parametrize(
+    "n_real,n_min",
+    [(12041.000043, 12042), (12041.000000002, 12042), (12041.0000000005, 12041), (12041.0, 12041)],
+)
+def test_solved_size_snaps_only_within_the_ceiling_slack(n_real, n_min):
+    # At n = 12041 the ACC coverage of the first case is 4e-10 short, less
+    # than a slack of 1e-9 in coverage would forgive; the solver's slack is
+    # 1e-9 in n, and the minimality check above uses the same.
+    z = std_normal_quantile(0.975)
+    criterion = Acc(2.0 * z / math.sqrt(n_real), 0.05, 0.0, 1.0)
+    res = min_sample_size(criterion, NormalKnownVariance(1.0))
+    assert res.n_min == n_min
+    assert _satisfied(criterion, res.inf_info, n_min)
+    assert not _satisfied(criterion, res.inf_info, n_min - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from bayessize.models import (
     posterior,
     sample_suffstat,
 )
-from bayessize.randomness import SeededGenerator, normal_deviate
+from bayessize.randomness import SeededGenerator, normal_deviate, poisson_deviate
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,15 @@ def test_sample_suffstat_poisson_clt_band():
     stat = sample_suffstat(Poisson(), theta0, n, SeededGenerator(43))
     assert stat.s == int(stat.s)
     assert abs(stat.s / n - theta0) <= 3.0 * math.sqrt(theta0 / n)
+
+
+def test_sample_suffstat_poisson_total_is_one_deviate():
+    # n draws at theta0 sum to one draw at n theta0, in O(1) at any mean
+    stat = sample_suffstat(Poisson(), 0.75, 8, SeededGenerator(5, stream_id=1))
+    assert stat.s == poisson_deviate(SeededGenerator(5, stream_id=1), 6.0)
+    big = sample_suffstat(Poisson(), 800.0, 5, SeededGenerator(6))
+    assert big.n == 5 and big.s == int(big.s)
+    assert abs(big.s - 4000.0) <= 5.0 * math.sqrt(4000.0)
 
 
 def test_sample_suffstat_normal_is_single_scaled_deviate():

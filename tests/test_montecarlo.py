@@ -7,8 +7,10 @@ from the exact module.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from bayessize.errors import DomainError, ReplicateError
 from bayessize.exact import exact_normal, expbeta_expected
@@ -27,15 +29,14 @@ from bayessize.models import (
     NormalPrior,
     Poisson,
 )
-from bayessize.montecarlo import (
-    MonteCarloEstimate,
+from bayessize.montecarlo import MonteCarloEstimate, simulate_g, simulate_many
+from bayessize.randomness import (
     SeededGenerator,
+    _poisson_log_pmf,
     bernoulli_deviate,
     exponential_deviate,
     normal_deviate,
     poisson_deviate,
-    simulate_g,
-    simulate_many,
 )
 
 
@@ -79,6 +80,48 @@ def test_poisson_deviate_chops_down_the_cdf():
     assert poisson_deviate(StubStream([0.95]), 1.0) == 3
 
 
+def test_poisson_deviate_switches_to_ptrs_at_mean_ten():
+    # below 10: one uniform, inverted
+    assert poisson_deviate(StubStream([0.5]), 9.99) == 10
+    # from 10: uniform pairs (u, v); u = 1/2 and v = 1 - 0.9 lie in the
+    # squeeze, which returns floor(mean + 0.43) without the pmf
+    assert poisson_deviate(StubStream([0.5, 0.9]), 10.0) == 10
+    # u = 0 puts the pair on the hat's edge, where it is rejected before
+    # dividing by zero; the next pair is used
+    stream = StubStream([0.0, 0.5, 0.5, 0.9])
+    assert poisson_deviate(stream, 1e3) == 1000
+    assert stream.values == []
+
+
+@pytest.mark.parametrize("index,mean", enumerate([10.0, 37.5, 1e3, 1e6]))
+def test_ptrs_draws_follow_the_poisson_law(index, mean):
+    draws = 20_000
+    rng = SeededGenerator(20060301, stream_id=index)
+    x = np.array([poisson_deviate(rng, mean) for _ in range(draws)], dtype=float)
+    # Mean and variance within 4 s.e.; for Poisson the fourth central
+    # moment is mean (1 + 3 mean), so var(s^2) ~ (mean + 2 mean^2) / draws.
+    assert abs(x.mean() - mean) <= 4.0 * math.sqrt(mean / draws)
+    assert abs(x.var(ddof=1) - mean) <= 4.0 * math.sqrt((mean + 2.0 * mean**2) / draws)
+    # Binned chi-square over about 20 bins of equal probability.
+    law = stats.poisson(mean)
+    cuts = np.unique(law.ppf(np.linspace(0.0, 1.0, 21)[1:-1]))
+    observed = np.bincount(np.searchsorted(cuts, x, side="left"), minlength=cuts.size + 1)
+    expected = draws * np.diff(np.concatenate(([0.0], law.cdf(cuts), [1.0])))
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert stats.chi2.sf(chi2, cuts.size) > 1e-3
+
+
+@pytest.mark.parametrize("mean", [10.0, 37.5, 1e3, 1e6, 1e9, 1e12])
+def test_poisson_log_pmf_matches_mpmath(mean):
+    # scipy's logpmf is the direct form, whose error grows with the mean
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mean)
+        for z in np.linspace(-8.0, 8.0, 33):
+            k = max(int(mean + z * math.sqrt(mean)), 0)
+            exact = float(k * mpmath.log(m) - m - mpmath.loggamma(k + 1))
+            assert abs(_poisson_log_pmf(k, mean) - exact) <= 1e-12 + 1e-15 * abs(k - mean)
+
+
 def test_deviates_reject_bad_parameters():
     good = StubStream([0.5, 0.5, 0.5, 0.5, 0.5])
     with pytest.raises(DomainError):
@@ -89,10 +132,9 @@ def test_deviates_reject_bad_parameters():
         bernoulli_deviate(good, -0.1)
     with pytest.raises(DomainError):
         bernoulli_deviate(good, 1.5)
-    with pytest.raises(DomainError):
-        poisson_deviate(good, 0.0)
-    with pytest.raises(DomainError):
-        poisson_deviate(good, 1000.0)
+    for mean in (0.0, -3.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            poisson_deviate(good, mean)
 
 
 def test_normal_deviates_have_standard_moments():
