@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -234,19 +235,25 @@ def _check_expbeta_args(theta0: float, n: int, prior: BetaPrior):
     return theta0, n
 
 
+@lru_cache(maxsize=64)
 def _laguerre_rule(q: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and normalised weights of the ``q``-point Gauss rule for the
     weight ``x^alpha exp(-x)``, by Golub-Welsch on the Laguerre Jacobi matrix.
 
     ``scipy.special.roots_genlaguerre`` scales these weights by
-    ``Gamma(alpha + 1)``, which overflows for ``alpha`` above 171.
+    ``Gamma(alpha + 1)``, which overflows for ``alpha`` above 171.  Rules
+    are memoised (a table-3 build asks for each one three times) and
+    returned read-only.
     """
     k = np.arange(q, dtype=float)
     off = np.sqrt(k[1:] * (k[1:] + alpha))
     jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
     x, vecs = np.linalg.eigh(jacobi)
     w = vecs[0] ** 2
-    return x, w / w.sum()
+    w = w / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def expbeta_expected_many(

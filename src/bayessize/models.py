@@ -8,7 +8,10 @@ restricted to rates in (0, 1] and is represented on a dense grid.
 
 The gamma and beta posterior CDFs are closed forms, the regularized
 incomplete gamma and beta functions of :mod:`bayessize.specfun`; their
-quantiles invert them by a bracketed Newton iteration.
+quantiles invert them by a bracketed Newton iteration.  Highest-density
+intervals come from grids: the shortest interval of the given mass is
+searched for only among the nodes that the two equal-tail quantiles
+bracket, and its ends are then slid to equal densities.
 
 Posterior objects are immutable once constructed and safe to share
 across threads.  All numeric posterior summaries (quantiles, interval
@@ -61,6 +64,7 @@ __all__ = [
 
 GRID_NODES = 4096
 _TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 
 
 def _positive(name: str, x: float) -> float:
@@ -706,27 +710,41 @@ class GridPosterior(_NumericPosterior):
         return float(np.dot(w, (self.nodes - mu) ** 2))
 
     def cdf(self, x: float) -> float:
-        if x <= self.nodes[0]:
+        nodes, d = self.nodes, self.density
+        if math.isnan(x):
+            raise DomainError("x must not be NaN")
+        if x <= nodes[0]:
             return 0.0
-        if x >= self.nodes[-1]:
+        if x >= nodes[-1]:
             return 1.0
-        i = int(np.searchsorted(self.nodes, x, side="right")) - 1
-        t = (x - self.nodes[i]) / self.step
-        d_at = self.density[i] + t * (self.density[i + 1] - self.density[i])
-        partial = 0.5 * (self.density[i] + d_at) * (x - self.nodes[i])
-        return min(float(self._node_cdf[i] + partial), 1.0)
+        # The segment nodes[i] <= x < nodes[i + 1]; on a uniform grid the
+        # guess is off by at most one.
+        i = min(int((x - nodes[0]) / self.step), nodes.size - 2)
+        while nodes[i] > x:
+            i -= 1
+        while nodes[i + 1] <= x:
+            i += 1
+        x_i, d_i = float(nodes[i]), float(d[i])
+        t = (x - x_i) / self.step
+        d_at = d_i + t * (float(d[i + 1]) - d_i)
+        partial = 0.5 * (d_i + d_at) * (x - x_i)
+        return min(float(self._node_cdf[i]) + partial, 1.0)
 
     def quantile(self, alpha: float) -> float:
-        # The scalar form of _invert_cdf, without its array overhead.
         alpha = _check_prob(alpha)
+        return self._invert_cdf_at(alpha, int(np.searchsorted(self._node_cdf, alpha)))[0]
+
+    def _invert_cdf_at(self, p: float, j: int) -> tuple[float, float]:
+        """Leftmost point where the trapezoid CDF reaches ``p`` in (0, 1],
+        and the density there; ``j`` is the first node with CDF >= ``p``."""
         d, cdf = self.density, self._node_cdf
-        j = int(np.searchsorted(cdf, alpha, side="left")) - 1
-        gain = alpha - float(cdf[j])
+        j -= 1
+        gain = p - float(cdf[j])
         d_j = float(d[j])
         slope = (float(d[j + 1]) - d_j) / self.step
         root = math.sqrt(max(d_j * d_j + 2.0 * slope * gain, 0.0))
         t = 2.0 * gain / max(d_j + root, _TINY)
-        return float(self.nodes[j]) + min(t, self.step)
+        return float(self.nodes[j]) + min(t, self.step), root
 
     def _invert_cdf(self, targets: np.ndarray) -> np.ndarray:
         """Leftmost points where the trapezoid CDF reaches each target.
@@ -737,12 +755,24 @@ class GridPosterior(_NumericPosterior):
         d, cdf = self.density, self._node_cdf
         # Targets lie in [0, 1], so only a zero target needs j clipped.
         j = np.maximum(np.searchsorted(cdf, targets, side="left") - 1, 0)
+        d_j = d[j]
         gain = targets - cdf[j]
-        slope = (d[j + 1] - d[j]) / self.step
-        root = np.sqrt(np.maximum(d[j] * d[j] + 2.0 * slope * gain, 0.0))
+        slope = (d[j + 1] - d_j) / self.step
+        root = np.sqrt(np.maximum(d_j * d_j + 2.0 * slope * gain, 0.0))
         # The denominator vanishes only where the gain does (t = 0 then).
-        t = 2.0 * gain / np.maximum(d[j] + root, _TINY)
+        t = 2.0 * gain / np.maximum(d_j + root, _TINY)
         return self.nodes[j] + np.minimum(t, self.step)
+
+    def _density_at(self, v: float, r: int) -> float:
+        """``np.interp(v, nodes, density)`` in scalar arithmetic, given the
+        number ``r`` of nodes at or below ``v``."""
+        x, d = self.nodes, self.density
+        if r <= 0:
+            return float(d[0])
+        if r >= x.size:
+            return float(d[-1])
+        x_j, d_j = float(x[r - 1]), float(d[r - 1])
+        return (float(d[r]) - d_j) / (float(x[r]) - x_j) * (v - x_j) + d_j
 
     def _equal_density_ends(self, lo: float, hi: float) -> tuple[float, float]:
         """Slide an interval, at equal mass, to where its end densities agree.
@@ -756,10 +786,13 @@ class GridPosterior(_NumericPosterior):
         on a rising and a falling flank.
         """
         x, d = self.nodes, self.density
-        d_lo, d_hi = float(np.interp(lo, x, d)), float(np.interp(hi, x, d))
-        side = "right" if d_hi > d_lo else "left"
-        p = min(max(int(np.searchsorted(x, lo, side)) - 1, 0), d.size - 2)
-        q = min(max(int(np.searchsorted(x, hi, side)) - 1, 0), d.size - 2)
+        r_lo, r_hi = np.searchsorted(x, (lo, hi), side="right").tolist()
+        d_lo, d_hi = self._density_at(lo, r_lo), self._density_at(hi, r_hi)
+        if not d_hi > d_lo:  # an end on a node moves in the segment below it
+            r_lo -= int(r_lo > 0 and x[r_lo - 1] == lo)
+            r_hi -= int(r_hi > 0 and x[r_hi - 1] == hi)
+        p = min(max(r_lo - 1, 0), d.size - 2)
+        q = min(max(r_hi - 1, 0), d.size - 2)
         rise = float(d[p + 1] - d[p]) / self.step
         fall = float(d[q + 1] - d[q]) / self.step
         if not rise > 0.0 > fall:
@@ -771,48 +804,70 @@ class GridPosterior(_NumericPosterior):
             return new_lo, new_hi
         return lo, hi
 
-    def hpd(self, level: float) -> HpdInterval:
-        """Highest-density interval by a direct shortest-interval search.
+    def _shortest(self, level: float) -> tuple[float, float]:
+        """Shortest interval of mass ``level`` with one end on a node.
 
-        Each node is tried as the left end, the right end being where the
-        trapezoid CDF has gained ``level``, and mirrored as the right end;
-        the shortest candidate (cf. Chen and Shao 1999) is slid to equal end
-        densities, so the ends move continuously with the data.  The mass
-        lands in ``[level, level + 2 / K]`` for a grid of ``K`` nodes.  A
-        node outside the interval denser than both ends, or one inside it
-        less dense than either, means a disconnected super-level set and
-        raises ``UnsupportedShapeError``.
+        Take ``t = (1 - level) / 2`` and the equal-tail ends ``qa = Q(t)``
+        and ``qb = Q(1 - t)``.  Were the optimal lower end below ``qa``,
+        then ``qa`` would lie inside the optimum and ``qb`` outside it, or
+        both past its upper end, so ``d(qa) >= d(qb)`` for any unimodal
+        density at any level.  Hence if ``d(qa) <= d(qb)`` the lower end's
+        CDF lies in ``[t, 1 - level]`` and the upper end ``u`` lies past
+        ``qb``; the density on ``[qb, u]`` is at least the optimum's end
+        density, which is at least ``d(qa)``, and its mass at most ``t``, so
+        ``u <= qb + t / d(qa)``.  Otherwise the same holds mirrored.  Only
+        the nodes in these ranges, widened by two nodes at each end, are
+        tried: as lower ends, the upper end being where the trapezoid CDF
+        has gained ``level``, and as upper ends.  The width is quasi-convex in either
+        end, so the nodes next to the optimum's ends are among them, and the
+        shortest candidate (cf. Chen and Shao 1999) is the one a sweep over
+        every node would find, unless the density is flat and any interval
+        of mass ``level`` is shortest.
         """
-        level = _check_level(level)
-        cached = self._hpd_cache.get(level)
-        if cached is not None:
-            return cached
+        x, cdf = self.nodes, self._node_cdf
+        tail = 0.5 * (1.0 - level)
+        # The first nodes whose CDF reaches t, 1 - level, level and 1 - t.
+        i_t, i_rest, i_level, i_ut = np.searchsorted(
+            cdf, (tail, 1.0 - level, level, 1.0 - tail)
+        ).tolist()
+        qa, d_a = self._invert_cdf_at(tail, i_t)
+        qb, d_b = self._invert_cdf_at(1.0 - tail, i_ut)
+        # Node ranges [a0, a1) of the lower ends and [b0, b1) of the upper.
+        if d_a <= d_b:
+            k = int(np.searchsorted(x, qb + tail / max(d_a, _TINY)))
+            a0, a1, b0, b1 = i_t - 2, i_rest + 2, i_ut - 2, k + 2
+        else:
+            k = int(np.searchsorted(x, qa - tail / max(d_b, _TINY)))
+            a0, a1, b0, b1 = k - 2, i_t + 2, i_level - 2, i_ut + 2
+        a0, b0, b1 = max(a0, 0), max(b0, 0), min(b1, x.size)
+        gained = cdf[a0:a1] + level  # CDF at the upper ends
+        gained = gained[gained <= cdf[-1]]
+        lost = cdf[b0:b1]
+        lost = lost[lost >= level] - level  # CDF at the lower ends
+        n, b0 = gained.size, b1 - lost.size
+        ends = self._invert_cdf(np.concatenate((gained, lost)))
+        widths = np.concatenate((ends[:n] - x[a0 : a0 + n], x[b0:b1] - ends[n:]))
+        best = int(np.argmin(widths))
+        if best < n:
+            return float(x[a0 + best]), float(ends[best])
+        return float(ends[best]), float(x[b0 + best - n])
 
-        x, d, cdf = self.nodes, self.density, self._node_cdf
-        # The mass below the optimal ends' density c fits under c, so
-        # c >= (1 - level) / span; a node with no neighbour that dense
-        # cannot bracket an end and is not tried.
-        dense = d >= (1.0 - level) / (x[-1] - x[0])
-        near = dense.copy()
-        near[1:] |= dense[:-1]
-        near[:-1] |= dense[1:]
-        starts = near & (cdf + level <= cdf[-1])
-        ends = near & (cdf >= level)
-        lows = np.concatenate((x[starts], self._invert_cdf(cdf[ends] - level)))
-        highs = np.concatenate((self._invert_cdf(cdf[starts] + level), x[ends]))
-        best = int(np.argmin(highs - lows))
-        lo, hi = self._equal_density_ends(float(lows[best]), float(highs[best]))
+    def _certified(self, lo: float, hi: float, level: float) -> HpdInterval:
+        """Slide ``[lo, hi]`` to equal end densities, widen it until its mass
+        is at least ``level``, and check that it is a super-level set."""
+        x, d = self.nodes, self.density
+        lo, hi = self._equal_density_ends(lo, hi)
 
         mass = self.cdf(hi) - self.cdf(lo)
-        pad = np.finfo(float).eps * self.step
+        pad = _EPS * self.step
         while mass < level:  # rounding can leave the mass an ulp short
             lo, hi = max(lo - pad, float(x[0])), min(hi + pad, float(x[-1]))
             mass = self.cdf(hi) - self.cdf(lo)
             pad *= 2.0
 
-        d_lo, d_hi = np.interp(lo, x, d), np.interp(hi, x, d)
-        left = int(np.searchsorted(x, lo, side="left"))
-        right = int(np.searchsorted(x, hi, side="right"))
+        r_lo, right = np.searchsorted(x, (lo, hi), side="right").tolist()
+        d_lo, d_hi = self._density_at(lo, r_lo), self._density_at(hi, right)
+        left = r_lo - int(r_lo > 0 and x[r_lo - 1] == lo)
         outside = max(d[:left].max(initial=0.0), d[right:].max(initial=0.0))
         inside = d[left:right].min(initial=np.inf)
         # A denser node outside or a valley inside; slack for flat stretches.
@@ -821,7 +876,25 @@ class GridPosterior(_NumericPosterior):
                 "posterior density has a disconnected super-level set; "
                 "highest-density intervals require a single interval"
             )
-        result = HpdInterval(lo, hi, mass)
+        return HpdInterval(lo, hi, mass)
+
+    def hpd(self, level: float) -> HpdInterval:
+        """Highest-density interval by a shortest-interval search bracketed
+        by the equal-tail quantiles.
+
+        The shortest interval of mass ``level`` with an end on a node (see
+        ``_shortest``) is slid to equal end densities (cf. Hyndman 1996), so
+        the ends move continuously with the data.  The mass is never below
+        ``level`` and exceeds it only by rounding, well under 1e-12.  A
+        node outside the interval denser than both ends, or one inside it
+        less dense than either, means a disconnected super-level set and
+        raises ``UnsupportedShapeError``.
+        """
+        level = _check_level(level)
+        cached = self._hpd_cache.get(level)
+        if cached is not None:
+            return cached
+        result = self._certified(*self._shortest(level), level)
         self._hpd_cache[level] = result
         return result
 

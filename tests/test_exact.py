@@ -348,6 +348,17 @@ def test_oracle_reaches_the_largest_node_budget():
         assert abs(f.value - b.value) / b.value <= 1e-5
 
 
+def test_laguerre_rule_is_memoised_and_read_only():
+    x, w = exact._laguerre_rule(16, 29.0)
+    again_x, again_w = exact._laguerre_rule(16, 29.0)
+    np.testing.assert_array_equal(again_x, x)
+    np.testing.assert_array_equal(again_w, w)
+    for arr in (x, w, again_x, again_w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+
 def test_oracle_accuracy_error_names_the_cell(monkeypatch):
     rule = exact._laguerre_rule
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special, stats
 
 from bayessize.errors import (
@@ -372,6 +372,40 @@ def test_grid_quantile_inverts_the_trapezoid_cdf(n, s):
         assert post.cdf(post.quantile(p)) == pytest.approx(p, abs=1e-12)
 
 
+def _cdf_by_search(grid, v):
+    # GridPosterior.cdf as written with a binary search for the segment
+    x, d = grid.nodes, grid.density
+    if v <= x[0]:
+        return 0.0
+    if v >= x[-1]:
+        return 1.0
+    i = int(np.searchsorted(x, v, side="right")) - 1
+    t = (v - x[i]) / grid.step
+    d_at = d[i] + t * (d[i + 1] - d[i])
+    return min(float(grid._node_cdf[i] + 0.5 * (d[i] + d_at) * (v - x[i])), 1.0)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(30, 60.0)),
+     _beta_grid(3.0, 8.0), _beta_grid(2.0, 2.0, nodes=777)],
+)
+def test_grid_scalar_lookups_match_numpy(grid):
+    # cdf() guesses the segment from the spacing, _density_at replaces
+    # np.interp; both must agree with the binary search bit for bit.
+    x, d = grid.nodes, grid.density
+    on = x[[0, 1, 2, 100, -2, -1]]
+    points = np.concatenate((
+        on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+        np.random.default_rng(7).uniform(x[0], x[-1], 300), [x[0] - 1.0, x[-1] + 1.0],
+    ))
+    for v in points.tolist():
+        assert grid.cdf(v) == _cdf_by_search(grid, v)
+        assert grid._density_at(v, int(np.searchsorted(x, v, side="right"))) == np.interp(v, x, d)
+    with pytest.raises(DomainError):
+        grid.cdf(math.nan)
+
+
 def test_grid_posterior_weights_sum_to_one():
     grid = _beta_grid(3.0, 3.0)
     assert abs(grid.weights.sum() - 1.0) <= 1e-12
@@ -390,7 +424,7 @@ def test_grid_hpd_mass_band(level):
     for n, s in ((25, 50.0), (100, 210.0)):
         post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(n, s))
         box = post.hpd(level)
-        assert level <= box.mass <= level + 2.0 / GRID_NODES + 1e-9
+        assert level <= box.mass <= level + 1e-12
         assert box.lo <= box.hi
 
 
@@ -425,13 +459,73 @@ _HPD_GRIDS = st.one_of(
 @given(grid=_HPD_GRIDS, level=st.floats(0.05, 0.99))
 def test_grid_hpd_properties(grid, level):
     box = grid.hpd(level)
-    assert level <= box.mass <= level + 2.0 / grid.nodes.size
+    assert level <= box.mass <= level + 1e-12
     tail = 0.5 * (1.0 - level)
     equal_tail = grid.quantile(1.0 - tail) - grid.quantile(tail)
     assert box.hi - box.lo <= equal_tail + 2.0 * grid.step
     if box.lo > grid.nodes[0] and box.hi < grid.nodes[-1]:
         d_lo, d_hi = np.interp([box.lo, box.hi], grid.nodes, grid.density)
         assert abs(d_lo - d_hi) <= np.abs(np.diff(grid.density)).max()
+
+
+def _whole_grid_hpd(grid, level):
+    """hpd() by the search the equal-tail bracket replaced: every node next
+    to a density of at least (1 - level) / span is tried as either end."""
+    x, d, cdf = grid.nodes, grid.density, grid._node_cdf
+    dense = d >= (1.0 - level) / (x[-1] - x[0])
+    near = dense.copy()
+    near[1:] |= dense[:-1]
+    near[:-1] |= dense[1:]
+    starts = near & (cdf + level <= cdf[-1])
+    ends = near & (cdf >= level)
+    lows = np.concatenate((x[starts], grid._invert_cdf(cdf[ends] - level)))
+    highs = np.concatenate((grid._invert_cdf(cdf[starts] + level), x[ends]))
+    best = int(np.argmin(highs - lows))
+    return grid._certified(float(lows[best]), float(highs[best]), level)
+
+
+def _hpd_or_error(hpd, grid, level):
+    try:
+        return hpd(grid, level)
+    except UnsupportedShapeError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=_HPD_GRIDS, level=st.sampled_from([0.5, 0.9, 0.95, 0.99]))
+@example(grid=_gamma_grid(1.0, 5.0), level=0.95)  # decreasing from the support's edge
+@example(grid=_rate_grid(1.0, 1, 0.5), level=0.9)
+@example(grid=_rate_grid(0.05, 1, 0.999), level=0.5)
+@example(grid=_beta_grid(40.0, 1.0), level=0.99)  # increasing to the support's edge
+def test_grid_hpd_matches_the_whole_grid_sweep(grid, level):
+    # The bracket tries fewer nodes but must pick the very same candidate.
+    # On a flat density (beta shapes within about 1e-7 of 1) every interval
+    # of mass `level` is an HPD and rounding breaks the tie differently.
+    inner = grid.density[1:-1]
+    assume(inner.max() - inner.min() > 1e-6 * inner.max())
+    box = _hpd_or_error(GridPosterior.hpd, grid, level)
+    assert box == _hpd_or_error(_whole_grid_hpd, grid, level)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+def test_grid_hpd_on_a_flat_density_has_the_level_mass(level):
+    # Beta(1, 1): every interval of mass `level` is a highest-density one.
+    box = _beta_grid(1.0, 1.0).hpd(level)
+    assert level <= box.mass <= level + 1e-12
+    assert box.hi - box.lo == pytest.approx(level, abs=1e-12)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_hpd_at_the_support_edge(n, level):
+    # n = 1 with a large s piles the rate posterior onto the first nodes;
+    # a gamma of shape 1 has its largest density at x = 0.
+    exponential = _gamma_grid(1.0, 5.0)
+    for grid in (_rate_grid(0.05, n, 0.999), _rate_grid(1.0, n, 0.001), exponential):
+        box = grid.hpd(level)
+        assert box == _whole_grid_hpd(grid, level)
+        assert level <= box.mass <= level + 1e-12
+    assert exponential.hpd(level).lo == 0.0
 
 
 @pytest.mark.parametrize("level", [0.05, 0.5, 0.95, 0.999])
@@ -441,7 +535,7 @@ def test_grid_hpd_properties(grid, level):
      _beta_grid(30.0, 2.0), _gamma_grid(1.0, 5.0), _gamma_grid(40.0, 2.0)],
 )
 def test_grid_hpd_no_wider_than_any_node_anchored_interval(grid, level):
-    # hpd() tries only nodes next to density >= (1 - level) / span; no
+    # hpd() tries only the nodes inside the equal-tail bracket; no
     # interval with an end on any node and mass `level` may be shorter
     x, cdf = grid.nodes, grid._node_cdf
     starts, ends = cdf + level <= cdf[-1], cdf >= level
@@ -473,7 +567,7 @@ def test_rate_posterior_grid_matches_the_checked_constructor():
 
 def test_gamma_hpd_via_grid():
     box = GammaPosterior(8.5, 12.5).hpd(0.9)
-    assert 0.9 <= box.mass <= 0.9 + 2.0 / GRID_NODES + 1e-9
+    assert 0.9 <= box.mass <= 0.9 + 1e-12
     # right-skewed density: upper tail keeps more mass than the lower
     dist = stats.gamma(a=8.5, scale=1.0 / 12.5)
     assert 1.0 - dist.cdf(box.hi) > dist.cdf(box.lo)
@@ -486,9 +580,9 @@ def test_hpd_rejects_unbounded_densities():
         BetaPosterior(0.8, 2.0).hpd(0.9)
 
 
-def _bimodal_grid():
+def _bimodal_grid(weight=1.0):
     x = np.linspace(0.0, 1.0, 512)
-    bimodal = np.exp(-0.5 * ((x - 0.2) / 0.05) ** 2) + np.exp(-0.5 * ((x - 0.8) / 0.05) ** 2)
+    bimodal = weight * np.exp(-0.5 * ((x - 0.2) / 0.05) ** 2) + np.exp(-0.5 * ((x - 0.8) / 0.05) ** 2)
     return GridPosterior(x, bimodal)
 
 
@@ -503,6 +597,20 @@ def test_hpd_rejects_a_valley_inside_the_interval(level):
     # the shortest interval spans both peaks and the valley between them
     with pytest.raises(UnsupportedShapeError):
         _bimodal_grid().hpd(level)
+
+
+@pytest.mark.parametrize("level", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("weight", [0.5, 0.8, 1.0])
+def test_hpd_on_two_peaks_is_certified_or_unsupported(weight, level):
+    # The bracket's argument needs one peak.  With two, hpd() returns the
+    # sweep's interval where the super-level set is one interval about the
+    # taller peak, and raises UnsupportedShapeError where it is not; never
+    # an error of the bracket itself.
+    grid = _bimodal_grid(weight)
+    result = _hpd_or_error(GridPosterior.hpd, grid, level)
+    assert result == _hpd_or_error(_whole_grid_hpd, grid, level)
+    if weight == 1.0:
+        assert result is UnsupportedShapeError
 
 
 def test_grid_constructor_guards():
