@@ -27,7 +27,6 @@ from .criteria import (
 from .errors import (
     AccuracyError,
     BayesSizeError,
-    ConfigurationError,
     CriterionUnsatisfiableError,
     DomainError,
     ReplicateError,
@@ -90,8 +89,7 @@ _BOOL_KEYS = ("fresh-seed",)
 def _add_options(sub: argparse.ArgumentParser):
     sub.add_argument("--model", choices=["normal", "poisson", "bernoulli", "exp"])
     for key in _FLOAT_KEYS:
-        if key != "model":
-            sub.add_argument(f"--{key}", type=float, default=None)
+        sub.add_argument(f"--{key}", type=float, default=None)
     sub.add_argument("--criterion", choices=["apvc", "acc", "alc", "alc-quantile", "es"])
     sub.add_argument("--range", dest="range_", metavar="LO:HI", default=None)
     for key in _INT_KEYS:
@@ -430,16 +428,13 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(exc.usage)
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (DomainError, ConfigurationError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except CriterionUnsatisfiableError as exc:
         sys.stderr.write(f"error: criterion unsatisfiable: {exc}\n")
         return 2
     except (AccuracyError, UnsupportedShapeError, ReplicateError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except BayesSizeError as exc:
+    except BayesSizeError as exc:  # domain and configuration errors among them
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit(text, settings.out)

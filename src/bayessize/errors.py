@@ -46,9 +46,19 @@ class UnsupportedShapeError(BayesSizeError):
 
 
 class ReplicateError(BayesSizeError):
-    """A Monte Carlo replicate failed; ``index`` identifies which one."""
+    """A Monte Carlo replicate failed; ``index`` identifies which one.
 
-    def __init__(self, index: int, cause: BaseException):
-        super().__init__(f"replicate {index} failed: {cause}")
-        self.index = index
-        self.cause = cause
+    ``simulate_many`` also gives the ``seed``, ``stream_id``, ``family``,
+    ``prior``, drawn ``stat`` (``None`` if the draw failed) and failing
+    ``functional`` (``None`` unless one failed), all named in the message;
+    ``evaluate(functional, posterior(family, prior, stat))`` replays it.
+    """
+
+    def __init__(self, index: int, cause: BaseException, *, seed=None, stream_id=None,
+                 family=None, prior=None, stat=None, functional=None):
+        details = "" if seed is None else (
+            f" [seed {seed}, stream {stream_id}, family {family!r}, prior {prior!r}, "
+            f"stat {stat!r}, functional {functional!r}]")
+        super().__init__(f"replicate {index} failed: {cause}{details}")
+        self.index, self.cause, self.seed, self.stream_id = index, cause, seed, stream_id
+        self.family, self.prior, self.stat, self.functional = family, prior, stat, functional

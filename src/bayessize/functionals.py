@@ -16,11 +16,15 @@ from typing import Union
 from .errors import DomainError
 
 
-def _check_open_unit(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or not 0.0 < x < 1.0:
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {x!r}")
-    return x
+class _OpenUnit:
+    """Checks that the functional's one field lies strictly inside (0, 1)."""
+
+    def __post_init__(self):
+        (name,) = self.__dataclass_fields__
+        x = float(getattr(self, name))
+        if not math.isfinite(x) or not 0.0 < x < 1.0:
+            raise DomainError(f"{name} must lie strictly inside (0, 1), got {x!r}")
+        object.__setattr__(self, name, x)
 
 
 @dataclass(frozen=True)
@@ -29,17 +33,14 @@ class PosteriorVariance:
 
 
 @dataclass(frozen=True)
-class PosteriorQuantile:
+class PosteriorQuantile(_OpenUnit):
     """The posterior quantile at probability ``alpha``."""
 
     alpha: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_open_unit("alpha", self.alpha))
-
 
 @dataclass(frozen=True)
-class CredibleLength:
+class CredibleLength(_OpenUnit):
     """Length of the central credible interval with tail mass ``alpha``.
 
     Measures ``quantile(1 - alpha/2) - quantile(alpha/2)``.
@@ -47,38 +48,26 @@ class CredibleLength:
 
     alpha: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_open_unit("alpha", self.alpha))
-
 
 @dataclass(frozen=True)
-class HpdLower:
+class HpdLower(_OpenUnit):
     """Lower endpoint of the highest-density interval at ``level``."""
 
     level: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "level", _check_open_unit("level", self.level))
-
 
 @dataclass(frozen=True)
-class HpdUpper:
+class HpdUpper(_OpenUnit):
     """Upper endpoint of the highest-density interval at ``level``."""
 
     level: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "level", _check_open_unit("level", self.level))
-
 
 @dataclass(frozen=True)
-class HpdWidth:
+class HpdWidth(_OpenUnit):
     """Width of the highest-density interval at ``level``."""
 
     level: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "level", _check_open_unit("level", self.level))
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,6 @@ __all__ = [
 
 GRID_NODES = 4096
 _TINY = float(np.finfo(float).tiny)
-_EPS = float(np.finfo(float).eps)
 
 
 def _positive(name: str, x: float) -> float:
@@ -616,10 +615,9 @@ class BetaPosterior(_NumericPosterior):
 class GridPosterior(_NumericPosterior):
     """Posterior represented by densities on a uniform grid of nodes.
 
-    The density is trapezoid-normalised so the node weights (density
-    times trapezoid weight) are nonnegative and sum to one.  Quantiles
-    invert the trapezoid CDF exactly: within a segment the density is
-    linear and the CDF quadratic.
+    The density is scaled to unit trapezoid mass, and the mean and
+    variance are trapezoid integrals.  Quantiles invert the trapezoid CDF
+    exactly: within a segment the density is linear and the CDF quadratic.
     """
 
     __slots__ = ("nodes", "density", "step", "_node_cdf", "_hpd_cache")
@@ -651,18 +649,20 @@ class GridPosterior(_NumericPosterior):
         return self
 
     def _normalise(self, nodes: np.ndarray, density: np.ndarray, step: float):
-        total = float(np.trapezoid(density, dx=step))
+        """One cumulative sum of the doubled segments ``d[i] + d[i + 1]``
+        gives the node CDF and, last, the total mass in units of ``step / 2``;
+        dividing by it leaves ``_node_cdf[-1]`` exactly 1."""
+        node_cdf = np.zeros(density.size)
+        np.add(density[:-1], density[1:], out=node_cdf[1:])
+        np.cumsum(node_cdf[1:], out=node_cdf[1:])
+        total = float(node_cdf[-1])
         if not (math.isfinite(total) and total > 0.0):
             raise AccuracyError("grid density has non-positive total mass")
-        density = density / total
-
-        seg = 0.5 * (density[:-1] + density[1:]) * step
-        node_cdf = np.concatenate(([0.0], np.cumsum(seg)))
-        node_cdf /= node_cdf[-1]
+        node_cdf /= total
 
         self.nodes = nodes
         self.nodes.setflags(write=False)
-        self.density = density
+        self.density = density * (2.0 / (total * step))
         self.density.setflags(write=False)
         self.step = step
         self._node_cdf = node_cdf
@@ -695,19 +695,19 @@ class GridPosterior(_NumericPosterior):
         d[~np.isfinite(ld)] = 0.0
         return cls(x, d)
 
-    @property
-    def weights(self) -> np.ndarray:
-        w = np.full(self.nodes.size, self.step)
-        w[0] = w[-1] = 0.5 * self.step
-        return w * self.density
+    def _trapezoid(self, f: np.ndarray) -> float:
+        """Trapezoid integral of ``f`` times the density over the grid."""
+        d = self.density
+        ends = 0.5 * (float(d[0]) * float(f[0]) + float(d[-1]) * float(f[-1]))
+        return self.step * (float(np.dot(d, f)) - ends)
 
     def mean(self) -> float:
-        return float(np.dot(self.weights, self.nodes))
+        return self._trapezoid(self.nodes)
 
     def variance(self) -> float:
-        w = self.weights
-        mu = float(np.dot(w, self.nodes))
-        return float(np.dot(w, (self.nodes - mu) ** 2))
+        dev = self.nodes - self.mean()
+        dev *= dev
+        return self._trapezoid(dev)
 
     def cdf(self, x: float) -> float:
         nodes, d = self.nodes, self.density
@@ -854,12 +854,14 @@ class GridPosterior(_NumericPosterior):
 
     def _certified(self, lo: float, hi: float, level: float) -> HpdInterval:
         """Slide ``[lo, hi]`` to equal end densities, widen it until its mass
-        is at least ``level``, and check that it is a super-level set."""
+        is at least ``level``, and check that it is a super-level set.  The
+        pad that widens it starts at one ulp of the ends, so that the first
+        pass already moves them, and doubles each pass."""
         x, d = self.nodes, self.density
         lo, hi = self._equal_density_ends(lo, hi)
 
         mass = self.cdf(hi) - self.cdf(lo)
-        pad = _EPS * self.step
+        pad = max(math.ulp(lo), math.ulp(hi))
         while mass < level:  # rounding can leave the mass an ulp short
             lo, hi = max(lo - pad, float(x[0])), min(hi + pad, float(x[-1]))
             mass = self.cdf(hi) - self.cdf(lo)
@@ -950,11 +952,12 @@ def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterio
             )
         # Only the rate 1 term can be infinite (-inf, when b > 1), and it
         # exponentiates to a zero density.
-        log_post = (prior.a - 1.0 + stat.n) * _LOG_RATE - _RATE_NODES * stat.s
+        d = (prior.a - 1.0 + stat.n) * _LOG_RATE
+        d -= _RATE_NODES * stat.s
         if prior.b != 1.0:
-            log_post = log_post + (prior.b - 1.0) * _LOG1M_RATE
-        d = np.exp(log_post - log_post.max())
-        return GridPosterior._trusted(_RATE_NODES, d, _RATE_STEP)
+            d += (prior.b - 1.0) * _LOG1M_RATE
+        d -= d.max()
+        return GridPosterior._trusted(_RATE_NODES, np.exp(d, out=d), _RATE_STEP)
 
     raise ConfigurationError(
         f"no conjugate update for family {family!r} with prior {prior!r}"

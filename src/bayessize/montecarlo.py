@@ -58,7 +58,8 @@ def simulate_many(
     forms the posterior once, and evaluates every requested functional on
     it.  The estimates therefore agree exactly with separate
     :func:`simulate_g` calls at the same seed, while sharing the per
-    replicate sampling and posterior construction.
+    replicate sampling and posterior construction.  A failing replicate
+    raises ``ReplicateError`` carrying what replays it.
     """
     _check_counts(n, m, seed)
     if not functionals:
@@ -66,6 +67,7 @@ def simulate_many(
 
     values = np.empty((len(functionals), m))
     for j in range(m):
+        stat = functional = None
         try:
             rng = SeededGenerator(seed, stream_id=j)
             stat = sample_suffstat(family, theta0, n, rng)
@@ -73,7 +75,8 @@ def simulate_many(
             for i, functional in enumerate(functionals):
                 values[i, j] = evaluate(functional, post)
         except Exception as exc:
-            raise ReplicateError(j, exc) from exc
+            raise ReplicateError(j, exc, seed=seed, stream_id=j, family=family, prior=prior,
+                                 stat=stat, functional=functional) from exc
 
     out = []
     for i in range(len(functionals)):

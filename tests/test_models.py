@@ -406,10 +406,17 @@ def test_grid_scalar_lookups_match_numpy(grid):
         grid.cdf(math.nan)
 
 
+def _trapezoid_weights(grid):
+    # density times the trapezoid rule's weight at each node
+    w = np.full(grid.nodes.size, grid.step)
+    w[0] = w[-1] = 0.5 * grid.step
+    return w * grid.density
+
+
 def test_grid_posterior_weights_sum_to_one():
-    grid = _beta_grid(3.0, 3.0)
-    assert abs(grid.weights.sum() - 1.0) <= 1e-12
-    assert np.all(grid.weights >= 0.0)
+    weights = _trapezoid_weights(_beta_grid(3.0, 3.0))
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    assert np.all(weights >= 0.0)
 
 
 def test_grid_posterior_symmetric_hpd_matches_equal_tails():
@@ -426,6 +433,32 @@ def test_grid_hpd_mass_band(level):
         box = post.hpd(level)
         assert level <= box.mass <= level + 1e-12
         assert box.lo <= box.hi
+
+
+# The rate cells of the benchmark's table-3 workload.
+_BENCH_RATE_CELLS = ((0.25, 10), (0.25, 100), (0.5, 30), (0.75, 10), (0.75, 50))
+
+
+@pytest.mark.parametrize("theta0, n", _BENCH_RATE_CELLS)
+def test_grid_hpd_pad_starts_at_one_ulp(monkeypatch, theta0, n):
+    # Each pad pass costs two cdf calls after the first two; starting at
+    # one ulp of the ends, at most two passes reach the level.
+    calls = []
+    cdf = GridPosterior.cdf
+
+    def counted(self, x):
+        calls.append(x)
+        return cdf(self, x)
+
+    monkeypatch.setattr(GridPosterior, "cdf", counted)
+    fam, prior = ExponentialRate(), BetaPrior(1.5, 1.5)
+    for j in range(200):
+        stat = sample_suffstat(fam, theta0, n, SeededGenerator(2006, stream_id=j))
+        post = posterior(fam, prior, stat)
+        calls.clear()
+        box = post.hpd(0.95)
+        assert 0.0 <= box.mass - 0.95 <= 1e-14
+        assert len(calls) <= 2 + 2 * 2
 
 
 def test_grid_hpd_no_wider_than_equal_tails():
@@ -453,6 +486,21 @@ _HPD_GRIDS = st.one_of(
     st.builds(_beta_grid, st.floats(1.0, 60.0), st.floats(1.0, 60.0)),
     st.builds(_gamma_grid, st.floats(1.0, 60.0), st.floats(0.1, 50.0)),
 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=_HPD_GRIDS)
+def test_grid_normalisation_is_exact_at_the_ends(grid):
+    # One cumulative sum gives the node CDF and the total it is divided by.
+    cdf = grid._node_cdf
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+    assert np.all(np.diff(cdf) >= 0.0)
+    w = _trapezoid_weights(grid).tolist()
+    x = grid.nodes.tolist()
+    mean = math.fsum(wi * xi for wi, xi in zip(w, x))
+    variance = math.fsum(wi * (xi - mean) ** 2 for wi, xi in zip(w, x))
+    assert grid.mean() == pytest.approx(mean, rel=1e-13)
+    assert grid.variance() == pytest.approx(variance, rel=1e-13)
 
 
 @settings(max_examples=80, deadline=None)

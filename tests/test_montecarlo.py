@@ -19,6 +19,7 @@ from bayessize.functionals import (
     HpdWidth,
     PosteriorQuantile,
     PosteriorVariance,
+    evaluate,
 )
 from bayessize.models import (
     Bernoulli,
@@ -28,6 +29,8 @@ from bayessize.models import (
     NormalKnownVariance,
     NormalPrior,
     Poisson,
+    SufficientStat,
+    posterior,
 )
 from bayessize.montecarlo import MonteCarloEstimate, simulate_g, simulate_many
 from bayessize.randomness import (
@@ -279,10 +282,35 @@ def test_replicate_failure_carries_index_and_cause():
     assert err.value.cause is not None
 
 
+def test_replicate_failure_replays_from_its_record():
+    family, prior = Poisson(), GammaPrior(1.0, 0.5)
+    functionals = [PosteriorVariance(), HpdWidth(0.95)]
+    with pytest.raises(ReplicateError) as err:
+        simulate_many(family, prior, 1e-12, 3, 5, functionals, seed=11)
+    exc = err.value
+    assert (exc.seed, exc.stream_id, exc.index) == (11, 0, 0)
+    assert (exc.family, exc.prior, exc.functional) == (family, prior, HpdWidth(0.95))
+    assert exc.stat == SufficientStat(3, 0.0)
+    for field in ("seed 11", "stream 0", repr(family), repr(prior), repr(exc.stat),
+                  repr(exc.functional)):
+        assert field in str(exc)
+    with pytest.raises(type(exc.cause)) as again:
+        evaluate(exc.functional, posterior(exc.family, exc.prior, exc.stat))
+    assert str(again.value) == str(exc.cause)
+
+
+def test_replicate_failure_in_the_draw_has_no_stat():
+    with pytest.raises(ReplicateError) as err:
+        simulate_g(Poisson(), GammaPrior(1.0, 0.5), -1.0, 3, 5, PosteriorVariance(), seed=2)
+    assert err.value.stat is None and err.value.functional is None
+    assert "stat None" in str(err.value)
+
+
 def test_unsupported_pair_fails_on_first_replicate():
     with pytest.raises(ReplicateError) as err:
         simulate_g(Poisson(), BetaPrior(2.0, 2.0), 0.5, 5, 4, PosteriorVariance(), seed=3)
     assert err.value.index == 0
+    assert err.value.stat is not None and err.value.functional is None
 
 
 @pytest.mark.parametrize(
