@@ -28,7 +28,7 @@ from .functionals import (
     TailMassAbove,
     evaluate,
 )
-from .models import BetaPrior, ExponentialRate, SufficientStat, posterior
+from .models import BetaPrior, ExponentialRate, SufficientStat, _finite, _positive, posterior
 from .specfun import std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -62,20 +62,6 @@ class ExactEval:
     value: float
     method: str
     error_estimate: float | None = None
-
-
-def _positive(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{name} must be a positive finite number, got {x!r}")
-    return x
-
-
-def _finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
 
 
 # ---------------------------------------------------------------------------

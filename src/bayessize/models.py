@@ -8,10 +8,11 @@ restricted to rates in (0, 1] and is represented on a dense grid.
 
 The gamma and beta posterior CDFs are closed forms, the regularized
 incomplete gamma and beta functions of :mod:`bayessize.specfun`; their
-quantiles invert them by a bracketed Newton iteration.  Highest-density
-intervals come from grids: the shortest interval of the given mass is
-searched for only among the nodes that the two equal-tail quantiles
-bracket, and its ends are then slid to equal densities.
+quantiles invert them by a bracketed Newton iteration, and their
+highest-density intervals are exact: one scalar root puts the ends at
+equal densities.  Only the exponential-rate grid searches for its
+highest-density interval, among the nodes that the two equal-tail
+quantiles bracket, and then slides its ends to equal densities.
 
 Posterior objects are immutable once constructed and safe to share
 across threads.  All numeric posterior summaries (quantiles, interval
@@ -36,7 +37,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .randomness import normal_deviate, poisson_deviate
-from .specfun import beta_i, gamma_p, ln_gamma, std_normal_cdf, std_normal_quantile
+from .specfun import beta_i, gamma_p, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "NormalKnownVariance",
@@ -412,11 +413,15 @@ class NormalPosterior:
 class _NumericPosterior:
     """Quantiles and interval masses computed from a scalar ``cdf``.
 
-    The gamma and beta posteriors supply ``_cdf`` for positive ``x``,
-    ``_log_pdf_at``, the log density at a float inside the support, a
-    starting point ``_guess(p)`` and ``_hi``, a point above every
-    representable quantile.  ``GridPosterior`` overrides
-    ``cdf`` and ``quantile``: it inverts its piecewise quadratic CDF directly.
+    The gamma and beta posteriors supply ``_cdf`` for positive ``x``;
+    ``_log_pdf_at`` and ``_dlog_pdf_at``, the log density and its
+    derivative at a float inside the support; a starting point
+    ``_guess(p)``; ``_hi``, a point above every representable quantile;
+    and ``_edge_shapes``, the exponents ``e`` of the density's power laws
+    ``x^(e - 1)`` at zero and ``(1 - x)^(e - 1)`` at one (inf for the
+    gamma's exponential tail), which place the HPD's ends.
+    ``GridPosterior`` overrides ``cdf``, ``quantile`` and ``hpd``: it
+    inverts its piecewise quadratic CDF directly and searches its nodes.
     """
 
     __slots__ = ()
@@ -433,7 +438,8 @@ class _NumericPosterior:
         The result is within 1e-8 in probability or, where no double comes
         that close (a beta quantile within about 1e-16 of 1 when ``b`` is
         small), a double next to the exact quantile.  Otherwise raises
-        ``AccuracyError``.
+        ``AccuracyError``.  The last Newton correction, below 1e-12 of the
+        point, is applied: the HPD's equal-density ends need it.
         """
         p = _check_prob(alpha)
         lo, hi = 0.0, self._hi
@@ -450,7 +456,7 @@ class _NumericPosterior:
             # step from a vanishing density out of the bracket, not to inf.
             new = x - err * math.exp(min(-self._log_pdf_at(x), 700.0))
             if abs(new - x) <= 1e-12 * x and abs(err) <= 1e-8:
-                return x
+                return new if lo < new < hi else x
             if new == x:  # a step below one ulp: try the neighbouring double
                 new = math.nextafter(x, lo if err > 0.0 else hi)
             if not lo < new < hi:
@@ -467,6 +473,87 @@ class _NumericPosterior:
 
     def prob_above(self, theta1: float) -> float:
         return 1.0 - self.cdf(_finite("theta1", theta1))
+
+    def hpd(self, level: float) -> HpdInterval:
+        """Highest-density interval: the shortest one of mass ``level``.
+
+        Its ends have equal densities (Hyndman 1996; Chen and Shao 1999) and
+        are found by ``_hpd_ends``.  The mass is never below ``level``: the
+        ends are widened by ulps until it is reached.  A shape below 1 makes
+        the density unbounded at an edge and raises ``UnsupportedShapeError``.
+        """
+        level = _check_level(level)
+        if min(self._edge_shapes) < 1.0:
+            raise UnsupportedShapeError(
+                "highest-density intervals need a bounded density; "
+                f"{self!r} is unbounded at an edge of its support"
+            )
+        lo, hi = self._hpd_ends(level)
+        mass = self.cdf(hi) - self.cdf(lo)
+        pad_lo, pad_hi = math.ulp(lo), math.ulp(hi)
+        while mass < level:  # the quantiles' rounding can leave it short
+            lo, hi = max(lo - pad_lo, 0.0), min(hi + pad_hi, self._hi)
+            mass = self.cdf(hi) - self.cdf(lo)
+            pad_lo, pad_hi = 2.0 * pad_lo, 2.0 * pad_hi
+        return HpdInterval(lo, hi, mass)
+
+    def _hpd_ends(self, level: float) -> tuple[float, float]:
+        """Ends ``Q(p)`` and ``Q(p + level)`` of equal log density ``l``.
+
+        The lower end's tail mass ``p`` is the root of
+        ``h(p) = l(Q(p)) - l(Q(p + level))`` on ``(0, 1 - level)``.  For a
+        log-concave density ``f = exp(l)``, ``h`` increases, with slope
+        ``l'(lo) / f(lo) - l'(hi) / f(hi)``.  Newton steps are taken in
+        ``s = logit(p / (1 - level))`` from the equal-tail point ``s = 0``;
+        there the tails ``p`` and ``1 - level - p`` scale the slope's terms
+        to finite size.  A step that leaves the bracket of evaluated points
+        bisects it.  Steps stay within ``p >= 1e-300`` and an upper tail of
+        at least 2^-50, where ``p + level`` still rounds below 1.  A root
+        past either limit puts that end on the support's edge:
+        ``[0, Q(level)]`` or ``[Q(1 - level), 1]``.  So does a shape of
+        exactly 1 there, where the density falls from zero or rises to one;
+        shapes within about 1e-3 of 1 reach the limits.
+        """
+        rest = 1.0 - level
+        lower, upper = self._edge_shapes
+        s_min = math.log(1e-300 / rest)
+        s_max = math.log(rest) + 50.0 * math.log(2.0)
+        s_lo = s_max if upper == 1.0 else -math.inf
+        s_hi = s_min if lower == 1.0 else math.inf
+        s, last = min(0.0, s_max), None
+        for _ in range(100):
+            if s_hi <= s_min:
+                return 0.0, self.quantile(level)
+            if s_lo >= s_max:
+                return self.quantile(rest), self._hi
+            p = rest / (1.0 + math.exp(-s))
+            if p == last:  # a step in s below one ulp of p
+                return lo, hi
+            last = p
+            lo, hi = self.quantile(p), self.quantile(p + level)
+            l_lo, l_hi = self._log_pdf_at(lo), self._log_pdf_at(hi)
+            h = l_lo - l_hi
+            if h <= 0.0:
+                s_lo = s
+            if h >= 0.0:
+                s_hi = s
+            # dp/ds = p q / rest, with q = rest - p the upper end's tail
+            log_dp = math.log(p) - math.log1p(math.exp(s))
+            slope = (self._dlog_pdf_at(lo) * math.exp(min(log_dp - l_lo, 700.0))
+                     - self._dlog_pdf_at(hi) * math.exp(min(log_dp - l_hi, 700.0)))
+            # Only rounding makes the slope non-positive; NaN then bisects.
+            new = s - h / slope if slope > 0.0 else math.nan
+            if abs(new - s) <= 1e-10 * (1.0 + abs(s)) or s_lo == s_hi:
+                return lo, hi
+            new = min(max(new, s_min), s_max)
+            if not s_lo < new < s_hi:
+                new = 0.5 * (s_lo + s_hi)
+                if not s_lo < new < s_hi:  # one side still open: go to its limit
+                    new = s_min if s_hi < math.inf else s_max
+            s = new
+        raise AccuracyError(
+            f"{self!r}: HPD ends did not reach equal densities at level={level!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -491,15 +578,15 @@ class GammaPosterior(_NumericPosterior):
         """Log of the density's normalising constant, rate^shape / Gamma(shape)."""
         return self.shape * math.log(self.rate) - math.lgamma(self.shape)
 
-    def _log_pdf(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self._log_norm - self.rate * x
-            if self.shape != 1.0:  # avoid 0 * -inf at x = 0
-                out = out + (self.shape - 1.0) * np.log(x)
-        return out
-
     def _log_pdf_at(self, x: float) -> float:
         return self._log_norm - self.rate * x + (self.shape - 1.0) * math.log(x)
+
+    def _dlog_pdf_at(self, x: float) -> float:
+        return (self.shape - 1.0) / x - self.rate
+
+    @property
+    def _edge_shapes(self) -> tuple[float, float]:
+        return self.shape, math.inf
 
     def _cdf(self, x: float) -> float:
         y = self.rate * x
@@ -521,22 +608,11 @@ class GammaPosterior(_NumericPosterior):
         if k > 1.0:
             z = std_normal_quantile(p)
             y = k * max(1.0 - 1.0 / (9.0 * k) + z / (3.0 * math.sqrt(k)), 0.0) ** 3
-            y = max(y, math.exp((math.log(p) + ln_gamma(k + 1.0)) / k))
+            y = max(y, math.exp((math.log(p) + math.lgamma(k + 1.0)) / k))
         else:
             t = 1.0 - k * (0.253 + 0.12 * k)
             y = (p / t) ** (1.0 / k) if p < t else 1.0 - math.log1p(-(p - t) / (1.0 - t))
         return y / self.rate
-
-    def hpd(self, level: float) -> HpdInterval:
-        level = _check_level(level)
-        if self.shape < 1.0:
-            raise UnsupportedShapeError(
-                "highest-density intervals need a bounded density; "
-                f"gamma shape {self.shape!r} is unbounded at zero"
-            )
-        hi = self.quantile(1.0 - 1e-9)
-        grid = GridPosterior.from_log_density(self._log_pdf, 0.0, hi, GRID_NODES)
-        return grid.hpd(level)
 
 
 @dataclass(frozen=True)
@@ -563,18 +639,16 @@ class BetaPosterior(_NumericPosterior):
         """Log of the density's normalising constant, 1 / B(a, b)."""
         return -(math.lgamma(self.a) + math.lgamma(self.b) - math.lgamma(self.a + self.b))
 
-    def _log_pdf(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.zeros_like(x) + self._log_norm
-            if self.a != 1.0:  # avoid 0 * -inf at the endpoints
-                out = out + (self.a - 1.0) * np.log(x)
-            if self.b != 1.0:
-                out = out + (self.b - 1.0) * np.log1p(-x)
-        return out
-
     def _log_pdf_at(self, x: float) -> float:
         return (self._log_norm + (self.a - 1.0) * math.log(x)
                 + (self.b - 1.0) * math.log1p(-x))
+
+    def _dlog_pdf_at(self, x: float) -> float:
+        return (self.a - 1.0) / x - (self.b - 1.0) / (1.0 - x)
+
+    @property
+    def _edge_shapes(self) -> tuple[float, float]:
+        return self.a, self.b
 
     def _cdf(self, x: float) -> float:
         return 1.0 if x >= 1.0 else beta_i(self.a, self.b, x)
@@ -601,16 +675,6 @@ class BetaPosterior(_NumericPosterior):
         x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
         return min(max(x, lower), upper)  # a normal-based start, clipped
 
-    def hpd(self, level: float) -> HpdInterval:
-        level = _check_level(level)
-        if self.a < 1.0 or self.b < 1.0:
-            raise UnsupportedShapeError(
-                "highest-density intervals need a bounded density; "
-                f"beta({self.a!r}, {self.b!r}) is unbounded at an endpoint"
-            )
-        grid = GridPosterior.from_log_density(self._log_pdf, 0.0, 1.0, GRID_NODES)
-        return grid.hpd(level)
-
 
 class GridPosterior(_NumericPosterior):
     """Posterior represented by densities on a uniform grid of nodes.
@@ -622,34 +686,11 @@ class GridPosterior(_NumericPosterior):
 
     __slots__ = ("nodes", "density", "step", "_node_cdf", "_hpd_cache")
 
-    def __init__(self, nodes: np.ndarray, density: np.ndarray):
-        nodes = np.asarray(nodes, dtype=float)
-        density = np.asarray(density, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 8:
-            raise DomainError("grid posterior needs a 1-D grid of at least 8 nodes")
-        if density.shape != nodes.shape:
-            raise DomainError("grid density must match the node grid in shape")
-        steps = np.diff(nodes)
-        if not np.all(steps > 0.0):
-            raise DomainError("grid nodes must be strictly increasing")
-        step = float(steps[0])
-        if not np.allclose(steps, step, rtol=1e-9, atol=0.0):
-            raise DomainError("grid nodes must be uniformly spaced")
-        if np.any(~np.isfinite(density)) or np.any(density < 0.0):
-            raise DomainError("grid density values must be finite and nonnegative")
-        self._normalise(nodes, density, step)
+    def __init__(self, nodes: np.ndarray, density: np.ndarray, step: float):
+        """Build from uniformly spaced ``nodes`` ``step`` apart and finite,
+        nonnegative ``density`` values, which are not checked.
 
-    @classmethod
-    def _trusted(cls, nodes: np.ndarray, density: np.ndarray, step: float) -> "GridPosterior":
-        """Build from a grid the caller made itself: uniformly spaced nodes
-        ``step`` apart and finite, nonnegative densities.  Skips the checks
-        of the public constructor."""
-        self = cls.__new__(cls)
-        self._normalise(nodes, density, step)
-        return self
-
-    def _normalise(self, nodes: np.ndarray, density: np.ndarray, step: float):
-        """One cumulative sum of the doubled segments ``d[i] + d[i + 1]``
+        One cumulative sum of the doubled segments ``d[i] + d[i + 1]``
         gives the node CDF and, last, the total mass in units of ``step / 2``;
         dividing by it leaves ``_node_cdf[-1]`` exactly 1."""
         node_cdf = np.zeros(density.size)
@@ -667,33 +708,6 @@ class GridPosterior(_NumericPosterior):
         self.step = step
         self._node_cdf = node_cdf
         self._hpd_cache: dict[float, HpdInterval] = {}
-
-    @classmethod
-    def from_log_density(
-        cls,
-        log_density: Callable[[np.ndarray], np.ndarray],
-        lo: float,
-        hi: float,
-        nodes: int = GRID_NODES,
-    ) -> "GridPosterior":
-        """Tabulate an unnormalised log density on ``nodes`` uniform points.
-
-        The largest finite value is subtracted before exponentiation, so
-        any proportionality constant in ``log_density`` is irrelevant.
-        """
-        if not lo < hi:
-            raise DomainError(f"grid range must satisfy lo < hi, got [{lo}, {hi}]")
-        x = np.linspace(lo, hi, int(nodes))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ld = np.asarray(log_density(x), dtype=float)
-        if np.any(np.isposinf(ld)):
-            raise UnsupportedShapeError("log density is unbounded on the grid range")
-        finite = ld[np.isfinite(ld)]
-        if finite.size == 0:
-            raise AccuracyError("log density is nowhere finite on the grid range")
-        d = np.exp(ld - finite.max())
-        d[~np.isfinite(ld)] = 0.0
-        return cls(x, d)
 
     def _trapezoid(self, f: np.ndarray) -> float:
         """Trapezoid integral of ``f`` times the density over the grid."""
@@ -957,7 +971,7 @@ def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterio
         if prior.b != 1.0:
             d += (prior.b - 1.0) * _LOG1M_RATE
         d -= d.max()
-        return GridPosterior._trusted(_RATE_NODES, np.exp(d, out=d), _RATE_STEP)
+        return GridPosterior(_RATE_NODES, np.exp(d, out=d), _RATE_STEP)
 
     raise ConfigurationError(
         f"no conjugate update for family {family!r} with prior {prior!r}"

@@ -21,8 +21,6 @@ from .errors import DomainError
 __all__ = [
     "SeededGenerator",
     "normal_deviate",
-    "exponential_deviate",
-    "bernoulli_deviate",
     "poisson_deviate",
 ]
 
@@ -70,21 +68,6 @@ def normal_deviate(rng) -> float:
     u2 = rng.uniform()
     r = math.sqrt(-2.0 * math.log1p(-u1))
     return r * math.cos(2.0 * math.pi * u2)
-
-
-def exponential_deviate(rng, rate: float) -> float:
-    """Exponential draw by inversion: ``-log(1 - u) / rate``."""
-    if not (isinstance(rate, (int, float)) and math.isfinite(rate)) or rate <= 0.0:
-        raise DomainError(f"rate must be a positive finite number, got {rate!r}")
-    u = rng.uniform()
-    return -math.log1p(-u) / rate
-
-
-def bernoulli_deviate(rng, p: float) -> int:
-    """Bernoulli draw: 1 when the uniform falls below ``p``."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or not 0.0 <= p <= 1.0:
-        raise DomainError(f"success probability must lie in [0, 1], got {p!r}")
-    return 1 if rng.uniform() < p else 0
 
 
 def poisson_deviate(rng, mean: float) -> int:

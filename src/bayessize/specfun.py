@@ -21,7 +21,6 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
-    "ln_gamma",
     "gamma_p",
     "beta_i",
     "normal_moment",
@@ -132,14 +131,6 @@ def std_normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie strictly inside (0, 1), got {p!r}")
     return _STD_NORMAL.inv_cdf(p)
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for positive arguments."""
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires a positive argument, got {x!r}")
-    return math.lgamma(x)
 
 
 def _max_terms(shape: float) -> int:

@@ -7,6 +7,10 @@ golden cells from ``reference_tables``.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,17 @@ from bayessize.tables import CSV_HEADER, build_table, parse_csv, render_csv
 from reference_tables import TABLE1, TABLE2, printed_match
 
 DEFAULT_SEED = 20060301
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test oracle only; importing it would double the CLI's start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, bayessize.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def run(argv, capsys):

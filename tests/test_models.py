@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 from bayessize.errors import (
     AccuracyError,
@@ -348,11 +348,16 @@ def test_quantile_failure_names_the_posterior(monkeypatch):
 # ---------------------------------------------------------------------------
 # grid posterior
 
-def _beta_grid(a, b, nodes=GRID_NODES):
-    def log_density(x):
-        return stats.beta.logpdf(x, a, b)
+def _grid(log_density, lo, hi, nodes=GRID_NODES):
+    # an unnormalised log density tabulated on uniform nodes
+    x = np.linspace(lo, hi, nodes)
+    with np.errstate(divide="ignore"):
+        ld = log_density(x)
+    return GridPosterior(x, np.exp(ld - ld[np.isfinite(ld)].max()), float(x[1] - x[0]))
 
-    return GridPosterior.from_log_density(log_density, 0.0, 1.0, nodes)
+
+def _beta_grid(a, b, nodes=GRID_NODES):
+    return _grid(lambda x: stats.beta.logpdf(x, a, b), 0.0, 1.0, nodes)
 
 
 @pytest.mark.parametrize("a, b", [(1.5, 1.5), (3.0, 3.0), (51.0, 51.0)])
@@ -476,9 +481,7 @@ def _rate_grid(theta0, n, u):
 
 def _gamma_grid(shape, rate):
     hi = stats.gamma.ppf(1.0 - 1e-9, shape, scale=1.0 / rate)
-    return GridPosterior.from_log_density(
-        lambda x: stats.gamma.logpdf(x, shape, scale=1.0 / rate), 0.0, hi
-    )
+    return _grid(lambda x: stats.gamma.logpdf(x, shape, scale=1.0 / rate), 0.0, hi)
 
 
 _HPD_GRIDS = st.one_of(
@@ -605,15 +608,17 @@ def test_grid_hpd_ends_move_continuously_with_the_data():
     assert np.abs(np.diff(ends, axis=0)).max() <= 1e-5
 
 
-def test_rate_posterior_grid_matches_the_checked_constructor():
+def test_rate_posterior_grid_matches_a_tabulated_log_density():
+    # Beta(1.5 + n, 1.5) times the exponential likelihood's exp(-s r)
     post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(30, 60.0))
-    checked = GridPosterior(np.array(post.nodes), np.array(post.density))
-    assert checked.step == post.step
-    np.testing.assert_allclose(checked.density, post.density, rtol=1e-12)
-    assert checked.hpd(0.95).lo == pytest.approx(post.hpd(0.95).lo, rel=1e-12)
+    tabulated = _grid(lambda r: stats.beta.logpdf(r, 31.5, 1.5) - 60.0 * r,
+                      1.0 / GRID_NODES, 1.0)
+    assert tabulated.step == pytest.approx(post.step, rel=1e-12)
+    np.testing.assert_allclose(tabulated.density, post.density, rtol=1e-12)
+    assert tabulated.hpd(0.95).lo == pytest.approx(post.hpd(0.95).lo, rel=1e-12)
 
 
-def test_gamma_hpd_via_grid():
+def test_gamma_hpd_is_exact():
     box = GammaPosterior(8.5, 12.5).hpd(0.9)
     assert 0.9 <= box.mass <= 0.9 + 1e-12
     # right-skewed density: upper tail keeps more mass than the lower
@@ -628,10 +633,106 @@ def test_hpd_rejects_unbounded_densities():
         BetaPosterior(0.8, 2.0).hpd(0.9)
 
 
+def _law(post):
+    if isinstance(post, BetaPosterior):
+        return stats.beta(post.a, post.b)
+    return stats.gamma(post.shape, scale=1.0 / post.rate)
+
+
+def _shortest_width(law, level):
+    # minimised over the lower end's tail mass p, with both edges tried too
+    def width(p):
+        return law.ppf(p + level) - law.ppf(p)
+
+    best = optimize.minimize_scalar(
+        width, bounds=(0.0, 1.0 - level), method="bounded", options={"xatol": 1e-14}
+    )
+    return min(best.fun, width(0.0), width(1.0 - level))
+
+
+# (posterior, level) pairs at and near the shapes where an end sits on an edge
+_EDGE_EXAMPLES = (
+    (GammaPosterior(1.0, 2.0), 0.95),  # falls from zero
+    (BetaPosterior(1.0, 5.0), 0.9),
+    (BetaPosterior(5.0, 1.0), 0.9),  # rises to one
+    (BetaPosterior(1.0, 1.0), 0.5),  # flat
+    (GammaPosterior(1.0 + 1e-9, 2.0), 0.9),  # lower tail mass far below 1e-300
+    (BetaPosterior(1.0 + 1e-9, 30.0), 0.99),
+    (BetaPosterior(30.0, 1.0 + 1e-9), 0.5),  # upper tail mass below 2^-50
+    (GammaPosterior(1.001, 2.0), 0.99),
+    (BetaPosterior(1.001, 30.0), 0.9),
+    (BetaPosterior(30.0, 1.001), 0.95),
+    (GammaPosterior(1e4, 3.0), 0.05),
+    (BetaPosterior(1e4, 1e4), 0.5),
+)
+
+
+def _with_edge_examples(test):
+    for post, level in _EDGE_EXAMPLES:
+        test = example(post=post, level=level)(test)
+    return test
+
+
+@_with_edge_examples
+@settings(max_examples=60, deadline=None)
+@given(
+    post=st.one_of(
+        st.builds(BetaPosterior, st.floats(1.0, 2000.0), st.floats(1.0, 2000.0)),
+        st.builds(GammaPosterior, st.floats(1.0, 2e4), st.floats(0.01, 100.0)),
+    ),
+    level=st.floats(0.05, 0.99),
+)
+def test_exact_hpd_is_the_shortest_interval(post, level):
+    box = post.hpd(level)
+    law = _law(post)
+    assert type(box.lo) is float and type(box.hi) is float
+    # The closed-form CDFs are good to a few 1e-11, which scipy's mass sees.
+    assert level <= box.mass <= level + 1e-8
+    assert level - 1e-10 <= law.cdf(box.hi) - law.cdf(box.lo) <= level + 1e-8
+    # Each end is a quantile, resolved to 1e-12 relative; where the width
+    # is small against the ends (large shapes, low levels) or the log
+    # density steep (an end near a shape-near-1 edge), that resolution
+    # adds to the 1e-9 the width and the end log densities are held to.
+    res_lo, res_hi = 1e-12 * box.lo, 1e-12 * box.hi
+    shortest = _shortest_width(law, level)
+    width, tol = box.hi - box.lo, 1e-9 * shortest + res_lo + res_hi
+    assert abs(width - shortest) <= tol
+    tail = 0.5 * (1.0 - level)
+    assert width <= law.ppf(1.0 - tail) - law.ppf(tail) + tol
+    if box.lo > 0.0 and box.hi < post._hi:
+        slack = abs(post._dlog_pdf_at(box.lo)) * res_lo + abs(post._dlog_pdf_at(box.hi)) * res_hi
+        assert abs(law.logpdf(box.lo) - law.logpdf(box.hi)) <= 1e-9 + slack
+
+
+def test_exact_hpd_takes_at_most_20_root_iterations(monkeypatch):
+    # Each root iteration solves two quantiles; an end on an edge takes one more.
+    calls = []
+    quantile = GammaPosterior.quantile
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return quantile(self, alpha)
+
+    monkeypatch.setattr(GammaPosterior, "quantile", counted)
+    monkeypatch.setattr(BetaPosterior, "quantile", counted)
+    rng = np.random.default_rng(2006)
+    posts = [post for post, _ in _EDGE_EXAMPLES]
+    posts += [BetaPosterior(*rng.uniform(1.0, 2000.0, 2)) for _ in range(10)]
+    posts += [BetaPosterior(*(1.0 + 10.0 ** rng.uniform(-12.0, 3.0, 2))) for _ in range(10)]
+    posts += [GammaPosterior(1.0 + 10.0 ** rng.uniform(-12.0, 4.3), 2.0) for _ in range(10)]
+    for post in posts:
+        for level in (0.05, 0.5, 0.9, 0.95, 0.99):
+            calls.clear()
+            post.hpd(level)
+            assert len(calls) <= 2 * 20 + 1, (post, level)
+
+
 def _bimodal_grid(weight=1.0):
-    x = np.linspace(0.0, 1.0, 512)
-    bimodal = weight * np.exp(-0.5 * ((x - 0.2) / 0.05) ** 2) + np.exp(-0.5 * ((x - 0.8) / 0.05) ** 2)
-    return GridPosterior(x, bimodal)
+    def log_density(x):
+        return np.log(weight * np.exp(-0.5 * ((x - 0.2) / 0.05) ** 2)
+                      + np.exp(-0.5 * ((x - 0.8) / 0.05) ** 2))
+
+    return _grid(log_density, 0.0, 1.0, 512)
 
 
 def test_hpd_rejects_disconnected_superlevel_sets():
@@ -659,20 +760,6 @@ def test_hpd_on_two_peaks_is_certified_or_unsupported(weight, level):
     assert result == _hpd_or_error(_whole_grid_hpd, grid, level)
     if weight == 1.0:
         assert result is UnsupportedShapeError
-
-
-def test_grid_constructor_guards():
-    x = np.linspace(0.0, 1.0, 64)
-    with pytest.raises(DomainError):
-        GridPosterior(x[:4], np.ones(4))
-    with pytest.raises(DomainError):
-        GridPosterior(x, np.ones(32))
-    with pytest.raises(DomainError):
-        GridPosterior(x**2, np.ones(64))
-    with pytest.raises(DomainError):
-        GridPosterior(x, -np.ones(64))
-    with pytest.raises(UnsupportedShapeError):
-        GridPosterior.from_log_density(lambda t: np.where(t > 0.5, math.inf, 0.0), 0.0, 1.0, 64)
 
 
 def test_grid_arrays_are_read_only():

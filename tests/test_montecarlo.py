@@ -36,8 +36,6 @@ from bayessize.montecarlo import MonteCarloEstimate, simulate_g, simulate_many
 from bayessize.randomness import (
     SeededGenerator,
     _poisson_log_pmf,
-    bernoulli_deviate,
-    exponential_deviate,
     normal_deviate,
     poisson_deviate,
 )
@@ -57,23 +55,11 @@ class StubStream:
 # deviate transforms
 
 
-def test_exponential_deviate_inverts_the_cdf():
-    assert exponential_deviate(StubStream([0.5]), 2.0) == math.log(2.0) / 2.0
-    assert exponential_deviate(StubStream([0.0]), 3.0) == 0.0
-
-
 def test_normal_deviate_is_a_fixed_two_uniform_transform():
     # u2 = 0 lands on the cosine axis: the draw is the radius itself
     assert normal_deviate(StubStream([0.5, 0.0])) == math.sqrt(2.0 * math.log(2.0))
     # u2 = 1/4 turns the angle to pi/2 where the cosine vanishes
     assert abs(normal_deviate(StubStream([0.5, 0.25]))) < 1e-15
-
-
-def test_bernoulli_deviate_thresholds_the_uniform():
-    assert bernoulli_deviate(StubStream([0.99]), 1.0) == 1
-    assert bernoulli_deviate(StubStream([0.3]), 0.3) == 0
-    assert bernoulli_deviate(StubStream([0.29]), 0.3) == 1
-    assert bernoulli_deviate(StubStream([0.0]), 0.0) == 0
 
 
 def test_poisson_deviate_chops_down_the_cdf():
@@ -127,14 +113,6 @@ def test_poisson_log_pmf_matches_mpmath(mean):
 
 def test_deviates_reject_bad_parameters():
     good = StubStream([0.5, 0.5, 0.5, 0.5, 0.5])
-    with pytest.raises(DomainError):
-        exponential_deviate(good, 0.0)
-    with pytest.raises(DomainError):
-        exponential_deviate(good, math.inf)
-    with pytest.raises(DomainError):
-        bernoulli_deviate(good, -0.1)
-    with pytest.raises(DomainError):
-        bernoulli_deviate(good, 1.5)
     for mean in (0.0, -3.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             poisson_deviate(good, mean)

@@ -21,7 +21,6 @@ from bayessize.specfun import (
     gamma_p,
     gaussian_product_expectation,
     hermite_poly,
-    ln_gamma,
     normal_abs_moment,
     normal_moment,
     std_normal_cdf,
@@ -49,14 +48,6 @@ QUANTILE_ORACLE = [
     (0.5, 0.0, 1e-12),
     (0.00001, -4.2648907939228246285, 1e-12),
     (0.999999, 4.7534243088228989482, 1e-10),
-]
-
-LN_GAMMA_ORACLE = [
-    (0.5, 0.57236494292470008707),
-    (1.0, 0.0),
-    (3.7, 1.4280723266653879219),
-    (12.25, 18.115669505710892619),
-    (256.0, 1161.7121011184006508),
 ]
 
 
@@ -92,17 +83,6 @@ def test_cdf_quantile_inversion_grid():
     ps = np.linspace(1e-6, 1.0 - 1e-6, 1000)
     worst = max(abs(std_normal_cdf(std_normal_quantile(p)) - p) for p in ps)
     assert worst <= 1e-9
-
-
-@pytest.mark.parametrize("x, expected", LN_GAMMA_ORACLE)
-def test_ln_gamma_oracle(x, expected):
-    assert ln_gamma(x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
-
-
-def test_ln_gamma_rejects_nonpositive():
-    for x in (0.0, -1.0, -3.5):
-        with pytest.raises(DomainError):
-            ln_gamma(x)
 
 
 @pytest.mark.parametrize(
