@@ -80,24 +80,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage())
 
 
-_FLOAT_KEYS = ("sigma2", "mu0", "tau2", "a", "b", "eps", "len", "alpha", "theta1", "theta0")
-_INT_KEYS = ("n", "m", "seed")
-_STR_KEYS = ("model", "criterion", "range", "format", "out")
-_BOOL_KEYS = ("fresh-seed",)
+# Every option, once: the flag ``--key`` takes these add_argument keywords,
+# and a config-file ``key = value`` gets the same type and choices.
+_OPTIONS: dict[str, dict] = {
+    "model": {"choices": ("normal", "poisson", "bernoulli", "exp")},
+    **{key: {"type": float}
+       for key in ("sigma2", "mu0", "tau2", "a", "b", "eps", "len", "alpha", "theta1", "theta0")},
+    "criterion": {"choices": ("apvc", "acc", "alc", "alc-quantile", "es")},
+    "range": {"dest": "range_", "metavar": "LO:HI"},
+    **{key: {"type": int} for key in ("n", "m", "seed")},
+    "format": {"choices": ("text", "csv")},
+    "out": {},
+    "fresh-seed": {"dest": "fresh_seed", "action": "store_const", "const": True},
+}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _dest(key: str) -> str:
+    return _OPTIONS[key].get("dest", key)
 
 
 def _add_options(sub: argparse.ArgumentParser):
-    sub.add_argument("--model", choices=["normal", "poisson", "bernoulli", "exp"])
-    for key in _FLOAT_KEYS:
-        sub.add_argument(f"--{key}", type=float, default=None)
-    sub.add_argument("--criterion", choices=["apvc", "acc", "alc", "alc-quantile", "es"])
-    sub.add_argument("--range", dest="range_", metavar="LO:HI", default=None)
-    for key in _INT_KEYS:
-        sub.add_argument(f"--{key}", type=int, default=None)
-    sub.add_argument("--format", choices=["text", "csv"], default=None)
-    sub.add_argument("--out", default=None)
+    for key, spec in _OPTIONS.items():
+        sub.add_argument(f"--{key}", **spec)
     sub.add_argument("--config", default=None)
-    sub.add_argument("--fresh-seed", dest="fresh_seed", action="store_const", const=True)
 
 
 @functools.cache  # built on first use, then shared: parse_args leaves it unchanged
@@ -131,51 +137,47 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(key: str, raw: str):
+    spec = _OPTIONS.get(key)
+    if spec is None:
+        raise _UsageError(f"unknown config key {key!r}")
+    if spec.get("action") == "store_const":
+        if raw.lower() not in _BOOLEANS:
+            raise _UsageError(f"config value for {key!r}: not a boolean: {raw!r}")
+        return _BOOLEANS[raw.lower()]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes"):
-                return True
-            if lowered in ("0", "false", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if key in _STR_KEYS:
-            return raw
+        value = spec.get("type", str)(raw)
     except ValueError as exc:
         raise _UsageError(f"config value for {key!r}: {exc}")
-    raise _UsageError(f"unknown config key {key!r}")
+    if "choices" in spec and value not in spec["choices"]:
+        raise _UsageError(
+            f"config value for {key!r}: {raw!r} is not one of {', '.join(spec['choices'])}"
+        )
+    return value
 
 
 @dataclass
 class _Settings:
     command: str
     which: int | None
-    model: str | None
-    sigma2: float | None
-    mu0: float | None
-    tau2: float | None
-    a: float | None
-    b: float | None
-    criterion: str | None
-    eps: float | None
-    len: float | None
-    alpha: float
-    theta1: float | None
-    theta0: float | None
-    range_: str | None
-    n: int | None
-    m: int
-    seed: int
-    format: str
-    out: str | None
-    fresh_seed: bool
-
-
-_ATTR_FOR_KEY = {"range": "range_", "fresh-seed": "fresh_seed", "len": "len"}
+    model: str | None = None
+    sigma2: float | None = None
+    mu0: float | None = None
+    tau2: float | None = None
+    a: float | None = None
+    b: float | None = None
+    criterion: str | None = None
+    eps: float | None = None
+    len: float | None = None
+    alpha: float = 0.05
+    theta1: float | None = None
+    theta0: float | None = None
+    range_: str | None = None
+    n: int | None = None
+    m: int = DEFAULT_REPLICATES
+    seed: int = DEFAULT_SEED
+    format: str = "text"
+    out: str | None = None
+    fresh_seed: bool = False
 
 
 def _merge(args: argparse.Namespace) -> _Settings:
@@ -183,39 +185,14 @@ def _merge(args: argparse.Namespace) -> _Settings:
     config = _parse_config_file(args.config) if args.config else {}
     merged: dict[str, object] = {}
     for key, raw in config.items():
-        merged[_ATTR_FOR_KEY.get(key, key)] = _coerce(key, raw)
-    for key in (*_FLOAT_KEYS, *_INT_KEYS, *_STR_KEYS, *_BOOL_KEYS):
-        attr = _ATTR_FOR_KEY.get(key, key)
-        flag_value = getattr(args, attr, None)
+        merged[_dest(key)] = _coerce(key, raw)
+    for key in _OPTIONS:
+        flag_value = getattr(args, _dest(key))
         if flag_value is not None:
-            merged[attr] = flag_value
-
-    seed = merged.get("seed", DEFAULT_SEED)
+            merged[_dest(key)] = flag_value
     if merged.get("fresh_seed", False):
-        seed = secrets.randbits(63)
-    return _Settings(
-        command=args.command,
-        which=getattr(args, "which", None),
-        model=merged.get("model"),
-        sigma2=merged.get("sigma2"),
-        mu0=merged.get("mu0"),
-        tau2=merged.get("tau2"),
-        a=merged.get("a"),
-        b=merged.get("b"),
-        criterion=merged.get("criterion"),
-        eps=merged.get("eps"),
-        len=merged.get("len"),
-        alpha=merged.get("alpha", 0.05),
-        theta1=merged.get("theta1"),
-        theta0=merged.get("theta0"),
-        range_=merged.get("range_"),
-        n=merged.get("n"),
-        m=merged.get("m", DEFAULT_REPLICATES),
-        seed=seed,
-        format=merged.get("format", "text"),
-        out=merged.get("out"),
-        fresh_seed=merged.get("fresh_seed", False),
-    )
+        merged["seed"] = secrets.randbits(63)
+    return _Settings(args.command, getattr(args, "which", None), **merged)
 
 
 def _require(value, flag: str):

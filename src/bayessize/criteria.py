@@ -5,9 +5,11 @@ Each criterion asks that an averaged posterior summary reach a target
 uniformly over a planning range of parameter values.  In the large-n
 normal approximation every one of them reduces to a closed form in the
 infimum of (weighted) Fisher information over that range, which is what
-:func:`min_sample_size` inverts.  The ``asymptotic_*`` evaluators expose
-the same approximations as functions of ``n`` so callers can compare
-them with exact or simulated values.
+:func:`min_sample_size` inverts.  The infimum is exact too: the least
+value at the range's ends and at the family's stationary point inside
+it, if any (:func:`~bayessize.models.inf_weighted_info`).  The
+``asymptotic_*`` evaluators expose the same approximations as functions
+of ``n`` so callers can compare them with exact or simulated values.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .functionals import (
     PosteriorVariance,
     TailMassAbove,
 )
-from .models import HpdInterval, LikelihoodFamily, fisher_info, in_domain, inf_weighted_info
+from .models import HpdInterval, LikelihoodFamily, fisher_info, inf_weighted_info
 from .specfun import std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -212,9 +214,7 @@ def _check_n(n: float) -> float:
 
 
 def _scaled_info(family: LikelihoodFamily, theta0: float, n: float) -> float:
-    if not in_domain(family, theta0):
-        raise DomainError(f"theta0 {theta0!r} lies outside the domain of {family!r}")
-    return _check_n(n) * fisher_info(family, theta0)
+    return fisher_info(family, theta0) * _check_n(n)
 
 
 def asymptotic_expected_variance(

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .criteria import asymptotic_expected_quantile
+from .criteria import _check_n, asymptotic_expected_quantile
 from .errors import DomainError
-from .models import LikelihoodFamily, fisher_info, in_domain
+from .models import LikelihoodFamily, fisher_info
 from .specfun import (
     expect_half_variance,
     hermite_poly,
@@ -45,12 +45,9 @@ class ExpansionTerm:
 
 
 def _checked_info(family: LikelihoodFamily, theta0: float, n: float) -> float:
-    if not in_domain(family, theta0):
-        raise DomainError(f"theta0 {theta0!r} lies outside the domain of {family!r}")
-    n = float(n)
-    if not math.isfinite(n) or n <= 0.0:
-        raise DomainError(f"sample size must be positive, got {n!r}")
-    return fisher_info(family, theta0)
+    info = fisher_info(family, theta0)
+    _check_n(n)
+    return info
 
 
 def _check_order(order: int) -> int:

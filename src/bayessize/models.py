@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -145,33 +145,24 @@ def fisher_info(family: LikelihoodFamily, theta: float) -> float:
     return 1.0 / (theta * theta)
 
 
-def _info_values(family: LikelihoodFamily, theta: np.ndarray) -> np.ndarray:
-    if isinstance(family, NormalKnownVariance):
-        return np.full_like(theta, 1.0 / family.sigma2)
+def _stationary_points(family: LikelihoodFamily, theta1: float | None) -> tuple[float, ...]:
+    """Where the target of ``inf_weighted_info`` has zero slope inside the
+    family's domain, if anywhere.
+
+    Unweighted, only the Bernoulli information ``1 / (t (1 - t))`` turns,
+    at 1/2.  Weighted by ``(theta1 - t)^2``, the Poisson target has slope
+    ``(t - theta1)(t + theta1) / t^2`` and the Bernoulli one turns at
+    ``theta1 / (2 theta1 - 1)``; the normal target falls towards
+    ``theta1`` and the exponential one, ``(theta1 / t - 1)^2``, turns only
+    at ``theta1``, which never lies in the range.
+    """
+    if theta1 is None:
+        return (0.5,) if isinstance(family, Bernoulli) else ()
     if isinstance(family, Poisson):
-        return 1.0 / theta
-    if isinstance(family, Bernoulli):
-        return 1.0 / (theta * (1.0 - theta))
-    return 1.0 / (theta * theta)
-
-
-def _golden_min(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(120):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-        if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
-            break
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+        return (-theta1,)
+    if isinstance(family, Bernoulli) and theta1 != 0.5:
+        return (theta1 / (2.0 * theta1 - 1.0),)
+    return ()
 
 
 def inf_weighted_info(
@@ -184,8 +175,9 @@ def inf_weighted_info(
 
     Without ``theta1`` the target is the Fisher information itself; with
     ``theta1`` it is ``(theta1 - theta)^2 * info(theta)``, the quantity
-    that governs separation criteria.  The infimum is located on a dense
-    grid and sharpened by a golden-section pass over the best bracket.
+    that governs separation criteria.  The target is smooth on the range,
+    so its infimum is its least value at ``lo``, at ``hi`` or at one of
+    the family's stationary points inside the range, all in closed form.
 
     Raises ``CriterionUnsatisfiableError`` when the infimum is zero,
     which happens exactly when ``theta1`` lies inside the planning range.
@@ -207,26 +199,14 @@ def inf_weighted_info(
                 theta=theta1,
             )
 
-    grid = np.linspace(lo, hi, 10_001)
-    vals = _info_values(family, grid)
-    if theta1 is not None:
-        vals = vals * (theta1 - grid) ** 2
-
-    best = int(np.argmin(vals))
-    inf_val = float(vals[best])
-    inf_at = float(grid[best])
-
     def target(t: float) -> float:
-        base = fisher_info(family, t)
-        return base if theta1 is None else base * (theta1 - t) ** 2
+        if theta1 is None:
+            return fisher_info(family, t)
+        gap = theta1 - t
+        return fisher_info(family, t) * (gap * gap)
 
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, grid.size - 1)])
-    if a < b:
-        t_ref, v_ref = _golden_min(target, a, b)
-        if v_ref < inf_val:
-            inf_val, inf_at = v_ref, t_ref
-
+    inside = [t for t in _stationary_points(family, theta1) if lo < t < hi]
+    inf_val, inf_at = min((target(t), t) for t in (lo, hi, *inside))
     if not math.isfinite(inf_val) or inf_val <= 0.0:
         raise CriterionUnsatisfiableError(
             f"information infimum is not positive over [{lo}, {hi}] "
@@ -420,7 +400,7 @@ class _NumericPosterior:
     and ``_edge_shapes``, the exponents ``e`` of the density's power laws
     ``x^(e - 1)`` at zero and ``(1 - x)^(e - 1)`` at one (inf for the
     gamma's exponential tail), which place the HPD's ends.
-    ``GridPosterior`` overrides ``cdf``, ``quantile`` and ``hpd``: it
+    ``GridPosterior`` overrides ``cdf``, ``quantile`` and ``_hpd``: it
     inverts its piecewise quadratic CDF directly and searches its nodes.
     """
 
@@ -474,15 +454,27 @@ class _NumericPosterior:
     def prob_above(self, theta1: float) -> float:
         return 1.0 - self.cdf(_finite("theta1", theta1))
 
-    def hpd(self, level: float) -> HpdInterval:
-        """Highest-density interval: the shortest one of mass ``level``.
+    @cached_property
+    def _hpd_cache(self) -> dict[float, HpdInterval]:
+        """Intervals already found, by level (a slot in ``GridPosterior``)."""
+        return {}
 
-        Its ends have equal densities (Hyndman 1996; Chen and Shao 1999) and
-        are found by ``_hpd_ends``.  The mass is never below ``level``: the
-        ends are widened by ulps until it is reached.  A shape below 1 makes
-        the density unbounded at an edge and raises ``UnsupportedShapeError``.
-        """
+    def hpd(self, level: float) -> HpdInterval:
+        """Highest-density interval: the shortest one of mass ``level``,
+        found by ``_hpd`` once per level and then kept."""
         level = _check_level(level)
+        cached = self._hpd_cache.get(level)
+        if cached is None:
+            cached = self._hpd_cache[level] = self._hpd(level)
+        return cached
+
+    def _hpd(self, level: float) -> HpdInterval:
+        """The interval's ends have equal densities (Hyndman 1996; Chen and
+        Shao 1999) and are found by ``_hpd_ends``.  The mass is never below
+        ``level``: the ends are widened by ulps until it is reached.  A
+        shape below 1 makes the density unbounded at an edge and raises
+        ``UnsupportedShapeError``.
+        """
         if min(self._edge_shapes) < 1.0:
             raise UnsupportedShapeError(
                 "highest-density intervals need a bounded density; "
@@ -894,9 +886,8 @@ class GridPosterior(_NumericPosterior):
             )
         return HpdInterval(lo, hi, mass)
 
-    def hpd(self, level: float) -> HpdInterval:
-        """Highest-density interval by a shortest-interval search bracketed
-        by the equal-tail quantiles.
+    def _hpd(self, level: float) -> HpdInterval:
+        """A shortest-interval search bracketed by the equal-tail quantiles.
 
         The shortest interval of mass ``level`` with an end on a node (see
         ``_shortest``) is slid to equal end densities (cf. Hyndman 1996), so
@@ -906,13 +897,7 @@ class GridPosterior(_NumericPosterior):
         less dense than either, means a disconnected super-level set and
         raises ``UnsupportedShapeError``.
         """
-        level = _check_level(level)
-        cached = self._hpd_cache.get(level)
-        if cached is not None:
-            return cached
-        result = self._certified(*self._shortest(level), level)
-        self._hpd_cache[level] = result
-        return result
+        return self._certified(*self._shortest(level), level)
 
 
 Posterior = Union[NormalPosterior, GammaPosterior, BetaPosterior, GridPosterior]

@@ -121,6 +121,11 @@ def test_size_flags_override_config(tmp_path, capsys):
         ("bogus = 1\n", "unknown config key"),
         ("eps = abc\n", "config value"),
         ("fresh-seed = maybe\n", "config value"),
+        # config values get the flags' choices
+        ("model = gaussian\ncriterion = apvc\neps = 0.002\nrange = 0.1:0.9\n",
+         "config value for 'model'"),
+        ("criterion = apvcc\n", "config value for 'criterion'"),
+        ("format = json\n", "config value for 'format'"),
     ],
 )
 def test_config_file_rejects_malformed_lines(tmp_path, capsys, content, fragment):

@@ -4,6 +4,7 @@ scipy.stats serves as the independent oracle for distribution math; the
 package itself never imports it for these paths.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from bayessize.errors import (
     DomainError,
     UnsupportedShapeError,
 )
+from bayessize.functionals import HpdLower, HpdUpper, HpdWidth, evaluate
 from bayessize.models import (
     GRID_NODES,
     Bernoulli,
@@ -108,6 +110,75 @@ def test_inf_info_monotone_families_take_endpoint():
     # decreasing info: infimum at the right end
     assert inf_weighted_info(Poisson(), 0.5, 2.0) == pytest.approx(0.5, rel=1e-12)
     assert inf_weighted_info(ExponentialRate(), 0.25, 0.75) == pytest.approx(1.0 / 0.5625, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, lo, hi, theta1, expected",
+    [
+        (Bernoulli(), 0.3, 0.7, None, 4.0),  # 1/(t (1 - t)) at t = 1/2
+        (Poisson(), 0.5, 2.0, -1.0, 4.0),  # (theta1 - t)^2 / t at t = -theta1
+        (Bernoulli(), 0.6, 0.9, 1.5, 3.0),  # at t = theta1 / (2 theta1 - 1)
+    ],
+)
+def test_inf_info_interior_stationary_points(family, lo, hi, theta1, expected):
+    assert inf_weighted_info(family, lo, hi, theta1) == pytest.approx(expected, rel=1e-14)
+
+
+def _reference_infimum(family, lo, hi, theta1):
+    """Least target value on a dense grid, refined around the best node."""
+    def target(t):
+        t = np.asarray(t, dtype=float)
+        if isinstance(family, NormalKnownVariance):
+            info = np.full_like(t, 1.0 / family.sigma2)
+        elif isinstance(family, Poisson):
+            info = 1.0 / t
+        elif isinstance(family, Bernoulli):
+            info = 1.0 / (t * (1.0 - t))
+        else:
+            info = 1.0 / (t * t)
+        return info if theta1 is None else info * (theta1 - t) ** 2
+
+    grid = np.linspace(lo, hi, 20_001)
+    vals = target(grid)
+    best = int(np.argmin(vals))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    refined = optimize.minimize_scalar(
+        lambda t: float(target(t)), bounds=(a, b), method="bounded", options={"xatol": 1e-14}
+    )
+    return min(float(vals[best]), float(refined.fun))
+
+
+@st.composite
+def _info_cases(draw):
+    family = draw(st.sampled_from(
+        [NormalKnownVariance(0.37), Poisson(), Bernoulli(), ExponentialRate()]
+    ))
+    if isinstance(family, Bernoulli):
+        ends = st.floats(0.01, 0.99)
+    elif isinstance(family, NormalKnownVariance):
+        ends = st.floats(-5.0, 5.0)
+    else:
+        ends = st.floats(0.01, 10.0)
+    lo, hi = sorted((draw(ends), draw(ends)))
+    assume(hi - lo > 1e-3)
+    # theta1 below the range reaches Poisson and Bernoulli values below 0,
+    # and above it Bernoulli values above 1.
+    side = draw(st.sampled_from([None, "below", "above"]))
+    theta1 = None
+    if side == "below":
+        theta1 = lo - draw(st.floats(1e-3, 10.0))
+    elif side == "above":
+        theta1 = hi + draw(st.floats(1e-3, 10.0))
+    return family, lo, hi, theta1
+
+
+@example(case=(Bernoulli(), 0.1, 0.4, -0.5))  # at t = theta1 / (2 theta1 - 1) = 1/4
+@settings(max_examples=300, deadline=None)
+@given(case=_info_cases())
+def test_inf_info_matches_a_refined_grid_search(case):
+    family, lo, hi, theta1 = case
+    got = inf_weighted_info(family, lo, hi, theta1)
+    assert got == pytest.approx(_reference_infimum(family, lo, hi, theta1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +787,8 @@ def test_exact_hpd_takes_at_most_20_root_iterations(monkeypatch):
     monkeypatch.setattr(GammaPosterior, "quantile", counted)
     monkeypatch.setattr(BetaPosterior, "quantile", counted)
     rng = np.random.default_rng(2006)
-    posts = [post for post, _ in _EDGE_EXAMPLES]
+    # Fresh copies: a posterior keeps the intervals it has already found.
+    posts = [dataclasses.replace(post) for post, _ in _EDGE_EXAMPLES]
     posts += [BetaPosterior(*rng.uniform(1.0, 2000.0, 2)) for _ in range(10)]
     posts += [BetaPosterior(*(1.0 + 10.0 ** rng.uniform(-12.0, 3.0, 2))) for _ in range(10)]
     posts += [GammaPosterior(1.0 + 10.0 ** rng.uniform(-12.0, 4.3), 2.0) for _ in range(10)]
@@ -725,6 +797,23 @@ def test_exact_hpd_takes_at_most_20_root_iterations(monkeypatch):
             calls.clear()
             post.hpd(level)
             assert len(calls) <= 2 * 20 + 1, (post, level)
+
+
+def test_hpd_functionals_share_one_root_per_posterior(monkeypatch):
+    calls = []
+    hpd_ends = BetaPosterior._hpd_ends
+
+    def counted(self, level):
+        calls.append(self)
+        return hpd_ends(self, level)
+
+    monkeypatch.setattr(BetaPosterior, "_hpd_ends", counted)
+    monkeypatch.setattr(GammaPosterior, "_hpd_ends", counted)
+    beta, gamma = BetaPosterior(3.0, 8.0), GammaPosterior(3.0, 2.0)
+    for post in (beta, gamma):
+        lo, hi, width = (evaluate(f(0.95), post) for f in (HpdLower, HpdUpper, HpdWidth))
+        assert width == hi - lo
+    assert calls == [beta, gamma]
 
 
 def _bimodal_grid(weight=1.0):
