@@ -40,8 +40,8 @@ class AccuracyError(BayesSizeError):
 class UnsupportedShapeError(BayesSizeError):
     """The posterior shape falls outside the supported class.
 
-    Highest-density intervals are only defined here for densities whose
-    super-level sets are single intervals; anything else raises this.
+    Highest-density intervals are only defined here for bounded densities:
+    a shape below 1 at an edge of the support raises this.
     """
 
 

@@ -4,15 +4,16 @@ Four one-parameter observation models are supported: normal with known
 variance, Poisson, Bernoulli, and exponential parameterised by its rate.
 The first three pair with their conjugate priors and yield closed-form
 posterior families; the exponential-rate model pairs with a beta prior
-restricted to rates in (0, 1] and is represented on a dense grid.
+restricted to rates in (0, 1] and is tabulated on a dense grid.
 
 The gamma and beta posterior CDFs are closed forms, the regularized
 incomplete gamma and beta functions of :mod:`bayessize.specfun`; their
 quantiles invert them by a bracketed Newton iteration, and their
 highest-density intervals are exact: one scalar root puts the ends at
-equal densities.  Only the exponential-rate grid searches for its
-highest-density interval, among the nodes that the two equal-tail
-quantiles bracket, and then slides its ends to equal densities.
+equal densities.  The exponential-rate posterior's CDF and quantiles are
+its grid's trapezoid rule, but its log density is closed form and
+concave, so its highest-density interval is one Newton root in both
+ends: equal closed-form densities and the grid's mass ``level``.
 
 Posterior objects are immutable once constructed and safe to share
 across threads.  All numeric posterior summaries (quantiles, interval
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -400,11 +401,12 @@ class _NumericPosterior:
     and ``_edge_shapes``, the exponents ``e`` of the density's power laws
     ``x^(e - 1)`` at zero and ``(1 - x)^(e - 1)`` at one (inf for the
     gamma's exponential tail), which place the HPD's ends.
-    ``GridPosterior`` overrides ``cdf``, ``quantile`` and ``_hpd``: it
-    inverts its piecewise quadratic CDF directly and searches its nodes.
+    ``GridPosterior`` overrides ``quantile``, which inverts its piecewise
+    quadratic CDF directly, and ``_hpd_ends``, a root in both ends at once.
     """
 
     __slots__ = ()
+    _lo = 0.0
 
     def cdf(self, x: float) -> float:
         if math.isnan(x):
@@ -484,7 +486,7 @@ class _NumericPosterior:
         mass = self.cdf(hi) - self.cdf(lo)
         pad_lo, pad_hi = math.ulp(lo), math.ulp(hi)
         while mass < level:  # the quantiles' rounding can leave it short
-            lo, hi = max(lo - pad_lo, 0.0), min(hi + pad_hi, self._hi)
+            lo, hi = max(lo - pad_lo, self._lo), min(hi + pad_hi, self._hi)
             mass = self.cdf(hi) - self.cdf(lo)
             pad_lo, pad_hi = 2.0 * pad_lo, 2.0 * pad_hi
         return HpdInterval(lo, hi, mass)
@@ -522,8 +524,9 @@ class _NumericPosterior:
             if p == last:  # a step in s below one ulp of p
                 return lo, hi
             last = p
-            lo, hi = self.quantile(p), self.quantile(p + level)
-            l_lo, l_hi = self._log_pdf_at(lo), self._log_pdf_at(hi)
+            lo = self.quantile(p)
+            hi, l_hi, dl_hi = self._upper_end(p + level, rest / (1.0 + math.exp(s)))
+            l_lo = self._log_pdf_at(lo)
             h = l_lo - l_hi
             if h <= 0.0:
                 s_lo = s
@@ -532,7 +535,7 @@ class _NumericPosterior:
             # dp/ds = p q / rest, with q = rest - p the upper end's tail
             log_dp = math.log(p) - math.log1p(math.exp(s))
             slope = (self._dlog_pdf_at(lo) * math.exp(min(log_dp - l_lo, 700.0))
-                     - self._dlog_pdf_at(hi) * math.exp(min(log_dp - l_hi, 700.0)))
+                     - dl_hi * math.exp(min(log_dp - l_hi, 700.0)))
             # Only rounding makes the slope non-positive; NaN then bisects.
             new = s - h / slope if slope > 0.0 else math.nan
             if abs(new - s) <= 1e-10 * (1.0 + abs(s)) or s_lo == s_hi:
@@ -546,6 +549,11 @@ class _NumericPosterior:
         raise AccuracyError(
             f"{self!r}: HPD ends did not reach equal densities at level={level!r}"
         )
+
+    def _upper_end(self, p: float, q: float) -> tuple[float, float, float]:
+        """The point with mass ``p`` below and ``q`` above it, ``l`` and ``l'``."""
+        hi = self.quantile(p)
+        return hi, self._log_pdf_at(hi), self._dlog_pdf_at(hi)
 
 
 @dataclass(frozen=True)
@@ -645,6 +653,16 @@ class BetaPosterior(_NumericPosterior):
     def _cdf(self, x: float) -> float:
         return 1.0 if x >= 1.0 else beta_i(self.a, self.b, x)
 
+    @cached_property
+    def _mirror(self) -> BetaPosterior:
+        """The law of ``1 - x``: its lower tails are this law's upper tails."""
+        return BetaPosterior(self.b, self.a)
+
+    def _upper_end(self, p: float, q: float) -> tuple[float, float, float]:
+        # Solved for y = 1 - x by beta_i(b, a, y): an end near 1 keeps its digits.
+        y = self._mirror.quantile(q)
+        return 1.0 - y, self._mirror._log_pdf_at(y), -self._mirror._dlog_pdf_at(y)
+
     def _guess(self, p: float) -> float:
         # Numerical Recipes 6.4.  Near 0 the CDF follows x^a / (a B(a, b))
         # and near 1 it follows 1 - (1 - x)^b / (b B(a, b)).  Solved for p,
@@ -668,38 +686,68 @@ class BetaPosterior(_NumericPosterior):
         return min(max(x, lower), upper)  # a normal-based start, clipped
 
 
-class GridPosterior(_NumericPosterior):
-    """Posterior represented by densities on a uniform grid of nodes.
+# The exponential-rate grid, rates k / K for k = 1..K, and its logarithms,
+# shared read-only by every rate posterior.
+_RATE_NODES = np.arange(1, GRID_NODES + 1, dtype=float) / GRID_NODES
+_RATE_NODES.setflags(write=False)
+_RATE_STEP = float(_RATE_NODES[1] - _RATE_NODES[0])
+with np.errstate(divide="ignore"):
+    _LOG_RATE = np.log(_RATE_NODES)
+    _LOG1M_RATE = np.log1p(-_RATE_NODES)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
-    The density is scaled to unit trapezoid mass, and the mean and
-    variance are trapezoid integrals.  Quantiles invert the trapezoid CDF
-    exactly: within a segment the density is linear and the CDF quadratic.
+
+@lru_cache(maxsize=4)
+def _rate_log_kernel(shape: float, b: float) -> np.ndarray:
+    """``(shape - 1) log r + (b - 1) log(1 - r)``, -inf at r = 1 if b > 1."""
+    d = (shape - 1.0) * _LOG_RATE
+    return d if b == 1.0 else d + (b - 1.0) * _LOG1M_RATE
+
+
+class GridPosterior(_NumericPosterior):
+    """Posterior of an exponential rate on (0, 1] under a beta prior,
+    tabulated at the rates k / K, k = 1..K.
+
+    Its log density ``l(r) = (shape - 1) log r - s r + (b - 1) log(1 - r)``,
+    with ``shape = a + n`` and ``s`` the sample sum, is concave for
+    ``shape > 1`` and ``b >= 1``; ``_log_pdf_at`` is ``l``, not normalised.
+    The density is scaled to unit trapezoid mass, the mean and variance are
+    trapezoid integrals, and quantiles invert the trapezoid CDF exactly:
+    within a segment the density is linear and the CDF quadratic.
     """
 
-    __slots__ = ("nodes", "density", "step", "_node_cdf", "_hpd_cache")
+    __slots__ = ("shape", "b", "s", "_mode", "density", "_node_cdf", "_hpd_cache")
+    nodes, step = _RATE_NODES, _RATE_STEP
+    _lo, _hi = _RATE_STEP, 1.0
 
-    def __init__(self, nodes: np.ndarray, density: np.ndarray, step: float):
-        """Build from uniformly spaced ``nodes`` ``step`` apart and finite,
-        nonnegative ``density`` values, which are not checked.
-
-        One cumulative sum of the doubled segments ``d[i] + d[i + 1]``
-        gives the node CDF and, last, the total mass in units of ``step / 2``;
-        dividing by it leaves ``_node_cdf[-1]`` exactly 1."""
-        node_cdf = np.zeros(density.size)
-        np.add(density[:-1], density[1:], out=node_cdf[1:])
+    def __init__(self, shape: float, b: float, s: float):
+        self.shape, self.b, self.s = shape, b, s
+        # l'(r) r (1 - r) = (shape - 1) - B r + s r^2 vanishes at the mode,
+        # its smaller root, here in the form that does not cancel; with
+        # shape <= 1 the density falls from zero.
+        big = shape + b - 2.0 + s
+        disc = max(big * big - 4.0 * s * (shape - 1.0), 0.0)
+        self._mode = 2.0 * (shape - 1.0) / (big + math.sqrt(disc)) if shape > 1.0 else 0.0
+        d = _RATE_NODES * -s
+        d += _rate_log_kernel(shape, b)
+        d -= self._log_pdf_at(min(max(self._mode, _RATE_STEP), _BELOW_ONE))
+        np.exp(d, out=d)
+        # One cumulative sum of the doubled segments d[i] + d[i + 1] gives the node
+        # CDF and, last, the total in units of step / 2, which makes it end at 1.
+        node_cdf = np.zeros(d.size)
+        np.add(d[:-1], d[1:], out=node_cdf[1:])
         np.cumsum(node_cdf[1:], out=node_cdf[1:])
         total = float(node_cdf[-1])
         if not (math.isfinite(total) and total > 0.0):
-            raise AccuracyError("grid density has non-positive total mass")
+            raise AccuracyError(f"{self!r}: grid density has non-positive total mass")
         node_cdf /= total
-
-        self.nodes = nodes
-        self.nodes.setflags(write=False)
-        self.density = density * (2.0 / (total * step))
-        self.density.setflags(write=False)
-        self.step = step
-        self._node_cdf = node_cdf
+        d *= 2.0 / (total * _RATE_STEP)
+        d.setflags(write=False)
+        self.density, self._node_cdf = d, node_cdf
         self._hpd_cache: dict[float, HpdInterval] = {}
+
+    def __repr__(self) -> str:
+        return f"GridPosterior(shape={self.shape!r}, b={self.b!r}, s={self.s!r})"
 
     def _trapezoid(self, f: np.ndarray) -> float:
         """Trapezoid integral of ``f`` times the density over the grid."""
@@ -715,201 +763,100 @@ class GridPosterior(_NumericPosterior):
         dev *= dev
         return self._trapezoid(dev)
 
-    def cdf(self, x: float) -> float:
-        nodes, d = self.nodes, self.density
-        if math.isnan(x):
-            raise DomainError("x must not be NaN")
-        if x <= nodes[0]:
-            return 0.0
-        if x >= nodes[-1]:
-            return 1.0
-        # The segment nodes[i] <= x < nodes[i + 1]; on a uniform grid the
+    def _cdf(self, x: float) -> float:
+        return 0.0 if x <= self._lo else 1.0 if x >= self._hi else self._cdf_density(x)[0]
+
+    def _cdf_density(self, x: float) -> tuple[float, float]:
+        """The trapezoid CDF inside the nodes and its slope, the density."""
+        node, d = self.nodes.item, self.density.item
+        # The segment node(i) <= x < node(i + 1); on a uniform grid the
         # guess is off by at most one.
-        i = min(int((x - nodes[0]) / self.step), nodes.size - 2)
-        while nodes[i] > x:
+        i = min(int((x - node(0)) / self.step), self.nodes.size - 2)
+        while node(i) > x:
             i -= 1
-        while nodes[i + 1] <= x:
+        while node(i + 1) <= x:
             i += 1
-        x_i, d_i = float(nodes[i]), float(d[i])
+        x_i, d_i = node(i), d(i)
         t = (x - x_i) / self.step
-        d_at = d_i + t * (float(d[i + 1]) - d_i)
+        d_at = d_i + t * (d(i + 1) - d_i)
         partial = 0.5 * (d_i + d_at) * (x - x_i)
-        return min(float(self._node_cdf[i]) + partial, 1.0)
+        return min(self._node_cdf.item(i) + partial, 1.0), d_at
 
     def quantile(self, alpha: float) -> float:
-        alpha = _check_prob(alpha)
-        return self._invert_cdf_at(alpha, int(np.searchsorted(self._node_cdf, alpha)))[0]
-
-    def _invert_cdf_at(self, p: float, j: int) -> tuple[float, float]:
-        """Leftmost point where the trapezoid CDF reaches ``p`` in (0, 1],
-        and the density there; ``j`` is the first node with CDF >= ``p``."""
+        """Leftmost point where the trapezoid CDF reaches ``alpha``."""
+        p = _check_prob(alpha)
         d, cdf = self.density, self._node_cdf
-        j -= 1
+        j = int(np.searchsorted(cdf, p)) - 1  # the segment that reaches p
         gain = p - float(cdf[j])
         d_j = float(d[j])
         slope = (float(d[j + 1]) - d_j) / self.step
         root = math.sqrt(max(d_j * d_j + 2.0 * slope * gain, 0.0))
+        # The quadratic's root in the cancellation-free form 2g / (d + sqrt(...)).
         t = 2.0 * gain / max(d_j + root, _TINY)
-        return float(self.nodes[j]) + min(t, self.step), root
+        return float(self.nodes[j]) + min(t, self.step)
 
-    def _invert_cdf(self, targets: np.ndarray) -> np.ndarray:
-        """Leftmost points where the trapezoid CDF reaches each target.
+    def _log_pdf_at(self, x: float) -> float:
+        value = (self.shape - 1.0) * math.log(x) - self.s * x
+        return value if self.b == 1.0 else value + (self.b - 1.0) * math.log1p(-x)
 
-        Within a segment the density is linear and the CDF quadratic; the
-        root is taken in the cancellation-free form ``2g / (d + sqrt(...))``.
+    def _dlog_pdf_at(self, x: float) -> float:
+        return (self.shape - 1.0) / x - self.s - (self.b - 1.0) / (1.0 - x)
+
+    _edge_shapes = (1.0, 1.0)  # bounded on the nodes; _hpd_ends finds the edges
+
+    def _hpd_ends(self, level: float) -> tuple[float, float]:
+        """Ends ``x0 < lo < mode < hi < 1``, ``x0`` the first node, of equal
+        ``l`` and trapezoid mass ``F(hi) - F(lo) = level``, by Newton steps
+        from the equal-tail quantiles.  The Jacobian's determinant
+        ``l'(lo) f(hi) - l'(hi) f(lo)``, with ``f`` the piecewise-linear
+        density, is positive.  Steps go in ``log(lo)`` and ``log(1 - hi)``,
+        where the edges' power laws are linear; one that leaves the bracket
+        halves the distance to it instead.  The last, below 1e-9 of both
+        ends, is applied.  An edge at least as dense as ``Q(level)`` (``x0``)
+        or ``Q(1 - level)`` (the last double below 1) is an end instead.
         """
-        d, cdf = self.density, self._node_cdf
-        # Targets lie in [0, 1], so only a zero target needs j clipped.
-        j = np.maximum(np.searchsorted(cdf, targets, side="left") - 1, 0)
-        d_j = d[j]
-        gain = targets - cdf[j]
-        slope = (d[j + 1] - d_j) / self.step
-        root = np.sqrt(np.maximum(d_j * d_j + 2.0 * slope * gain, 0.0))
-        # The denominator vanishes only where the gain does (t = 0 then).
-        t = 2.0 * gain / np.maximum(d_j + root, _TINY)
-        return self.nodes[j] + np.minimum(t, self.step)
-
-    def _density_at(self, v: float, r: int) -> float:
-        """``np.interp(v, nodes, density)`` in scalar arithmetic, given the
-        number ``r`` of nodes at or below ``v``."""
-        x, d = self.nodes, self.density
-        if r <= 0:
-            return float(d[0])
-        if r >= x.size:
-            return float(d[-1])
-        x_j, d_j = float(x[r - 1]), float(d[r - 1])
-        return (float(d[r]) - d_j) / (float(x[r]) - x_j) * (v - x_j) + d_j
-
-    def _equal_density_ends(self, lo: float, hi: float) -> tuple[float, float]:
-        """Slide an interval, at equal mass, to where its end densities agree.
-
-        Each end moves within one segment, where the density is linear with
-        slope ``rise > 0`` (left) or ``fall < 0`` (right); equal mass gained
-        and lost gives ``c^2 = (d_hi^2 rise - d_lo^2 fall) / (rise - fall)``
-        for the common density.  The interval is returned unchanged when an
-        end would leave its segment (the optimum then is a node or the
-        support's edge, where the interval already is) or the ends are not
-        on a rising and a falling flank.
-        """
-        x, d = self.nodes, self.density
-        r_lo, r_hi = np.searchsorted(x, (lo, hi), side="right").tolist()
-        d_lo, d_hi = self._density_at(lo, r_lo), self._density_at(hi, r_hi)
-        if not d_hi > d_lo:  # an end on a node moves in the segment below it
-            r_lo -= int(r_lo > 0 and x[r_lo - 1] == lo)
-            r_hi -= int(r_hi > 0 and x[r_hi - 1] == hi)
-        p = min(max(r_lo - 1, 0), d.size - 2)
-        q = min(max(r_hi - 1, 0), d.size - 2)
-        rise = float(d[p + 1] - d[p]) / self.step
-        fall = float(d[q + 1] - d[q]) / self.step
-        if not rise > 0.0 > fall:
-            return lo, hi
-        c = math.sqrt((d_hi * d_hi * rise - d_lo * d_lo * fall) / (rise - fall))
-        new_lo = lo + (c - d_lo) / rise
-        new_hi = hi + (c - d_hi) / fall
-        if x[p] <= new_lo <= x[p + 1] and x[q] <= new_hi <= x[q + 1]:
-            return new_lo, new_hi
-        return lo, hi
-
-    def _shortest(self, level: float) -> tuple[float, float]:
-        """Shortest interval of mass ``level`` with one end on a node.
-
-        Take ``t = (1 - level) / 2`` and the equal-tail ends ``qa = Q(t)``
-        and ``qb = Q(1 - t)``.  Were the optimal lower end below ``qa``,
-        then ``qa`` would lie inside the optimum and ``qb`` outside it, or
-        both past its upper end, so ``d(qa) >= d(qb)`` for any unimodal
-        density at any level.  Hence if ``d(qa) <= d(qb)`` the lower end's
-        CDF lies in ``[t, 1 - level]`` and the upper end ``u`` lies past
-        ``qb``; the density on ``[qb, u]`` is at least the optimum's end
-        density, which is at least ``d(qa)``, and its mass at most ``t``, so
-        ``u <= qb + t / d(qa)``.  Otherwise the same holds mirrored.  Only
-        the nodes in these ranges, widened by two nodes at each end, are
-        tried: as lower ends, the upper end being where the trapezoid CDF
-        has gained ``level``, and as upper ends.  The width is quasi-convex in either
-        end, so the nodes next to the optimum's ends are among them, and the
-        shortest candidate (cf. Chen and Shao 1999) is the one a sweep over
-        every node would find, unless the density is flat and any interval
-        of mass ``level`` is shortest.
-        """
-        x, cdf = self.nodes, self._node_cdf
+        x0, top, mode = self._lo, _BELOW_ONE, self._mode
         tail = 0.5 * (1.0 - level)
-        # The first nodes whose CDF reaches t, 1 - level, level and 1 - t.
-        i_t, i_rest, i_level, i_ut = np.searchsorted(
-            cdf, (tail, 1.0 - level, level, 1.0 - tail)
-        ).tolist()
-        qa, d_a = self._invert_cdf_at(tail, i_t)
-        qb, d_b = self._invert_cdf_at(1.0 - tail, i_ut)
-        # Node ranges [a0, a1) of the lower ends and [b0, b1) of the upper.
-        if d_a <= d_b:
-            k = int(np.searchsorted(x, qb + tail / max(d_a, _TINY)))
-            a0, a1, b0, b1 = i_t - 2, i_rest + 2, i_ut - 2, k + 2
-        else:
-            k = int(np.searchsorted(x, qa - tail / max(d_b, _TINY)))
-            a0, a1, b0, b1 = k - 2, i_t + 2, i_level - 2, i_ut + 2
-        a0, b0, b1 = max(a0, 0), max(b0, 0), min(b1, x.size)
-        gained = cdf[a0:a1] + level  # CDF at the upper ends
-        gained = gained[gained <= cdf[-1]]
-        lost = cdf[b0:b1]
-        lost = lost[lost >= level] - level  # CDF at the lower ends
-        n, b0 = gained.size, b1 - lost.size
-        ends = self._invert_cdf(np.concatenate((gained, lost)))
-        widths = np.concatenate((ends[:n] - x[a0 : a0 + n], x[b0:b1] - ends[n:]))
-        best = int(np.argmin(widths))
-        if best < n:
-            return float(x[a0 + best]), float(ends[best])
-        return float(ends[best]), float(x[b0 + best - n])
-
-    def _certified(self, lo: float, hi: float, level: float) -> HpdInterval:
-        """Slide ``[lo, hi]`` to equal end densities, widen it until its mass
-        is at least ``level``, and check that it is a super-level set.  The
-        pad that widens it starts at one ulp of the ends, so that the first
-        pass already moves them, and doubles each pass."""
-        x, d = self.nodes, self.density
-        lo, hi = self._equal_density_ends(lo, hi)
-
-        mass = self.cdf(hi) - self.cdf(lo)
-        pad = max(math.ulp(lo), math.ulp(hi))
-        while mass < level:  # rounding can leave the mass an ulp short
-            lo, hi = max(lo - pad, float(x[0])), min(hi + pad, float(x[-1]))
-            mass = self.cdf(hi) - self.cdf(lo)
-            pad *= 2.0
-
-        r_lo, right = np.searchsorted(x, (lo, hi), side="right").tolist()
-        d_lo, d_hi = self._density_at(lo, r_lo), self._density_at(hi, right)
-        left = r_lo - int(r_lo > 0 and x[r_lo - 1] == lo)
-        outside = max(d[:left].max(initial=0.0), d[right:].max(initial=0.0))
-        inside = d[left:right].min(initial=np.inf)
-        # A denser node outside or a valley inside; slack for flat stretches.
-        if outside > max(d_lo, d_hi) * (1 + 1e-9) or inside < min(d_lo, d_hi) * (1 - 1e-9):
-            raise UnsupportedShapeError(
-                "posterior density has a disconnected super-level set; "
-                "highest-density intervals require a single interval"
-            )
-        return HpdInterval(lo, hi, mass)
-
-    def _hpd(self, level: float) -> HpdInterval:
-        """A shortest-interval search bracketed by the equal-tail quantiles.
-
-        The shortest interval of mass ``level`` with an end on a node (see
-        ``_shortest``) is slid to equal end densities (cf. Hyndman 1996), so
-        the ends move continuously with the data.  The mass is never below
-        ``level`` and exceeds it only by rounding, well under 1e-12.  A
-        node outside the interval denser than both ends, or one inside it
-        less dense than either, means a disconnected super-level set and
-        raises ``UnsupportedShapeError``.
-        """
-        return self._certified(*self._shortest(level), level)
+        lo, hi = self.quantile(tail), min(self.quantile(1.0 - tail), top)
+        # Unimodality: an edge that is an end is at least as dense as the
+        # other end's equal-tail quantile.
+        l_x0, l_top = self._log_pdf_at(x0), self._log_pdf_at(top)
+        if l_x0 >= self._log_pdf_at(hi):
+            q = self.quantile(level)
+            if l_x0 >= self._log_pdf_at(min(q, top)):
+                return x0, q
+        if l_top >= self._log_pdf_at(lo):
+            q = self.quantile(1.0 - level)
+            if l_top >= self._log_pdf_at(min(q, top)):
+                return q, 1.0
+        lo = lo if x0 < lo < mode else 0.5 * (x0 + mode)
+        hi = hi if mode < hi <= top else 0.5 * (mode + top)
+        for _ in range(100):
+            cdf_lo, f_lo = self._cdf_density(lo)
+            cdf_hi, f_hi = self._cdf_density(hi)
+            g = self._log_pdf_at(lo) - self._log_pdf_at(hi)
+            h = cdf_hi - cdf_lo - level
+            dl_lo, dl_hi = self._dlog_pdf_at(lo), self._dlog_pdf_at(hi)
+            # Positive unless both densities underflow: NaN steps then halve.
+            det = (dl_lo * f_hi - dl_hi * f_lo) or math.nan
+            step_lo = -(f_hi * g + dl_hi * h) / det
+            step_hi = -(f_lo * g + dl_lo * h) / det
+            done = abs(step_lo) <= 1e-9 * lo and abs(step_hi) <= 1e-9 * hi
+            new_lo = lo * math.exp(min(step_lo / lo, 700.0))
+            new_hi = 1.0 - (1.0 - hi) * math.exp(min(-step_hi / (1.0 - hi), 700.0))
+            if not x0 < new_lo < mode:
+                new_lo = 0.5 * (lo + (x0 if new_lo <= x0 else mode))
+            if not mode < new_hi <= top:
+                new_hi = 0.5 * (hi + (top if new_hi > top else mode))
+            if done:
+                return new_lo, new_hi
+            lo, hi = new_lo, new_hi
+        raise AccuracyError(
+            f"{self!r}: HPD ends did not reach equal densities at level={level!r}"
+        )
 
 
 Posterior = Union[NormalPosterior, GammaPosterior, BetaPosterior, GridPosterior]
-
-# The exponential-rate grid, rates k / K for k = 1..K, and its logarithms,
-# shared read-only by every rate posterior.
-_RATE_NODES = np.arange(1, GRID_NODES + 1, dtype=float) / GRID_NODES
-_RATE_NODES.setflags(write=False)
-_RATE_STEP = float(_RATE_NODES[1] - _RATE_NODES[0])
-with np.errstate(divide="ignore"):
-    _LOG_RATE = np.log(_RATE_NODES)
-    _LOG1M_RATE = np.log1p(-_RATE_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -949,14 +896,7 @@ def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterio
                 "rates on (0, 1] with beta prior need b >= 1; the posterior "
                 "density is unbounded at 1 otherwise"
             )
-        # Only the rate 1 term can be infinite (-inf, when b > 1), and it
-        # exponentiates to a zero density.
-        d = (prior.a - 1.0 + stat.n) * _LOG_RATE
-        d -= _RATE_NODES * stat.s
-        if prior.b != 1.0:
-            d += (prior.b - 1.0) * _LOG1M_RATE
-        d -= d.max()
-        return GridPosterior(_RATE_NODES, np.exp(d, out=d), _RATE_STEP)
+        return GridPosterior(prior.a + stat.n, prior.b, stat.s)
 
     raise ConfigurationError(
         f"no conjugate update for family {family!r} with prior {prior!r}"

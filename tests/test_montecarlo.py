@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from bayessize.errors import DomainError, ReplicateError
-from bayessize.exact import exact_normal, expbeta_expected
+from bayessize.exact import exact_normal, expbeta_expected, expbeta_expected_many
 from bayessize.functionals import (
     CredibleLength,
     HpdWidth,
@@ -39,6 +39,7 @@ from bayessize.randomness import (
     normal_deviate,
     poisson_deviate,
 )
+from bayessize.tables import _RATE_FUNCTIONALS
 
 
 class StubStream:
@@ -182,6 +183,29 @@ def test_rate_study_estimate_agrees_with_quadrature_oracle():
     )
     assert est.std_err > 0.0
     assert abs(est.mean - oracle) <= 3.0 * est.std_err
+
+
+# Rate cells drawn once from a fixed seed: theta0 uniform on [0.05, 1] and
+# n log-uniform on [1, 1000].
+_RNG = np.random.default_rng(2006)
+_RANDOM_RATE_CELLS = [
+    (round(float(theta0), 4), int(math.exp(log_n)))
+    for theta0, log_n in zip(_RNG.uniform(0.05, 1.0, 8), _RNG.uniform(0.0, math.log(1000.0), 8))
+]
+
+
+@pytest.mark.parametrize("theta0, n", _RANDOM_RATE_CELLS)
+def test_rate_study_functionals_agree_with_the_oracle_at_random_cells(theta0, n):
+    # All five functionals of table 3's rate rows.  Small n and small
+    # theta0 need more Gauss-Laguerre nodes than the default 32 to meet the
+    # oracle's 1e-5 error estimate.
+    functionals = [functional for _, functional in _RATE_FUNCTIONALS]
+    family, prior = ExponentialRate(), BetaPrior(1.5, 1.5)
+    estimates = simulate_many(family, prior, theta0, n, 200, functionals, seed=20060301)
+    oracles = expbeta_expected_many(functionals, theta0, n, prior, nodes=128)
+    for functional, est, oracle in zip(functionals, estimates, oracles):
+        assert est.std_err > 0.0
+        assert abs(est.mean - oracle.value) <= 5.0 * est.std_err, (functional, est, oracle)
 
 
 def test_estimates_track_closed_form_across_seeds():
