@@ -606,6 +606,17 @@ def test_grid_hpd_at_the_support_edge(n, level):
     assert exponential.hpd(level).lo == exponential.nodes[0]
 
 
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+def test_grid_hpd_on_a_flat_density_has_the_level_mass(level):
+    # Beta(1, 1) on the nodes: every interval of mass `level` is a
+    # highest-density one, and its width is `level` of the nodes' span.
+    grid = _beta_grid(1.0, 1.0)
+    box = grid.hpd(level)
+    assert level <= box.mass <= level + 1e-12
+    span = grid.nodes[-1] - grid.nodes[0]
+    assert box.hi - box.lo == pytest.approx(level * span, abs=1e-12)
+
+
 @pytest.mark.parametrize("level", [0.05, 0.5, 0.95, 0.999])
 @pytest.mark.parametrize(
     "grid",
@@ -907,6 +918,36 @@ def test_hpd_functionals_share_one_root_per_posterior(monkeypatch):
         lo, hi, width = (evaluate(f(0.95), post) for f in (HpdLower, HpdUpper, HpdWidth))
         assert width == hi - lo
     assert calls == [beta, gamma]
+
+
+@pytest.mark.parametrize("level", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("b", [0.5, 0.8, 1.0])
+def test_hpd_on_two_peaks_is_certified_or_unsupported(b, level):
+    # The rate root needs one peak.  A prior's b below 1 adds a second one,
+    # a pole at rate 1 beyond the interior mode, and the update refuses it;
+    # with b = 1 the returned interval is the super-level set of its ends'
+    # density: the ends' log densities, here 30.5 log r - 60 r, agree, no
+    # node outside is denser than either end, none inside less dense than both.
+    fam, prior, stat = ExponentialRate(), BetaPrior(1.5, b), SufficientStat(30, 60.0)
+    r = np.linspace(0.01, 1.0 - 1e-9, 200_001)
+    slope = 30.5 / r - 60.0 - (b - 1.0) / (1.0 - r)
+    falls_to_rise = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0))
+    if b < 1.0:
+        assert slope[0] > 0.0 and falls_to_rise.size == 1  # a mode, a valley, a pole
+        with pytest.raises(ConfigurationError):
+            posterior(fam, prior, stat)
+        return
+    assert slope[0] > 0.0 and falls_to_rise.size == 0
+    grid = posterior(fam, prior, stat)
+    box = grid.hpd(level)
+    assert level <= box.mass <= level + 1e-12
+    log_density = 30.5 * np.log([box.lo, box.hi]) - 60.0 * np.array([box.lo, box.hi])
+    assert abs(log_density[0] - log_density[1]) <= 1e-9
+    x, d = grid.nodes, grid.density
+    ends = np.interp([box.lo, box.hi], x, d)
+    inside = (x >= box.lo) & (x <= box.hi)
+    assert inside.any() and np.all(d[inside] >= ends.min())
+    assert np.all(d[~inside] <= ends.max())
 
 
 def test_grid_arrays_are_read_only():
