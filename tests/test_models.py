@@ -409,6 +409,31 @@ def test_quantile_inverts_cdf_for_small_and_large_shapes(post, p):
         assert post.cdf(math.nextafter(q, -math.inf)) <= p <= post.cdf(math.nextafter(q, math.inf))
 
 
+_PRIOR_SHAPES = st.floats(0.01, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([Poisson(), Bernoulli()]), _PRIOR_SHAPES, _PRIOR_SHAPES,
+    st.integers(1, 10_000), st.floats(0.0, 1.0),
+)
+@example(Poisson(), 0.01, 0.02, 1, 0.0)
+@example(Bernoulli(), 0.01, 0.02, 1, 1.0)
+def test_conjugate_posterior_moments_match_scipy(family, a, b, n, fraction):
+    # Random priors, shapes below 1 included, and a total that may leave the
+    # posterior's shape below 1 (s = 0 or s = n).
+    if isinstance(family, Poisson):
+        s = float(math.floor(fraction * 3 * n))
+        post = posterior(family, GammaPrior(a, b), SufficientStat(n, s))
+        dist = stats.gamma(b + s, scale=1.0 / (a + n))
+    else:
+        s = float(math.floor(fraction * n))
+        post = posterior(family, BetaPrior(a, b), SufficientStat(n, s))
+        dist = stats.beta(a + s, b + n - s)
+    assert post.mean() == pytest.approx(dist.mean(), rel=1e-12)
+    assert post.variance() == pytest.approx(dist.var(), rel=1e-12)
+
+
 def test_quantile_failure_names_the_posterior(monkeypatch):
     post = GammaPosterior(2.0, 1.0)
     monkeypatch.setattr(GammaPosterior, "_cdf", lambda self, x: math.nan)

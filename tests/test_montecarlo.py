@@ -12,13 +12,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bayessize import montecarlo
 from bayessize.errors import DomainError, ReplicateError
 from bayessize.exact import exact_normal, expbeta_expected, expbeta_expected_many
 from bayessize.functionals import (
+    CenteredIntervalMass,
     CredibleLength,
+    HpdLower,
+    HpdUpper,
     HpdWidth,
     PosteriorQuantile,
     PosteriorVariance,
+    TailMassAbove,
     evaluate,
 )
 from bayessize.models import (
@@ -31,6 +36,7 @@ from bayessize.models import (
     Poisson,
     SufficientStat,
     posterior,
+    sample_suffstat,
 )
 from bayessize.montecarlo import MonteCarloEstimate, simulate_g, simulate_many
 from bayessize.randomness import (
@@ -146,6 +152,16 @@ def test_block_draws_match_scalar_draws():
     a = SeededGenerator(9, stream_id=2)
     b = SeededGenerator(9, stream_id=2)
     assert list(a.uniforms(6)) == [b.uniform() for _ in range(6)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_streams_are_numpys_default_rng_of_the_key_pair(seed):
+    # The seed words are built by hand; numpy's own coercion of the list
+    # [seed, stream_id] is the reference, on both sides of 2^32.
+    for stream_id in (0, 1, 2**32 - 1, 2**32):
+        ours = SeededGenerator(seed, stream_id=stream_id).uniforms(8)
+        reference = np.random.default_rng([seed, stream_id]).random(8)
+        assert ours.tobytes() == reference.tobytes(), (seed, stream_id)
 
 
 def test_generator_rejects_bad_keys():
@@ -264,6 +280,80 @@ def test_batch_run_matches_single_functional_runs():
         assert joint == alone
 
 
+def _replay(family, prior, theta0, n, m, functionals, seed):
+    """``simulate_many`` without shared evaluations: every replicate in full."""
+    values = np.empty((len(functionals), m))
+    for j in range(m):
+        stat = sample_suffstat(family, theta0, n, SeededGenerator(seed, stream_id=j))
+        post = posterior(family, prior, stat)
+        for i, functional in enumerate(functionals):
+            values[i, j] = evaluate(functional, post)
+    return [
+        MonteCarloEstimate(float(row.mean()), float(row.std(ddof=1) / math.sqrt(m)), m, seed)
+        for row in values
+    ]
+
+
+def _totals(family, theta0, n, m, seed):
+    return [sample_suffstat(family, theta0, n, SeededGenerator(seed, stream_id=j)).s
+            for j in range(m)]
+
+
+_CONJUGATE_FUNCTIONALS = [
+    PosteriorVariance(), PosteriorQuantile(0.05), CredibleLength(0.05), HpdLower(0.9),
+    HpdUpper(0.9), HpdWidth(0.95), CenteredIntervalMass(0.2), TailMassAbove(0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "family,prior,theta0,n,m,functionals",
+    [
+        (NormalKnownVariance(0.2), NormalPrior(0.25, 0.3), 0.5, 30, 60,
+         [PosteriorVariance(), PosteriorQuantile(0.05), CredibleLength(0.05), HpdWidth(0.95),
+          CenteredIntervalMass(0.2), TailMassAbove(0.5)]),
+        (Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 120, _CONJUGATE_FUNCTIONALS),
+        (Poisson(), GammaPrior(1.0, 2.0), 3.0, 200, 60, _CONJUGATE_FUNCTIONALS),
+        (Bernoulli(), BetaPrior(1.5, 1.5), 0.3, 30, 120, _CONJUGATE_FUNCTIONALS),
+        (ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 50, 40,
+         [functional for _, functional in _RATE_FUNCTIONALS]),
+    ],
+)
+def test_simulate_many_equals_a_per_replicate_replay(family, prior, theta0, n, m, functionals):
+    # Bit for bit: a shared evaluation must give what evaluating the
+    # replicate afresh gives.
+    if isinstance(family, (Poisson, Bernoulli)):
+        assert len(set(_totals(family, theta0, n, m, 4))) < m  # some totals repeat
+    estimates = simulate_many(family, prior, theta0, n, m, functionals, seed=4)
+    assert estimates == _replay(family, prior, theta0, n, m, functionals, seed=4)
+
+
+@pytest.mark.parametrize(
+    "family,prior,theta0,n,m",
+    [
+        (Bernoulli(), BetaPrior(1.0, 1.0), 0.3, 30, 500),
+        (Poisson(), GammaPrior(2.5, 3.5), 0.5, 40, 500),
+        (ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 20, 200),
+    ],
+)
+def test_posterior_is_built_once_per_distinct_total(monkeypatch, family, prior, theta0, n, m):
+    # A timing-free guard: count totals have few distinct values, and each
+    # is turned into a posterior once; exponential totals never repeat.
+    calls = []
+
+    def counting_posterior(family, prior, stat):
+        calls.append(stat.s)
+        return posterior(family, prior, stat)
+
+    monkeypatch.setattr(montecarlo, "posterior", counting_posterior)
+    simulate_many(family, prior, theta0, n, m, [PosteriorVariance(), HpdWidth(0.9)], seed=12)
+    distinct = len(set(_totals(family, theta0, n, m, 12)))
+    if isinstance(family, ExponentialRate):
+        assert len(calls) == m
+    else:
+        assert len(calls) == distinct < m // 10
+    assert len(set(calls)) == len(calls)
+
+
 def test_different_seeds_differ():
     args = (Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 50, PosteriorQuantile(0.05))
     assert simulate_g(*args, seed=1) != simulate_g(*args, seed=2)
@@ -299,6 +389,21 @@ def test_replicate_failure_replays_from_its_record():
     with pytest.raises(type(exc.cause)) as again:
         evaluate(exc.functional, posterior(exc.family, exc.prior, exc.stat))
     assert str(again.value) == str(exc.cause)
+
+
+def test_replicate_failure_after_shared_evaluations_names_the_first_failure():
+    # Totals 0 and 5 give a beta posterior unbounded at an edge, which has
+    # no HPD interval.  Replicates 0-19 draw totals in 1..4, so most of them
+    # reuse an earlier evaluation; replicate 20 is the first to draw 0.
+    family, prior = Bernoulli(), BetaPrior(0.5, 0.5)
+    totals = _totals(family, 0.5, 5, 21, 7)
+    assert set(totals[:20]) <= {1.0, 2.0, 3.0, 4.0} and totals[20] == 0.0
+    with pytest.raises(ReplicateError) as err:
+        simulate_many(family, prior, 0.5, 5, 200, [PosteriorVariance(), HpdWidth(0.95)], seed=7)
+    exc = err.value
+    assert (exc.index, exc.stream_id, exc.seed) == (20, 20, 7)
+    assert exc.stat == SufficientStat(5, 0.0)
+    assert exc.functional == HpdWidth(0.95)
 
 
 def test_replicate_failure_in_the_draw_has_no_stat():
