@@ -1,9 +1,9 @@
 """Seeded Monte Carlo estimation of expected posterior functionals.
 
 Replicate ``j`` draws its data from the uniform stream keyed by
-``(seed, j)``, so estimates are bitwise reproducible.  A Poisson or
-Bernoulli posterior depends on the data only through an integer total, so
-replicates that draw an equal total share one evaluation.
+``(seed, j)``, so estimates are bitwise reproducible.  A posterior depends
+on the data only through its sufficient statistic, so replicates that draw
+an equal statistic share one evaluation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ReplicateError
 from .functionals import Functional, evaluate
-from .models import Bernoulli, LikelihoodFamily, Poisson, posterior, sample_suffstat
+from .models import LikelihoodFamily, posterior, sample_suffstat
 from .randomness import SeededGenerator
 
 __all__ = [
@@ -62,29 +62,28 @@ def simulate_many(
     :func:`simulate_g` calls at the same seed, while sharing the per
     replicate sampling and posterior construction.
 
-    Poisson and Bernoulli totals are integers and repeat: a replicate whose
-    total an earlier one drew copies that replicate's values, which are the
-    same deterministic function of the same statistic, so the estimates are
-    bit-identical to evaluating every replicate.  The first replicate to
+    A replicate whose total an earlier one drew copies that replicate's
+    values, which are the same deterministic function of the same
+    statistic, so the estimates are bit-identical to evaluating every
+    replicate.  Poisson and Bernoulli totals are integers and repeat often;
+    continuous totals practically never do.  The first replicate to
     fail raises ``ReplicateError`` carrying what replays it.
     """
     _check_counts(n, m, seed)
     if not functionals:
         raise DomainError("at least one functional is required")
 
-    # total -> first replicate that drew it; None where totals are continuous
-    first_by_total = {} if isinstance(family, (Poisson, Bernoulli)) else None
+    first_by_total = {}  # total -> first replicate that drew it
     values = np.empty((len(functionals), m))
     for j in range(m):
         stat = functional = None
         try:
             rng = SeededGenerator(seed, stream_id=j)
             stat = sample_suffstat(family, theta0, n, rng)
-            if first_by_total is not None:
-                first = first_by_total.setdefault(stat.s, j)
-                if first != j:
-                    values[:, j] = values[:, first]
-                    continue
+            first = first_by_total.setdefault(stat.s, j)
+            if first != j:
+                values[:, j] = values[:, first]
+                continue
             post = posterior(family, prior, stat)
             for i, functional in enumerate(functionals):
                 values[i, j] = evaluate(functional, post)

@@ -28,16 +28,6 @@ __all__ = [
 # inversion walk takes about ``mean`` steps and is as cheap.
 _PTRS_MIN_MEAN = 10.0
 _LOG_2PI = math.log(2.0 * math.pi)
-_WORD = 0xFFFFFFFF
-
-
-def _uint32_words(x: int) -> list[int]:
-    """A nonnegative int as numpy's seed words: little-endian 32-bit, 0 as ``[0]``."""
-    words = [x & _WORD]
-    while x > _WORD:
-        x >>= 32
-        words.append(x & _WORD)
-    return words
 
 
 class SeededGenerator:
@@ -55,10 +45,7 @@ class SeededGenerator:
             raise DomainError(f"stream_id must be a nonnegative integer, got {stream_id!r}")
         self.seed = seed
         self.stream_id = stream_id
-        # The words numpy derives from the entropy list [seed, stream_id], so
-        # the stream is default_rng([seed, stream_id])'s without its coercion.
-        words = np.array(_uint32_words(seed) + _uint32_words(stream_id), dtype=np.uint32)
-        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        self._rng = np.random.default_rng([seed, stream_id])
 
     def uniform(self) -> float:
         """One draw from Uniform[0, 1)."""

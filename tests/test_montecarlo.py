@@ -156,8 +156,8 @@ def test_block_draws_match_scalar_draws():
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_streams_are_numpys_default_rng_of_the_key_pair(seed):
-    # The seed words are built by hand; numpy's own coercion of the list
-    # [seed, stream_id] is the reference, on both sides of 2^32.
+    # The determinism contract: a stream is default_rng([seed, stream_id]),
+    # on both sides of 2^32.
     for stream_id in (0, 1, 2**32 - 1, 2**32):
         ours = SeededGenerator(seed, stream_id=stream_id).uniforms(8)
         reference = np.random.default_rng([seed, stream_id]).random(8)
