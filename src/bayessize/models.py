@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -38,7 +38,14 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .randomness import normal_deviate, poisson_deviate
-from .specfun import beta_i, gamma_p, std_normal_cdf, std_normal_quantile
+from .specfun import (
+    beta_i,
+    beta_log_norm,
+    gamma_log_norm,
+    gamma_p,
+    std_normal_cdf,
+    std_normal_quantile,
+)
 
 __all__ = [
     "NormalKnownVariance",
@@ -61,6 +68,7 @@ __all__ = [
     "fisher_info",
     "inf_weighted_info",
     "sample_suffstat",
+    "suffstat_sampler",
     "posterior",
 ]
 
@@ -291,21 +299,29 @@ def sample_suffstat(
     the Poisson sum is one deviate of mean ``n * theta0`` (its exact law):
     inversion below a mean of 10, PTRS above.
     """
+    return suffstat_sampler(family, theta0, n)(rng)
+
+
+def suffstat_sampler(
+    family: LikelihoodFamily, theta0: float, n: int
+) -> Callable[[object], SufficientStat]:
+    """``sample_suffstat(family, theta0, n, rng)`` as a function of ``rng``,
+    with ``n`` and ``theta0`` checked once for every draw it makes."""
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
     if not in_domain(family, theta0):
         raise DomainError(f"theta0 {theta0!r} lies outside the domain of {family!r}")
 
     if isinstance(family, NormalKnownVariance):
-        s = theta0 + math.sqrt(family.sigma2 / n) * normal_deviate(rng)
-        return SufficientStat(n, s)
+        sd = math.sqrt(family.sigma2 / n)
+        return lambda rng: SufficientStat(n, theta0 + sd * normal_deviate(rng))
     if isinstance(family, Poisson):
-        return SufficientStat(n, float(poisson_deviate(rng, n * theta0)))
+        mean = n * theta0
+        return lambda rng: SufficientStat(n, float(poisson_deviate(rng, mean)))
     if isinstance(family, Bernoulli):
-        u = rng.uniforms(n)
-        return SufficientStat(n, float(int(np.count_nonzero(u < theta0))))
-    u = rng.uniforms(n)
-    return SufficientStat(n, float(-np.log1p(-u).sum() / theta0))
+        return lambda rng: SufficientStat(
+            n, float(int(np.count_nonzero(rng.uniforms(n) < theta0))))
+    return lambda rng: SufficientStat(n, float(-np.log1p(-rng.uniforms(n)).sum() / theta0))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +592,12 @@ class GammaPosterior(_NumericPosterior):
     @cached_property
     def _log_norm(self) -> float:
         """Log of the density's normalising constant, rate^shape / Gamma(shape)."""
-        return self.shape * math.log(self.rate) - math.lgamma(self.shape)
+        return self.shape * math.log(self.rate) + self._cdf_log_norm
+
+    @cached_property
+    def _cdf_log_norm(self) -> float:
+        """``-log Gamma(shape)``, the normaliser ``gamma_p`` would compute."""
+        return gamma_log_norm(self.shape)
 
     def _log_pdf_at(self, x: float) -> float:
         return self._log_norm - self.rate * x + (self.shape - 1.0) * math.log(x)
@@ -590,7 +611,7 @@ class GammaPosterior(_NumericPosterior):
 
     def _cdf(self, x: float) -> float:
         y = self.rate * x
-        return 1.0 if math.isinf(y) else gamma_p(self.shape, y)
+        return 1.0 if math.isinf(y) else gamma_p(self.shape, y, self._cdf_log_norm)
 
     @property
     def _hi(self) -> float:
@@ -639,6 +660,12 @@ class BetaPosterior(_NumericPosterior):
         """Log of the density's normalising constant, 1 / B(a, b)."""
         return -(math.lgamma(self.a) + math.lgamma(self.b) - math.lgamma(self.a + self.b))
 
+    @cached_property
+    def _cdf_log_norm(self) -> float:
+        """``-log B(a, b)`` as ``beta_i`` would compute it, which rounds
+        differently from ``_log_norm``."""
+        return beta_log_norm(self.a, self.b)
+
     def _log_pdf_at(self, x: float) -> float:
         return (self._log_norm + (self.a - 1.0) * math.log(x)
                 + (self.b - 1.0) * math.log1p(-x))
@@ -651,7 +678,7 @@ class BetaPosterior(_NumericPosterior):
         return self.a, self.b
 
     def _cdf(self, x: float) -> float:
-        return 1.0 if x >= 1.0 else beta_i(self.a, self.b, x)
+        return 1.0 if x >= 1.0 else beta_i(self.a, self.b, x, self._cdf_log_norm)
 
     @cached_property
     def _mirror(self) -> BetaPosterior:

@@ -1,7 +1,8 @@
 """Seeded Monte Carlo estimation of expected posterior functionals.
 
 Replicate ``j`` draws its data from the uniform stream keyed by
-``(seed, j)``, so estimates are bitwise reproducible.  A posterior depends
+``(seed, j)``, so estimates are bitwise reproducible; a run derives the
+seed words of all its streams in one pass.  A posterior depends
 on the data only through its sufficient statistic, so replicates that draw
 an equal statistic share one evaluation.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ReplicateError
 from .functionals import Functional, evaluate
-from .models import LikelihoodFamily, posterior, sample_suffstat
+from .models import LikelihoodFamily, posterior, suffstat_sampler
 from .randomness import SeededGenerator
 
 __all__ = [
@@ -75,11 +76,13 @@ def simulate_many(
 
     first_by_total = {}  # total -> first replicate that drew it
     values = np.empty((len(functionals), m))
-    for j in range(m):
+    draw = None
+    for j, rng in enumerate(SeededGenerator.streams(seed, m)):
         stat = functional = None
         try:
-            rng = SeededGenerator(seed, stream_id=j)
-            stat = sample_suffstat(family, theta0, n, rng)
+            if draw is None:  # checks theta0 and n once, as replicate 0's draw
+                draw = suffstat_sampler(family, theta0, n)
+            stat = draw(rng)
             first = first_by_total.setdefault(stat.s, j)
             if first != j:
                 values[:, j] = values[:, first]

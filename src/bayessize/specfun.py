@@ -22,7 +22,9 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_quantile",
     "gamma_p",
+    "gamma_log_norm",
     "beta_i",
+    "beta_log_norm",
     "normal_moment",
     "normal_abs_moment",
     "hermite_poly",
@@ -139,21 +141,29 @@ def _max_terms(shape: float) -> int:
     return 200 + int(40.0 * math.sqrt(shape))
 
 
-def gamma_p(a: float, x: float) -> float:
+def gamma_log_norm(a: float) -> float:
+    """``-log Gamma(a)``, the log normaliser :func:`gamma_p` takes."""
+    return -math.lgamma(a)
+
+
+def gamma_p(a: float, x: float, log_norm: float | None = None) -> float:
     """Regularized lower incomplete gamma function ``P(a, x)``, ``a > 0``.
 
     Below ``x = a + 1`` the power series of ``P`` is summed; above it the
     continued fraction of ``Q = 1 - P`` is evaluated by the modified Lentz
     method (Numerical Recipes, 6.2).  The prefactor ``x^a e^-x / Gamma(a)``
-    is formed in log space.  Raises ``AccuracyError`` if the expansion
-    has not converged at its term cap.
+    is formed in log space, from ``log_norm = gamma_log_norm(a)`` when a
+    caller holds it.  Raises ``AccuracyError`` if the expansion has not
+    converged at its term cap.
     """
     a, x = _require_finite("a", a), _require_finite("x", x)
     if a <= 0.0 or x < 0.0:
         raise DomainError(f"gamma_p needs a > 0 and x >= 0, got a={a!r}, x={x!r}")
     if x == 0.0:
         return 0.0
-    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if log_norm is None:
+        log_norm = gamma_log_norm(a)
+    prefactor = math.exp(a * math.log(x) - x + log_norm)
     limit = _max_terms(a)
     if x < a + 1.0:
         term = total = 1.0 / a
@@ -206,12 +216,18 @@ def _beta_fraction(a: float, b: float, x: float, limit: int) -> float:
     )
 
 
-def beta_i(a: float, b: float, x: float) -> float:
+def beta_log_norm(a: float, b: float) -> float:
+    """``-log B(a, b)``, the log normaliser :func:`beta_i` takes."""
+    return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+
+
+def beta_i(a: float, b: float, x: float, log_norm: float | None = None) -> float:
     """Regularized incomplete beta function ``I_x(a, b)`` for ``0 <= x <= 1``.
 
     The continued fraction converges fast below ``x = (a + 1) / (a + b + 2)``;
     above it the symmetry ``I_x(a, b) = 1 - I_{1-x}(b, a)`` is used.  The
-    prefactor ``x^a (1 - x)^b / B(a, b)`` is formed in log space.  Raises
+    prefactor ``x^a (1 - x)^b / B(a, b)`` is formed in log space, from
+    ``log_norm = beta_log_norm(a, b)`` when a caller holds it.  Raises
     ``AccuracyError`` if the fraction has not converged at its term cap.
     """
     a, b, x = _require_finite("a", a), _require_finite("b", b), _require_finite("x", x)
@@ -221,10 +237,9 @@ def beta_i(a: float, b: float, x: float) -> float:
         )
     if x == 0.0 or x == 1.0:
         return x
-    prefactor = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
+    if log_norm is None:
+        log_norm = beta_log_norm(a, b)
+    prefactor = math.exp(log_norm + a * math.log(x) + b * math.log1p(-x))
     limit = _max_terms(max(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         return min(prefactor * _beta_fraction(a, b, x, limit) / a, 1.0)

@@ -27,9 +27,12 @@ DEFAULT_SEED = 20060301
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy is a test oracle only; importing it would double the CLI's start-up
+    # scipy is a test oracle only; importing it would double the CLI's start-up.
+    # numpy imports numpy.random lazily and only a simulation needs it, so
+    # sizing and closed-form runs never pay for loading it.
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, bayessize.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = ("import sys, bayessize.cli; print([m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')])")
     result = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, optimize, special, stats
 
+import bayessize.specfun as specfun
 from bayessize.errors import (
     AccuracyError,
     ConfigurationError,
@@ -42,6 +43,7 @@ from bayessize.models import (
     sample_suffstat,
 )
 from bayessize.randomness import SeededGenerator, normal_deviate, poisson_deviate
+from bayessize.specfun import beta_i, gamma_p
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +387,46 @@ def test_beta_posterior_matches_scipy(a, b):
     for x in dist.ppf([1e-6, 0.2, 0.5, 0.8, 1.0 - 1e-6]):
         assert post.cdf(x) == pytest.approx(dist.cdf(x), abs=1e-10)
         assert post.cdf(x) == pytest.approx(special.betainc(a, b, x), abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.builds(GammaPosterior, st.floats(0.05, 2e4), st.floats(0.01, 100.0)),
+        st.builds(BetaPosterior, st.floats(0.05, 2e4), st.floats(0.05, 2e4)),
+    ),
+    st.floats(1e-9, 1.0 - 1e-9),
+)
+def test_posterior_cdf_is_the_special_function_bit_for_bit(post, p):
+    # The posterior hands its cached normaliser to gamma_p and beta_i; it
+    # must be the one they compute themselves, to the last bit.
+    x = post.quantile(p)
+    if isinstance(post, GammaPosterior):
+        assert post.cdf(x) == gamma_p(post.shape, post.rate * x)
+    else:
+        assert post.cdf(x) == beta_i(post.a, post.b, x)
+        assert post._mirror.cdf(1.0 - x) == beta_i(post.b, post.a, 1.0 - x)
+
+
+def test_posterior_cdf_computes_no_normaliser_in_specfun(monkeypatch):
+    # A timing-free guard: every CDF evaluation hands gamma_p or beta_i the
+    # posterior's cached normaliser, so they never compute one themselves.
+    calls = []
+    for name in ("gamma_log_norm", "beta_log_norm"):
+        real = getattr(specfun, name)
+        def counting(*args, real=real):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(specfun, name, counting)
+    for post in (GammaPosterior(12.5, 8.5), BetaPosterior(30.5, 20.5), BetaPosterior(0.5, 3.5)):
+        for p in (1e-6, 0.05, 0.5, 0.95):
+            post.quantile(p)
+        post.interval_mass(post.quantile(0.1), post.quantile(0.9))
+        if min(post._edge_shapes) >= 1.0:
+            post.hpd(0.9)
+    assert calls == []
+    assert gamma_p(2.0, 1.0) > 0.0 and calls == [(2.0,)]  # the counter sees a bare call
 
 
 _SHAPES = st.floats(0.05, 1e4)

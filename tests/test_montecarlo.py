@@ -10,6 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from bayessize import montecarlo
@@ -162,6 +163,56 @@ def test_streams_are_numpys_default_rng_of_the_key_pair(seed):
         ours = SeededGenerator(seed, stream_id=stream_id).uniforms(8)
         reference = np.random.default_rng([seed, stream_id]).random(8)
         assert ours.tobytes() == reference.tobytes(), (seed, stream_id)
+
+
+# Seeds of one and two 32-bit words, dense around the boundary at 2^32.
+_SEEDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(2**32 - 8, 2**32 + 8),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7, 2**64 - 1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS, m=st.integers(2, 40))
+@example(seed=2**64 - 1, m=1000)
+@example(seed=0, m=1000)
+def test_batch_streams_are_default_rng_draw_for_draw(seed, m):
+    # The batch seeding is numpy's SeedSequence hash run over all stream ids
+    # at once: each stream must be default_rng([seed, j]), state and draws.
+    count = 0
+    for j, stream in enumerate(SeededGenerator.streams(seed, m)):
+        reference = np.random.default_rng([seed, j])
+        assert (stream.seed, stream.stream_id) == (seed, j)
+        assert stream._rng.bit_generator.state == reference.bit_generator.state, (seed, j)
+        assert stream.uniforms(3).tobytes() == reference.random(3).tobytes(), (seed, j)
+        assert stream.uniform() == float(reference.random())
+        count += 1
+    assert count == m
+
+
+def test_batch_streams_check_their_keys():
+    assert list(SeededGenerator.streams(5, 0)) == []
+    for seed, m in [(-1, 2), (2**64, 2), (1.0, 2), (True, 2), (5, -1), (5, 2.0), (5, True)]:
+        with pytest.raises(DomainError):
+            SeededGenerator.streams(seed, m)
+
+
+def test_simulate_many_builds_no_seed_sequence_per_replicate(monkeypatch):
+    # A timing-free guard: a run seeds all its streams from one batch of
+    # seed words, so it never calls default_rng, whose SeedSequence costs
+    # more than the rest of a conjugate replicate.
+    args = (Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 50, [PosteriorVariance(), HpdWidth(0.9)])
+    expected = _replay(*args, seed=3)
+    calls = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
+    SeededGenerator(3, stream_id=7)
+    assert calls == [([3, 7],)]  # the counter sees a stream built alone
+    calls.clear()
+    assert simulate_many(*args, seed=3) == expected
+    assert calls == []
 
 
 def test_generator_rejects_bad_keys():
