@@ -7,13 +7,13 @@ posterior families; the exponential-rate model pairs with a beta prior
 restricted to rates in (0, 1] and is tabulated on a dense grid.
 
 The gamma and beta posterior CDFs are closed forms, the regularized
-incomplete gamma and beta functions of :mod:`bayessize.specfun`; their
-quantiles invert them by a bracketed Newton iteration, and their
-highest-density intervals are exact: one scalar root puts the ends at
-equal densities.  The exponential-rate posterior's CDF and quantiles are
-its grid's trapezoid rule, but its log density is closed form and
-concave, so its highest-density interval is one Newton root in both
-ends: equal closed-form densities and the grid's mass ``level``.
+incomplete gamma and beta functions of :mod:`bayessize.specfun`, and
+their quantiles invert them by a bracketed Newton iteration.  The
+exponential-rate posterior's CDF and quantiles are its grid's trapezoid
+rule, but its log density is closed form.  Where bounded, all three
+densities are unimodal, and each highest-density interval is one Newton
+root in both ends: equal closed-form densities and mass ``level`` under
+the posterior's own CDF.
 
 Posterior objects are immutable once constructed and safe to share
 across threads.  All numeric posterior summaries (quantiles, interval
@@ -408,17 +408,19 @@ class NormalPosterior:
 
 
 class _NumericPosterior:
-    """Quantiles and interval masses computed from a scalar ``cdf``.
+    """Quantiles, interval masses and highest-density intervals computed
+    from a scalar ``cdf``.
 
     The gamma and beta posteriors supply ``_cdf`` for positive ``x``;
-    ``_log_pdf_at`` and ``_dlog_pdf_at``, the log density and its
-    derivative at a float inside the support; a starting point
-    ``_guess(p)``; ``_hi``, a point above every representable quantile;
-    and ``_edge_shapes``, the exponents ``e`` of the density's power laws
-    ``x^(e - 1)`` at zero and ``(1 - x)^(e - 1)`` at one (inf for the
-    gamma's exponential tail), which place the HPD's ends.
-    ``GridPosterior`` overrides ``quantile``, which inverts its piecewise
-    quadratic CDF directly, and ``_hpd_ends``, a root in both ends at once.
+    ``_log_pdf_at`` and ``_dlog_pdf_at``, the normalised log density and
+    its derivative at a float inside the support; ``_mode``; a starting
+    point ``_guess(p)``; ``_hi``, the support's upper edge or a point
+    above every representable quantile; and ``_edge_shapes``, the
+    exponents ``e`` of the density's power laws ``x^(e - 1)`` at zero and
+    ``(1 - x)^(e - 1)`` at one (inf for the gamma's exponential tail),
+    below 1 of which the density is unbounded.  ``GridPosterior``
+    overrides ``quantile``, which inverts its piecewise quadratic CDF
+    directly, and ``_cdf_density``, its trapezoid CDF and density.
     """
 
     __slots__ = ()
@@ -508,68 +510,62 @@ class _NumericPosterior:
         return HpdInterval(lo, hi, mass)
 
     def _hpd_ends(self, level: float) -> tuple[float, float]:
-        """Ends ``Q(p)`` and ``Q(p + level)`` of equal log density ``l``.
-
-        The lower end's tail mass ``p`` is the root of
-        ``h(p) = l(Q(p)) - l(Q(p + level))`` on ``(0, 1 - level)``.  For a
-        log-concave density ``f = exp(l)``, ``h`` increases, with slope
-        ``l'(lo) / f(lo) - l'(hi) / f(hi)``.  Newton steps are taken in
-        ``s = logit(p / (1 - level))`` from the equal-tail point ``s = 0``;
-        there the tails ``p`` and ``1 - level - p`` scale the slope's terms
-        to finite size.  A step that leaves the bracket of evaluated points
-        bisects it.  Steps stay within ``p >= 1e-300`` and an upper tail of
-        at least 2^-50, where ``p + level`` still rounds below 1.  A root
-        past either limit puts that end on the support's edge:
-        ``[0, Q(level)]`` or ``[Q(1 - level), 1]``.  So does a shape of
-        exactly 1 there, where the density falls from zero or rises to one;
-        shapes within about 1e-3 of 1 reach the limits.
+        """Ends ``lo < mode < hi`` of equal log density ``l`` and mass
+        ``F(hi) - F(lo) = level``, by Newton steps in both ends at once from
+        the equal-tail quantiles.  The Jacobian's determinant
+        ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive.  Steps go in ``log(lo)``
+        and ``log(_hi - hi)``, where the edges' power laws are linear: an
+        end near an edge keeps its digits.  A step that leaves the bracket
+        halves the distance to it instead.  The last, below 1e-9 of both
+        ends, is applied.  An edge at least as dense as ``Q(level)`` or
+        ``Q(1 - level)`` is an end instead, returned as ``_lo`` or ``_hi``;
+        its density is taken at ``x0``, ``_lo`` or else the least positive
+        double, or at ``top``, the last double below ``_hi``.
         """
-        rest = 1.0 - level
-        lower, upper = self._edge_shapes
-        s_min = math.log(1e-300 / rest)
-        s_max = math.log(rest) + 50.0 * math.log(2.0)
-        s_lo = s_max if upper == 1.0 else -math.inf
-        s_hi = s_min if lower == 1.0 else math.inf
-        s, last = min(0.0, s_max), None
+        x0, edge, mode = self._lo or _TINY, self._hi, self._mode
+        top = math.nextafter(edge, 0.0)
+        tail = 0.5 * (1.0 - level)
+        lo, hi = self.quantile(tail), min(self.quantile(1.0 - tail), top)
+        # Unimodality: an edge that is an end is at least as dense as the
+        # other end's equal-tail quantile.
+        l_x0, l_top = self._log_pdf_at(x0), self._log_pdf_at(top)
+        if l_x0 >= self._log_pdf_at(hi):
+            q = self.quantile(level)
+            if l_x0 >= self._log_pdf_at(min(q, top)):
+                return self._lo, q
+        if l_top >= self._log_pdf_at(lo):
+            q = self.quantile(1.0 - level)
+            if l_top >= self._log_pdf_at(min(q, top)):
+                return q, edge
+        lo = lo if x0 < lo < mode else 0.5 * (x0 + mode)
+        hi = hi if mode < hi <= top else 0.5 * (mode + top)
         for _ in range(100):
-            if s_hi <= s_min:
-                return 0.0, self.quantile(level)
-            if s_lo >= s_max:
-                return self.quantile(rest), self._hi
-            p = rest / (1.0 + math.exp(-s))
-            if p == last:  # a step in s below one ulp of p
-                return lo, hi
-            last = p
-            lo = self.quantile(p)
-            hi, l_hi, dl_hi = self._upper_end(p + level, rest / (1.0 + math.exp(s)))
-            l_lo = self._log_pdf_at(lo)
-            h = l_lo - l_hi
-            if h <= 0.0:
-                s_lo = s
-            if h >= 0.0:
-                s_hi = s
-            # dp/ds = p q / rest, with q = rest - p the upper end's tail
-            log_dp = math.log(p) - math.log1p(math.exp(s))
-            slope = (self._dlog_pdf_at(lo) * math.exp(min(log_dp - l_lo, 700.0))
-                     - dl_hi * math.exp(min(log_dp - l_hi, 700.0)))
-            # Only rounding makes the slope non-positive; NaN then bisects.
-            new = s - h / slope if slope > 0.0 else math.nan
-            if abs(new - s) <= 1e-10 * (1.0 + abs(s)) or s_lo == s_hi:
-                return lo, hi
-            new = min(max(new, s_min), s_max)
-            if not s_lo < new < s_hi:
-                new = 0.5 * (s_lo + s_hi)
-                if not s_lo < new < s_hi:  # one side still open: go to its limit
-                    new = s_min if s_hi < math.inf else s_max
-            s = new
+            cdf_lo, f_lo = self._cdf_density(lo)
+            cdf_hi, f_hi = self._cdf_density(hi)
+            g = self._log_pdf_at(lo) - self._log_pdf_at(hi)
+            h = cdf_hi - cdf_lo - level
+            dl_lo, dl_hi = self._dlog_pdf_at(lo), self._dlog_pdf_at(hi)
+            # Positive unless both densities underflow: NaN steps then halve.
+            det = (dl_lo * f_hi - dl_hi * f_lo) or math.nan
+            step_lo = -(f_hi * g + dl_hi * h) / det
+            step_hi = -(f_lo * g + dl_lo * h) / det
+            done = abs(step_lo) <= 1e-9 * lo and abs(step_hi) <= 1e-9 * hi
+            new_lo = lo * math.exp(min(step_lo / lo, 700.0))
+            new_hi = edge - (edge - hi) * math.exp(min(-step_hi / (edge - hi), 700.0))
+            if not x0 < new_lo < mode:
+                new_lo = 0.5 * (lo + (x0 if new_lo <= x0 else mode))
+            if not mode < new_hi <= top:
+                new_hi = 0.5 * (hi + (top if new_hi > top else mode))
+            if done:
+                return new_lo, new_hi
+            lo, hi = new_lo, new_hi
         raise AccuracyError(
             f"{self!r}: HPD ends did not reach equal densities at level={level!r}"
         )
 
-    def _upper_end(self, p: float, q: float) -> tuple[float, float, float]:
-        """The point with mass ``p`` below and ``q`` above it, ``l`` and ``l'``."""
-        hi = self.quantile(p)
-        return hi, self._log_pdf_at(hi), self._dlog_pdf_at(hi)
+    def _cdf_density(self, x: float) -> tuple[float, float]:
+        """The CDF at ``x`` and its slope, the density."""
+        return self._cdf(x), math.exp(self._log_pdf_at(x))
 
 
 @dataclass(frozen=True)
@@ -608,6 +604,10 @@ class GammaPosterior(_NumericPosterior):
     @property
     def _edge_shapes(self) -> tuple[float, float]:
         return self.shape, math.inf
+
+    @property
+    def _mode(self) -> float:
+        return max(self.shape - 1.0, 0.0) / self.rate
 
     def _cdf(self, x: float) -> float:
         y = self.rate * x
@@ -677,18 +677,13 @@ class BetaPosterior(_NumericPosterior):
     def _edge_shapes(self) -> tuple[float, float]:
         return self.a, self.b
 
+    @property
+    def _mode(self) -> float:
+        a, b = self.a, self.b
+        return 0.0 if a <= 1.0 else 1.0 if b <= 1.0 else (a - 1.0) / (a + b - 2.0)
+
     def _cdf(self, x: float) -> float:
         return 1.0 if x >= 1.0 else beta_i(self.a, self.b, x, self._cdf_log_norm)
-
-    @cached_property
-    def _mirror(self) -> BetaPosterior:
-        """The law of ``1 - x``: its lower tails are this law's upper tails."""
-        return BetaPosterior(self.b, self.a)
-
-    def _upper_end(self, p: float, q: float) -> tuple[float, float, float]:
-        # Solved for y = 1 - x by beta_i(b, a, y): an end near 1 keeps its digits.
-        y = self._mirror.quantile(q)
-        return 1.0 - y, self._mirror._log_pdf_at(y), -self._mirror._dlog_pdf_at(y)
 
     def _guess(self, p: float) -> float:
         # Numerical Recipes 6.4.  Near 0 the CDF follows x^a / (a B(a, b))
@@ -831,56 +826,6 @@ class GridPosterior(_NumericPosterior):
 
     _edge_shapes = (1.0, 1.0)  # bounded on the nodes; _hpd_ends finds the edges
 
-    def _hpd_ends(self, level: float) -> tuple[float, float]:
-        """Ends ``x0 < lo < mode < hi < 1``, ``x0`` the first node, of equal
-        ``l`` and trapezoid mass ``F(hi) - F(lo) = level``, by Newton steps
-        from the equal-tail quantiles.  The Jacobian's determinant
-        ``l'(lo) f(hi) - l'(hi) f(lo)``, with ``f`` the piecewise-linear
-        density, is positive.  Steps go in ``log(lo)`` and ``log(1 - hi)``,
-        where the edges' power laws are linear; one that leaves the bracket
-        halves the distance to it instead.  The last, below 1e-9 of both
-        ends, is applied.  An edge at least as dense as ``Q(level)`` (``x0``)
-        or ``Q(1 - level)`` (the last double below 1) is an end instead.
-        """
-        x0, top, mode = self._lo, _BELOW_ONE, self._mode
-        tail = 0.5 * (1.0 - level)
-        lo, hi = self.quantile(tail), min(self.quantile(1.0 - tail), top)
-        # Unimodality: an edge that is an end is at least as dense as the
-        # other end's equal-tail quantile.
-        l_x0, l_top = self._log_pdf_at(x0), self._log_pdf_at(top)
-        if l_x0 >= self._log_pdf_at(hi):
-            q = self.quantile(level)
-            if l_x0 >= self._log_pdf_at(min(q, top)):
-                return x0, q
-        if l_top >= self._log_pdf_at(lo):
-            q = self.quantile(1.0 - level)
-            if l_top >= self._log_pdf_at(min(q, top)):
-                return q, 1.0
-        lo = lo if x0 < lo < mode else 0.5 * (x0 + mode)
-        hi = hi if mode < hi <= top else 0.5 * (mode + top)
-        for _ in range(100):
-            cdf_lo, f_lo = self._cdf_density(lo)
-            cdf_hi, f_hi = self._cdf_density(hi)
-            g = self._log_pdf_at(lo) - self._log_pdf_at(hi)
-            h = cdf_hi - cdf_lo - level
-            dl_lo, dl_hi = self._dlog_pdf_at(lo), self._dlog_pdf_at(hi)
-            # Positive unless both densities underflow: NaN steps then halve.
-            det = (dl_lo * f_hi - dl_hi * f_lo) or math.nan
-            step_lo = -(f_hi * g + dl_hi * h) / det
-            step_hi = -(f_lo * g + dl_lo * h) / det
-            done = abs(step_lo) <= 1e-9 * lo and abs(step_hi) <= 1e-9 * hi
-            new_lo = lo * math.exp(min(step_lo / lo, 700.0))
-            new_hi = 1.0 - (1.0 - hi) * math.exp(min(-step_hi / (1.0 - hi), 700.0))
-            if not x0 < new_lo < mode:
-                new_lo = 0.5 * (lo + (x0 if new_lo <= x0 else mode))
-            if not mode < new_hi <= top:
-                new_hi = 0.5 * (hi + (top if new_hi > top else mode))
-            if done:
-                return new_lo, new_hi
-            lo, hi = new_lo, new_hi
-        raise AccuracyError(
-            f"{self!r}: HPD ends did not reach equal densities at level={level!r}"
-        )
 
 
 Posterior = Union[NormalPosterior, GammaPosterior, BetaPosterior, GridPosterior]

@@ -37,13 +37,12 @@ class MonteCarloEstimate:
     seed: int
 
 
-def _check_counts(n: int, m: int, seed: int):
+def _check_counts(n: int, m: int):
+    # The seed is checked by SeededGenerator.streams, before the first replicate.
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
         raise DomainError(f"replicate count must be an integer >= 2, got {m!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def simulate_many(
@@ -70,7 +69,7 @@ def simulate_many(
     continuous totals practically never do.  The first replicate to
     fail raises ``ReplicateError`` carrying what replays it.
     """
-    _check_counts(n, m, seed)
+    _check_counts(n, m)
     if not functionals:
         raise DomainError("at least one functional is required")
 

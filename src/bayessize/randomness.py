@@ -85,11 +85,11 @@ class SeededGenerator:
 
     @classmethod
     def _from_words(cls, seed: int, words: np.ndarray) -> Iterator[SeededGenerator]:
-        generator, pcg64 = _pcg64_types()
+        generator, pcg64, seed_words = _pcg64_types()
         for j, row in enumerate(words):
             stream = cls.__new__(cls)
             stream.seed, stream.stream_id = seed, j
-            stream._rng = generator(pcg64(_SeedWords(row)))
+            stream._rng = generator(pcg64(seed_words(row)))
             yield stream
 
     def uniform(self) -> float:
@@ -152,29 +152,26 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-class _SeedWords:
-    """A PCG64 seed sequence that hands over words already derived."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError(f"holds PCG64's 4 uint64 words, not {n_words} of {dtype!r}")
-        return self.words
-
-
 @cache
 def _pcg64_types():
-    """numpy's ``Generator`` and ``PCG64``, with ``_SeedWords`` registered as
-    an ``ISeedSequence``.  Deferred to the first run: numpy imports
-    ``numpy.random`` lazily, and importing the CLI need not load it."""
+    """numpy's ``Generator`` and ``PCG64``, and ``SeedWords``, a PCG64 seed
+    sequence that hands over words already derived.  Deferred to the first
+    run: numpy imports ``numpy.random`` lazily, and importing the CLI need
+    not load it.  ``SeedWords`` subclasses ``ISeedSequence`` rather than
+    being registered with it: the ABC check in every ``PCG64(...)`` caches
+    a subclass but looks a registered class up each time."""
     from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(_SeedWords)
-    return np.random.Generator, np.random.PCG64
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError(f"holds PCG64's 4 uint64 words, not {n_words} of {dtype!r}")
+            return self.words
+
+    return np.random.Generator, np.random.PCG64, SeedWords
 
 
 def normal_deviate(rng) -> float:

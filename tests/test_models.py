@@ -405,7 +405,6 @@ def test_posterior_cdf_is_the_special_function_bit_for_bit(post, p):
         assert post.cdf(x) == gamma_p(post.shape, post.rate * x)
     else:
         assert post.cdf(x) == beta_i(post.a, post.b, x)
-        assert post._mirror.cdf(1.0 - x) == beta_i(post.b, post.a, 1.0 - x)
 
 
 def test_posterior_cdf_computes_no_normaliser_in_specfun(monkeypatch):
@@ -902,6 +901,7 @@ _EDGE_EXAMPLES = (
     (GammaPosterior(1.001, 2.0), 0.99),
     (BetaPosterior(1.001, 30.0), 0.9),
     (BetaPosterior(30.0, 1.001), 0.95),
+    (BetaPosterior(5.0, 1.1), 0.9),  # upper end 1 - 1.2e-9
     (GammaPosterior(1e4, 3.0), 0.05),
     (BetaPosterior(1e4, 1e4), 0.5),
 )
@@ -922,7 +922,7 @@ def _with_edge_examples(test):
     ),
     level=st.floats(0.05, 0.99),
 )
-# The upper end 1 - 1.9e-12: solved through the complementary tail.
+# The upper end 1 - 1.9e-12: stepped in log(1 - hi), it keeps its digits.
 @example(post=BetaPosterior(30.0, 1.03), level=0.5)
 def test_exact_hpd_is_the_shortest_interval(post, level):
     box = post.hpd(level)
@@ -947,16 +947,22 @@ def test_exact_hpd_is_the_shortest_interval(post, level):
 
 
 def test_exact_hpd_takes_at_most_20_root_iterations(monkeypatch):
-    # Each root iteration solves two quantiles; an end on an edge takes one more.
-    calls = []
-    quantile = GammaPosterior.quantile
+    # The equal-tail quantiles start the root, and an end on an edge takes
+    # one more quantile; each Newton step in both ends takes one l' pair.
+    quantiles, slopes = [], []
+    for cls in (GammaPosterior, BetaPosterior):
+        quantile, dlog_pdf_at = cls.quantile, cls._dlog_pdf_at
 
-    def counted(self, alpha):
-        calls.append(alpha)
-        return quantile(self, alpha)
+        def counted_quantile(self, alpha, quantile=quantile):
+            quantiles.append(alpha)
+            return quantile(self, alpha)
 
-    monkeypatch.setattr(GammaPosterior, "quantile", counted)
-    monkeypatch.setattr(BetaPosterior, "quantile", counted)
+        def counted_slope(self, x, dlog_pdf_at=dlog_pdf_at):
+            slopes.append(x)
+            return dlog_pdf_at(self, x)
+
+        monkeypatch.setattr(cls, "quantile", counted_quantile)
+        monkeypatch.setattr(cls, "_dlog_pdf_at", counted_slope)
     rng = np.random.default_rng(2006)
     # Fresh copies: a posterior keeps the intervals it has already found.
     posts = [dataclasses.replace(post) for post, _ in _EDGE_EXAMPLES]
@@ -965,9 +971,11 @@ def test_exact_hpd_takes_at_most_20_root_iterations(monkeypatch):
     posts += [GammaPosterior(1.0 + 10.0 ** rng.uniform(-12.0, 4.3), 2.0) for _ in range(10)]
     for post in posts:
         for level in (0.05, 0.5, 0.9, 0.95, 0.99):
-            calls.clear()
+            quantiles.clear()
+            slopes.clear()
             post.hpd(level)
-            assert len(calls) <= 2 * 20 + 1, (post, level)
+            assert len(quantiles) <= 3, (post, level)
+            assert len(slopes) <= 2 * 10, (post, level)
 
 
 def test_hpd_functionals_share_one_root_per_posterior(monkeypatch):
