@@ -299,14 +299,16 @@ def sample_suffstat(
     the Poisson sum is one deviate of mean ``n * theta0`` (its exact law):
     inversion below a mean of 10, PTRS above.
     """
-    return suffstat_sampler(family, theta0, n)(rng)
+    return SufficientStat(n, suffstat_sampler(family, theta0, n)(rng))
 
 
 def suffstat_sampler(
     family: LikelihoodFamily, theta0: float, n: int
-) -> Callable[[object], SufficientStat]:
-    """``sample_suffstat(family, theta0, n, rng)`` as a function of ``rng``,
-    with ``n`` and ``theta0`` checked once for every draw it makes."""
+) -> Callable[[object], float]:
+    """The statistic ``s`` that ``sample_suffstat(family, theta0, n, rng)``
+    draws, as a float-valued function of ``rng``, with ``n`` and ``theta0``
+    checked once for every draw it makes.  ``SufficientStat(n, s)`` checks
+    the draw itself."""
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
     if not in_domain(family, theta0):
@@ -314,14 +316,13 @@ def suffstat_sampler(
 
     if isinstance(family, NormalKnownVariance):
         sd = math.sqrt(family.sigma2 / n)
-        return lambda rng: SufficientStat(n, theta0 + sd * normal_deviate(rng))
+        return lambda rng: theta0 + sd * normal_deviate(rng)
     if isinstance(family, Poisson):
         mean = n * theta0
-        return lambda rng: SufficientStat(n, float(poisson_deviate(rng, mean)))
+        return lambda rng: float(poisson_deviate(rng, mean))
     if isinstance(family, Bernoulli):
-        return lambda rng: SufficientStat(
-            n, float(int(np.count_nonzero(rng.uniforms(n) < theta0))))
-    return lambda rng: SufficientStat(n, float(-np.log1p(-rng.uniforms(n)).sum() / theta0))
+        return lambda rng: float(int(np.count_nonzero(rng.uniforms(n) < theta0)))
+    return lambda rng: float(-np.log1p(-rng.uniforms(n)).sum() / theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +757,8 @@ class GridPosterior(_NumericPosterior):
         np.exp(d, out=d)
         # One cumulative sum of the doubled segments d[i] + d[i + 1] gives the node
         # CDF and, last, the total in units of step / 2, which makes it end at 1.
-        node_cdf = np.zeros(d.size)
+        node_cdf = np.empty(d.size)
+        node_cdf[0] = 0.0
         np.add(d[:-1], d[1:], out=node_cdf[1:])
         np.cumsum(node_cdf[1:], out=node_cdf[1:])
         total = float(node_cdf[-1])
@@ -774,8 +776,8 @@ class GridPosterior(_NumericPosterior):
     def _trapezoid(self, f: np.ndarray) -> float:
         """Trapezoid integral of ``f`` times the density over the grid."""
         d = self.density
-        ends = 0.5 * (float(d[0]) * float(f[0]) + float(d[-1]) * float(f[-1]))
-        return self.step * (float(np.dot(d, f)) - ends)
+        ends = 0.5 * (d.item(0) * f.item(0) + d.item(-1) * f.item(-1))
+        return self.step * (float(d.dot(f)) - ends)
 
     def mean(self) -> float:
         return self._trapezoid(self.nodes)
@@ -790,15 +792,11 @@ class GridPosterior(_NumericPosterior):
 
     def _cdf_density(self, x: float) -> tuple[float, float]:
         """The trapezoid CDF inside the nodes and its slope, the density."""
-        node, d = self.nodes.item, self.density.item
-        # The segment node(i) <= x < node(i + 1); on a uniform grid the
-        # guess is off by at most one.
-        i = min(int((x - node(0)) / self.step), self.nodes.size - 2)
-        while node(i) > x:
-            i -= 1
-        while node(i + 1) <= x:
-            i += 1
-        x_i, d_i = node(i), d(i)
+        d = self.density.item
+        # Node i is (i + 1) / K exactly, K a power of two, so the segment
+        # node(i) <= x < node(i + 1) is floor(x K) - 1, clamped to the grid.
+        i = min(max(int(x * GRID_NODES) - 1, 0), GRID_NODES - 2)
+        x_i, d_i = (i + 1) * self.step, d(i)
         t = (x - x_i) / self.step
         d_at = d_i + t * (d(i + 1) - d_i)
         partial = 0.5 * (d_i + d_at) * (x - x_i)
@@ -807,15 +805,15 @@ class GridPosterior(_NumericPosterior):
     def quantile(self, alpha: float) -> float:
         """Leftmost point where the trapezoid CDF reaches ``alpha``."""
         p = _check_prob(alpha)
-        d, cdf = self.density, self._node_cdf
-        j = int(np.searchsorted(cdf, p)) - 1  # the segment that reaches p
-        gain = p - float(cdf[j])
-        d_j = float(d[j])
-        slope = (float(d[j + 1]) - d_j) / self.step
+        d, cdf = self.density.item, self._node_cdf
+        j = int(cdf.searchsorted(p)) - 1  # the segment that reaches p
+        gain = p - cdf.item(j)
+        d_j = d(j)
+        slope = (d(j + 1) - d_j) / self.step
         root = math.sqrt(max(d_j * d_j + 2.0 * slope * gain, 0.0))
         # The quadratic's root in the cancellation-free form 2g / (d + sqrt(...)).
         t = 2.0 * gain / max(d_j + root, _TINY)
-        return float(self.nodes[j]) + min(t, self.step)
+        return (j + 1) * self.step + min(t, self.step)
 
     def _log_pdf_at(self, x: float) -> float:
         value = (self.shape - 1.0) * math.log(x) - self.s * x

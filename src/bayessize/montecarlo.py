@@ -3,8 +3,9 @@
 Replicate ``j`` draws its data from the uniform stream keyed by
 ``(seed, j)``, so estimates are bitwise reproducible; a run derives the
 seed words of all its streams in one pass.  A posterior depends
-on the data only through its sufficient statistic, so replicates that draw
-an equal statistic share one evaluation.
+on the data only through its sufficient statistic, so the statistic and
+its posterior are built and the functionals evaluated once per distinct
+total drawn, and one gather gives every replicate its total's values.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ReplicateError
 from .functionals import Functional, evaluate
-from .models import LikelihoodFamily, posterior, suffstat_sampler
+from .models import LikelihoodFamily, SufficientStat, posterior, suffstat_sampler
 from .randomness import SeededGenerator
 
 __all__ = [
@@ -62,18 +63,22 @@ def simulate_many(
     :func:`simulate_g` calls at the same seed, while sharing the per
     replicate sampling and posterior construction.
 
-    A replicate whose total an earlier one drew copies that replicate's
-    values, which are the same deterministic function of the same
-    statistic, so the estimates are bit-identical to evaluating every
+    Each replicate draws its raw total and looks it up first: only the
+    first replicate to draw a total builds its ``SufficientStat`` and
+    posterior and evaluates the functionals; a later one records that
+    replicate's index.  One gather over those indices then fills every
+    replicate's values, which are the same deterministic function of the
+    same statistic, so the estimates are bit-identical to evaluating every
     replicate.  Poisson and Bernoulli totals are integers and repeat often;
-    continuous totals practically never do.  The first replicate to
-    fail raises ``ReplicateError`` carrying what replays it.
+    continuous totals practically never do.  The first replicate to fail
+    raises ``ReplicateError`` carrying what replays it.
     """
     _check_counts(n, m)
     if not functionals:
         raise DomainError("at least one functional is required")
 
     first_by_total = {}  # total -> first replicate that drew it
+    firsts = []  # replicate j -> first replicate that drew j's total
     values = np.empty((len(functionals), m))
     draw = None
     for j, rng in enumerate(SeededGenerator.streams(seed, m)):
@@ -81,17 +86,19 @@ def simulate_many(
         try:
             if draw is None:  # checks theta0 and n once, as replicate 0's draw
                 draw = suffstat_sampler(family, theta0, n)
-            stat = draw(rng)
-            first = first_by_total.setdefault(stat.s, j)
+            total = draw(rng)
+            first = first_by_total.setdefault(total, j)
+            firsts.append(first)
             if first != j:
-                values[:, j] = values[:, first]
                 continue
+            stat = SufficientStat(n, total)
             post = posterior(family, prior, stat)
             for i, functional in enumerate(functionals):
                 values[i, j] = evaluate(functional, post)
         except Exception as exc:
             raise ReplicateError(j, exc, seed=seed, stream_id=j, family=family, prior=prior,
                                  stat=stat, functional=functional) from exc
+    values = values[:, firsts]
 
     out = []
     for i in range(len(functionals)):

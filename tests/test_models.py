@@ -530,10 +530,12 @@ def _cdf_by_search(grid, v):
      _beta_grid(3.0, 8.0), GridPosterior(2.0, 1.0, 700.0)],
 )
 def test_grid_scalar_lookups_match_numpy(grid):
-    # cdf() guesses the segment from the spacing and must agree with the
+    # cdf() indexes the segment directly from x and must agree with the
     # binary search bit for bit; inside the nodes, the lookup behind it
-    # also returns the interpolated density, the CDF's slope.
+    # also returns the interpolated density, the CDF's slope.  The direct
+    # index rests on node i being (i + 1) * step exactly.
     x, d = grid.nodes, grid.density
+    assert np.array_equal((np.arange(x.size) + 1) * grid.step, x)
     on = x[[0, 1, 2, 100, -2, -1]]
     points = np.concatenate((
         on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
@@ -545,6 +547,10 @@ def test_grid_scalar_lookups_match_numpy(grid):
             cdf, density = grid._cdf_density(v)
             assert cdf == grid.cdf(v)
             assert density == pytest.approx(np.interp(v, x, d), rel=1e-12, abs=1e-15 * d.max())
+    # The last node closes the last segment.
+    cdf, density = grid._cdf_density(x[-1])
+    assert cdf == pytest.approx(1.0, abs=1e-12)
+    assert density == pytest.approx(d[-1], rel=1e-12, abs=1e-15 * d.max())
     with pytest.raises(DomainError):
         grid.cdf(math.nan)
 

@@ -388,21 +388,28 @@ def test_simulate_many_equals_a_per_replicate_replay(family, prior, theta0, n, m
 )
 def test_posterior_is_built_once_per_distinct_total(monkeypatch, family, prior, theta0, n, m):
     # A timing-free guard: count totals have few distinct values, and each
-    # is turned into a posterior once; exponential totals never repeat.
-    calls = []
+    # is turned into a statistic and a posterior once; exponential totals
+    # never repeat.
+    calls, stats = [], []
 
     def counting_posterior(family, prior, stat):
         calls.append(stat.s)
         return posterior(family, prior, stat)
 
+    def counting_stat(n, s):
+        stats.append(s)
+        return SufficientStat(n, s)
+
     monkeypatch.setattr(montecarlo, "posterior", counting_posterior)
+    monkeypatch.setattr(montecarlo, "SufficientStat", counting_stat)
     simulate_many(family, prior, theta0, n, m, [PosteriorVariance(), HpdWidth(0.9)], seed=12)
     distinct = len(set(_totals(family, theta0, n, m, 12)))
     if isinstance(family, ExponentialRate):
-        assert len(calls) == m
+        assert len(calls) == len(stats) == m
     else:
-        assert len(calls) == distinct < m // 10
+        assert len(calls) == len(stats) == distinct < m // 10
     assert len(set(calls)) == len(calls)
+    assert stats == calls
 
 
 def test_different_seeds_differ():
