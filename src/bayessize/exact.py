@@ -3,18 +3,17 @@
 For the conjugate normal, Poisson-gamma, and Bernoulli-uniform studies
 the average of a posterior summary over repeated sampling collapses to a
 closed form.  The exponential-rate study has no closed form; its
-expectation is computed by generalized Gauss-Laguerre quadrature over
-the Gamma(n, theta0) sampling law of the sufficient statistic, with an
-error estimate from comparing ``q`` against ``2q`` nodes, and serves as
-the oracle the Monte Carlo layer is tested against.
+expectation is computed by the trapezoid rule in ``z``, a scaled
+``log s``, over the Gamma(n, theta0) sampling law of the sufficient
+statistic ``s``, with an error estimate from comparing step ``h``
+against ``h / 2``, and serves as the oracle the Monte Carlo layer is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
@@ -43,9 +42,11 @@ __all__ = [
     "expbeta_expected_many",
 ]
 
-DEFAULT_ORACLE_NODES = 32
-MIN_ORACLE_NODES = 8
-MAX_ORACLE_NODES = 256
+# The rate oracle's trapezoid rule in z = sqrt(n) log(theta0 s / n): points
+# where the log weight is within the window of its peak, and the step of
+# the finest rule, h / 2 at h = 0.1.
+_LOG_WEIGHT_WINDOW = 45.0
+_FINEST_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,10 @@ class ExactEval:
     """An exactly evaluated expectation.
 
     ``method`` records how the number was obtained ("closed_form" or
-    "suffstat_quadrature"); quadrature results carry the relative
-    ``error_estimate`` ``|v_q - v_2q| / |v_2q|`` between the ``q``-point
-    and ``2q``-point Gauss-Laguerre rules, whose ``2q``-point value is
-    ``value``.
+    "log_s_trapezoid"); quadrature results carry the relative
+    ``error_estimate`` ``|T_h - T_{h/2}| / |T_{h/2}|`` between the
+    trapezoid rules of step ``h`` and ``h / 2`` in ``log s``, whose
+    step-``h / 2`` value is ``value``.
     """
 
     value: float
@@ -221,80 +222,76 @@ def _check_expbeta_args(theta0: float, n: int, prior: BetaPrior):
     return theta0, n
 
 
-@lru_cache(maxsize=64)
-def _laguerre_rule(q: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and normalised weights of the ``q``-point Gauss rule for the
-    weight ``x^alpha exp(-x)``, by Golub-Welsch on the Laguerre Jacobi matrix.
-
-    ``scipy.special.roots_genlaguerre`` scales these weights by
-    ``Gamma(alpha + 1)``, which overflows for ``alpha`` above 171.  Rules
-    are memoised (a table-3 build asks for each one three times) and
-    returned read-only.
-    """
-    k = np.arange(q, dtype=float)
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-    x, vecs = np.linalg.eigh(jacobi)
-    w = vecs[0] ** 2
-    w = w / w.sum()
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def expbeta_expected_many(
     functionals: list[Functional],
     theta0: float,
     n: int,
     prior: BetaPrior = BetaPrior(1.5, 1.5),
-    *,
-    nodes: int = DEFAULT_ORACLE_NODES,
 ) -> list[ExactEval]:
     """Expected functionals for exponential data with a beta rate prior.
 
-    The sufficient statistic ``s`` is Gamma(n, theta0), so ``theta0 * s``
-    has density ``x^(n-1) exp(-x) / Gamma(n)`` and each expectation is a
-    generalized Gauss-Laguerre integral with ``alpha = n - 1``.  The
-    functionals are evaluated on the grid posterior at the nodes
-    ``s = x / theta0`` of the ``q``-point and ``2q``-point rules
-    (``q = nodes``, 8 to 256), sharing one sweep, and averaged.  The
-    ``2q``-point value is returned with the error estimate
-    ``|v_q - v_2q| / |v_2q|``; above 1e-5 it raises ``AccuracyError``.
+    The sufficient statistic ``s`` is Gamma(n, theta0).  Written as
+    ``theta0 * s = x = n exp(z / sqrt(n))``, the expectation is an integral
+    over the whole line in ``z`` with log weight
+    ``n log x - x - lgamma(n) - log(n) / 2``, smooth and decaying on both
+    sides, where the trapezoid rule converges exponentially.  The rule
+    sits on the multiples of a step ``h`` at which the log weight is
+    within 45 of its peak.  The functionals are evaluated on the grid
+    posterior at the points of step ``h / 2``, sharing one sweep; every
+    other point gives the step-``h`` rule.  ``T_{h/2}`` is returned with
+    the error estimate ``|T_h - T_{h/2}| / |T_{h/2}|``.  ``h`` starts at
+    0.4 and is halved, reusing every point, while an estimate is above
+    1e-5; past ``h = 0.1`` (points 0.05 apart) it raises
+    ``AccuracyError``.
     """
     theta0, n = _check_expbeta_args(theta0, n, prior)
     if not functionals:
         raise DomainError("at least one functional is required")
-    if not isinstance(nodes, Integral) or not MIN_ORACLE_NODES <= nodes <= MAX_ORACLE_NODES:
-        raise DomainError(
-            f"node budget q must be an integer in [{MIN_ORACLE_NODES}, "
-            f"{MAX_ORACLE_NODES}], got {nodes!r}"
-        )
+
+    # Every candidate point z = j * _FINEST_STEP.  Relative to its peak at
+    # z = 0 the log weight is sqrt(n) z - n expm1(z / sqrt(n)), at most
+    # n + sqrt(n) z and, for z > 0, at most -z^2 / 2: the window lies inside
+    # the range below.
+    root = math.sqrt(n)
+    lo = -(_LOG_WEIGHT_WINDOW + n) / root
+    hi = math.sqrt(2.0 * _LOG_WEIGHT_WINDOW)
+    j = np.arange(math.floor(lo / _FINEST_STEP), math.ceil(hi / _FINEST_STEP) + 1)
+    z = j * _FINEST_STEP
+    drop = root * z - n * np.expm1(z / root)
+    keep = drop >= -_LOG_WEIGHT_WINDOW
+    j, z, drop = j[keep], z[keep], drop[keep]
+    peak = n * math.log(n) - n - math.lgamma(n) - 0.5 * math.log(n)
+    weight = np.exp(peak + drop)
+    s = n * np.exp(z / root) / theta0
 
     family = ExponentialRate()
+    fvals = np.empty((len(functionals), j.size))
+    done = np.zeros(j.size, dtype=bool)
 
-    def averages(q: int) -> np.ndarray:
-        x, w = _laguerre_rule(q, n - 1.0)
-        fvals = np.empty((len(functionals), q))
-        for j, s in enumerate(x / theta0):
-            post = posterior(family, prior, SufficientStat(n, float(s)))
+    def rule(stride: int) -> np.ndarray:
+        on = j % stride == 0
+        return stride * _FINEST_STEP * (fvals[:, on] @ weight[on])
+
+    for stride in (4, 2, 1):  # h = 2 * stride * _FINEST_STEP: 0.4, 0.2, 0.1
+        todo = np.flatnonzero((j % stride == 0) & ~done)
+        for k in todo.tolist():
+            post = posterior(family, prior, SufficientStat(n, float(s[k])))
             for i, functional in enumerate(functionals):
-                fvals[i, j] = evaluate(functional, post)
-        return fvals @ w
-
-    coarse = averages(nodes)
-    fine = averages(2 * nodes)
-
-    out = []
-    for functional, v_q, v_2q in zip(functionals, coarse, fine):
-        rel = abs(v_q - v_2q) / max(abs(v_2q), 1e-300)
-        if rel > 1e-5:
-            raise AccuracyError(
-                f"Gauss-Laguerre error estimate {rel:.3e} for {functional!r} at "
-                f"theta0={theta0!r}, n={n}, prior={prior!r} with q={nodes} "
-                "exceeds 1e-5; increase the node budget"
-            )
-        out.append(ExactEval(float(v_2q), "suffstat_quadrature", float(rel)))
-    return out
+                fvals[i, k] = evaluate(functional, post)
+        done[todo] = True
+        fine = rule(stride)
+        rel = np.abs(rule(2 * stride) - fine) / np.maximum(np.abs(fine), 1e-300)
+        if rel.max() <= 1e-5:
+            return [
+                ExactEval(float(v), "log_s_trapezoid", float(e)) for v, e in zip(fine, rel)
+            ]
+    worst = int(rel.argmax())
+    h = 2 * _FINEST_STEP
+    raise AccuracyError(
+        f"trapezoid error estimate {rel[worst]:.3e} for {functionals[worst]!r} at "
+        f"theta0={theta0!r}, n={n}, prior={prior!r} still exceeds 1e-5 at the "
+        f"last step, h={h!r} against h/2={_FINEST_STEP!r}"
+    )
 
 
 def expbeta_expected(
@@ -302,8 +299,6 @@ def expbeta_expected(
     theta0: float,
     n: int,
     prior: BetaPrior = BetaPrior(1.5, 1.5),
-    *,
-    nodes: int = DEFAULT_ORACLE_NODES,
 ) -> ExactEval:
     """Single-functional version of :func:`expbeta_expected_many`."""
-    return expbeta_expected_many([functional], theta0, n, prior, nodes=nodes)[0]
+    return expbeta_expected_many([functional], theta0, n, prior)[0]

@@ -323,6 +323,21 @@ def test_eval_rate_cell_reports_quadrature_oracle(capsys):
     assert float(pairs["g_exact"]) == pytest.approx(0.0025676827, abs=1e-8)
 
 
+def test_eval_rate_cell_at_one_observation_meets_the_oracle_gate(capsys):
+    # At n = 1 the sampling law of s spans tens of e-folds; the oracle
+    # must still certify the cell.
+    code, out, err = run(
+        ["eval", "--model", "exp", "--criterion", "apvc",
+         "--theta0", "0.1", "--n", "1"],
+        capsys,
+    )
+    assert code == 0, err
+    assert err == ""
+    pairs = kv(out)
+    assert float(pairs["g_star"]) == pytest.approx(0.01)
+    assert 0.0 < float(pairs["g_exact"]) < 0.25
+
+
 def test_eval_expected_quantile_cell(capsys):
     code, out, _ = run(
         ["eval", "--model", "normal", "--sigma2", "0.2", "--mu0", "0.25",

@@ -8,11 +8,12 @@ posterior mean (an independent derivation path from the library's).
 
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import bayessize.exact as exact
+import bayessize.tables as tables
 from bayessize.criteria import (
     asymptotic_centered_mass,
     asymptotic_expected_quantile,
@@ -45,6 +46,9 @@ from bayessize.models import (
     Poisson,
 )
 from bayessize.montecarlo import simulate_g
+from bayessize.tables import _RATE_FUNCTIONALS, build_table
+
+TABLE3_FUNCTIONALS = [functional for _, functional in _RATE_FUNCTIONALS]
 
 # (theta0, mu0, sigma2, tau2) triples used across the benchmark tables
 NORMAL_CONFIGS = [
@@ -287,23 +291,19 @@ def test_scaled_gaps_settle_for_normal_quantile():
 # rate-study quadrature oracle
 
 
-def test_oracle_is_deterministic_across_node_budgets():
+def test_oracle_is_deterministic_and_names_its_method():
     base = expbeta_expected(PosteriorVariance(), 0.5, 100)
-    fine = expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=128)
-    assert base.method == "suffstat_quadrature"
+    assert base.method == "log_s_trapezoid"
     assert base.error_estimate is not None and base.error_estimate <= 1e-6
-    assert abs(fine.value - base.value) / base.value <= 1e-6
     again = expbeta_expected(PosteriorVariance(), 0.5, 100)
-    assert again.value == base.value
-    # any integer type is a node budget, numpy's included
-    assert expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=np.int64(32)) == base
+    assert again == base
 
 
 def _nested_quad_expected_variance(theta0, n, a=1.5, b=1.5):
     """E[Var(rate | s)] by nested scipy quadrature: the rate posterior's
     moments by adaptive quadrature on (0, 1), averaged over the
     Gamma(n, theta0) law of s on its probability scale.  Shares neither
-    the grid posterior nor the Gauss-Laguerre rule with the oracle."""
+    the grid posterior nor the trapezoid rule in log s with the oracle."""
     law = stats.gamma(n, scale=1.0 / theta0)
     power = a + n - 1.0
 
@@ -326,51 +326,80 @@ def _nested_quad_expected_variance(theta0, n, a=1.5, b=1.5):
                           epsabs=0.0, epsrel=1e-9, limit=200)[0]
 
 
-@pytest.mark.parametrize("theta0, n", [(0.25, 10), (0.75, 100), (1.0, 30)])
+@pytest.mark.parametrize(
+    "theta0, n", [(0.25, 10), (0.75, 100), (1.0, 30), (0.1, 1), (0.061, 3)]
+)
 def test_oracle_variance_matches_nested_scipy_quadrature(theta0, n):
     # The remaining gap is the grid posterior's trapezoid rule, largest at
     # theta0 = 1 where the posterior leans on the support's edge.
     oracle = expbeta_expected(PosteriorVariance(), theta0, n)
-    assert oracle.method == "suffstat_quadrature"
+    assert oracle.method == "log_s_trapezoid"
     assert oracle.error_estimate <= 1e-5
     ref = _nested_quad_expected_variance(theta0, n)
     assert abs(oracle.value - ref) / ref <= 5e-5
 
 
-def test_oracle_reaches_the_largest_node_budget():
-    # 2 * 256 nodes put s far into the tails of the sampling law, where the
-    # posterior piles onto the first few grid nodes.
-    fine = expbeta_expected_many(
-        [PosteriorVariance(), HpdWidth(0.95)], 0.25, 10, nodes=256
-    )
-    base = expbeta_expected_many([PosteriorVariance(), HpdWidth(0.95)], 0.25, 10)
-    for f, b in zip(fine, base):
-        assert abs(f.value - b.value) / b.value <= 1e-5
+def _assert_certified(results):
+    assert len(results) == len(TABLE3_FUNCTIONALS)
+    for result in results:
+        assert result.method == "log_s_trapezoid"
+        assert math.isfinite(result.value)
+        assert result.error_estimate <= 1e-5
 
 
-def test_laguerre_rule_is_memoised_and_read_only():
-    x, w = exact._laguerre_rule(16, 29.0)
-    again_x, again_w = exact._laguerre_rule(16, 29.0)
-    np.testing.assert_array_equal(again_x, x)
-    np.testing.assert_array_equal(again_w, w)
-    for arr in (x, w, again_x, again_w):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+@pytest.mark.parametrize("theta0, n", [(0.1, 1), (0.1, 3), (0.061, 3)])
+def test_oracle_certifies_small_samples(theta0, n):
+    # At n of 1 to 3 the sampling law of s spans many e-folds, and the
+    # functionals turn from prior- to data-dominated inside it.
+    _assert_certified(expbeta_expected_many(TABLE3_FUNCTIONALS, theta0, n))
+
+
+def test_oracle_halves_its_step_where_the_grid_is_rough():
+    # At theta0 = 0.02 and n = 1000 the posterior's sd is a few grid steps,
+    # so its functionals are rough in s and the first step is not enough.
+    _assert_certified(expbeta_expected_many(TABLE3_FUNCTIONALS, 0.02, 1000))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta0=st.floats(0.05, 1.0),
+    n=st.floats(0.0, math.log(1000.0)).map(lambda u: int(round(math.exp(u)))),
+)
+def test_oracle_certifies_every_functional_across_the_design_range(theta0, n):
+    _assert_certified(expbeta_expected_many(TABLE3_FUNCTIONALS, theta0, n))
+
+
+def test_table3_oracle_builds_at_most_128_posteriors_per_cell(monkeypatch):
+    # A timing-free guard on the oracle's cost: the rule keeps roughly 100
+    # points of step 0.2 at every table-3 cell.
+    built, per_call = [0], []
+    make_posterior, oracle = exact.posterior, tables.expbeta_expected_many
+
+    def counting_posterior(*args):
+        built[0] += 1
+        return make_posterior(*args)
+
+    def counting_oracle(*args):
+        before = built[0]
+        out = oracle(*args)
+        per_call.append(built[0] - before)
+        return out
+
+    monkeypatch.setattr(exact, "posterior", counting_posterior)
+    monkeypatch.setattr(tables, "expbeta_expected_many", counting_oracle)
+    build_table(3, m=2)
+    assert len(per_call) == 12
+    assert all(0 < count <= 128 for count in per_call), per_call
 
 
 def test_oracle_accuracy_error_names_the_cell(monkeypatch):
-    rule = exact._laguerre_rule
-
-    def skewed(q, alpha):
-        x, w = rule(q, alpha)
-        return (1.01 * x, w) if q == 8 else (x, w)
-
-    monkeypatch.setattr(exact, "_laguerre_rule", skewed)
+    # A step in s is no smooth integrand: halving h never meets the gate.
+    monkeypatch.setattr(exact, "evaluate", lambda functional, post: float(post.s > 61.0))
     with pytest.raises(AccuracyError) as info:
-        expbeta_expected(PosteriorVariance(), 0.5, 30, nodes=8)
+        expbeta_expected(PosteriorVariance(), 0.5, 30)
     message = str(info.value)
-    for part in ("theta0=0.5", "n=30", "BetaPrior(a=1.5, b=1.5)", "PosteriorVariance()", "q=8"):
+    for part in ("theta0=0.5", "n=30", "BetaPrior(a=1.5, b=1.5)", "PosteriorVariance()",
+                 "h=0.1"):
         assert part in message
 
 
@@ -418,12 +447,6 @@ def test_oracle_validates_arguments():
         expbeta_expected(PosteriorVariance(), 1.5, 100)
     with pytest.raises(DomainError):
         expbeta_expected(PosteriorVariance(), 0.5, 100.0)
-    with pytest.raises(DomainError):
-        expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=2000)
-    with pytest.raises(DomainError):
-        expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=3)
-    with pytest.raises(DomainError):
-        expbeta_expected(PosteriorVariance(), 0.5, 100, nodes=32.0)
     with pytest.raises(ConfigurationError):
         expbeta_expected(PosteriorVariance(), 0.5, 100, prior="flat")
     with pytest.raises(DomainError):

@@ -263,13 +263,11 @@ _RANDOM_RATE_CELLS = [
 
 @pytest.mark.parametrize("theta0, n", _RANDOM_RATE_CELLS)
 def test_rate_study_functionals_agree_with_the_oracle_at_random_cells(theta0, n):
-    # All five functionals of table 3's rate rows.  Small n and small
-    # theta0 need more Gauss-Laguerre nodes than the default 32 to meet the
-    # oracle's 1e-5 error estimate.
+    # All five functionals of table 3's rate rows.
     functionals = [functional for _, functional in _RATE_FUNCTIONALS]
     family, prior = ExponentialRate(), BetaPrior(1.5, 1.5)
     estimates = simulate_many(family, prior, theta0, n, 200, functionals, seed=20060301)
-    oracles = expbeta_expected_many(functionals, theta0, n, prior, nodes=128)
+    oracles = expbeta_expected_many(functionals, theta0, n, prior)
     for functional, est, oracle in zip(functionals, estimates, oracles):
         assert est.std_err > 0.0
         assert abs(est.mean - oracle.value) <= 5.0 * est.std_err, (functional, est, oracle)
