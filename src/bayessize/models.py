@@ -6,6 +6,11 @@ The first three pair with their conjugate priors and yield closed-form
 posterior families; the exponential-rate model pairs with a beta prior
 restricted to rates in (0, 1] and is tabulated on a dense grid.
 
+Simulated data enter only through the sufficient statistic, and each
+family's statistic has a one-deviate exact law that numpy's ``Generator``
+samples in O(1) at any ``n``: a normal mean, or a Poisson, binomial or
+gamma total.  :func:`sample_suffstat` draws it with one generator call.
+
 The gamma and beta posterior CDFs are closed forms, the regularized
 incomplete gamma and beta functions of :mod:`bayessize.specfun`, and
 their quantiles invert them by a bracketed Newton iteration.  The
@@ -37,7 +42,6 @@ from .errors import (
     DomainError,
     UnsupportedShapeError,
 )
-from .randomness import normal_deviate, poisson_deviate
 from .specfun import (
     beta_i,
     beta_log_norm,
@@ -293,13 +297,20 @@ def sample_suffstat(
 ) -> SufficientStat:
     """Draw one sufficient statistic for ``n`` observations at ``theta0``.
 
-    Uniform consumption is fixed per family so that seeded runs are
-    reproducible: the normal mean uses one deviate (its exact law), the
-    Bernoulli and exponential sums use one uniform per observation, and
-    the Poisson sum is one deviate of mean ``n * theta0`` (its exact law):
-    inversion below a mean of 10, PTRS above.
+    The statistic is one draw from its exact law by one call of the
+    numpy generator ``rng.generator``, at the same cost for every ``n``:
+    the normal mean ``theta0 + sd * Z``, the Poisson total
+    Poisson(``n * theta0``), the Bernoulli total Binomial(``n``,
+    ``theta0``) and the exponential sum Gamma(``n``) / ``theta0``.
     """
     return SufficientStat(n, suffstat_sampler(family, theta0, n)(rng))
+
+
+# numpy's limits: ``Generator.poisson`` refuses a mean above
+# ``iinfo(int64).max - 10 sqrt(iinfo(int64).max)`` and ``binomial`` an
+# ``n`` that does not fit in an int64.
+_POISSON_MAX_MEAN = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
+_BINOMIAL_MAX_N = 2**63 - 1
 
 
 def suffstat_sampler(
@@ -316,13 +327,21 @@ def suffstat_sampler(
 
     if isinstance(family, NormalKnownVariance):
         sd = math.sqrt(family.sigma2 / n)
-        return lambda rng: theta0 + sd * normal_deviate(rng)
+        return lambda rng: theta0 + sd * rng.generator.standard_normal()
     if isinstance(family, Poisson):
         mean = n * theta0
-        return lambda rng: float(poisson_deviate(rng, mean))
+        if mean > _POISSON_MAX_MEAN:
+            raise DomainError(
+                f"Poisson mean n * theta0 = {mean!r} exceeds numpy's limit {_POISSON_MAX_MEAN!r}"
+            )
+        return lambda rng: float(rng.generator.poisson(mean))
     if isinstance(family, Bernoulli):
-        return lambda rng: float(int(np.count_nonzero(rng.uniforms(n) < theta0)))
-    return lambda rng: float(-np.log1p(-rng.uniforms(n)).sum() / theta0)
+        if n > _BINOMIAL_MAX_N:
+            raise DomainError(
+                f"Bernoulli sample size {n!r} exceeds numpy's binomial limit {_BINOMIAL_MAX_N!r}"
+            )
+        return lambda rng: float(rng.generator.binomial(n, theta0))
+    return lambda rng: rng.generator.standard_gamma(n) / theta0
 
 
 # ---------------------------------------------------------------------------

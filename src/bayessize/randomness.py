@@ -1,10 +1,13 @@
-"""Seeded uniform streams and the deviate transforms built on them.
+"""Seeded numpy generators keyed by a seed and a stream id.
 
 Determinism contract: a stream is fully identified by ``(seed,
-stream_id)`` and is numpy's ``default_rng([seed, stream_id])``, and every
-deviate is a fixed transform of uniforms drawn in a fixed order.  Two runs
-with the same keys therefore produce bitwise identical draws regardless of
-platform, process count, or call site.
+stream_id)`` and is numpy's ``default_rng([seed, stream_id])``.  Each
+sufficient statistic is one call of one of that generator's samplers
+(see :func:`bayessize.models.suffstat_sampler`), so two runs with the
+same keys draw bitwise identical statistics regardless of platform,
+process count or call site, for a fixed numpy version: numpy (NEP 19)
+does not promise that a ``Generator`` method's stream survives an
+upgrade.
 
 ``SeededGenerator.streams(seed, m)`` builds the streams ``(seed, 0)`` to
 ``(seed, m - 1)`` of a Monte Carlo run without a ``SeedSequence`` each:
@@ -12,15 +15,10 @@ numpy's seed-sequence hash (``numpy/random/bit_generator.pyx``) runs once
 over all ``m`` stream ids as uint64 lanes, and each stream's PCG64 is
 seeded with its four words.  ``test_batch_streams_are_default_rng_draw_for_draw``
 checks the streams against ``default_rng`` bit for bit.
-
-A Poisson deviate costs O(1) at any mean: chop-down inversion below a
-mean of 10 (one uniform), PTRS transformed rejection from 10 up (two
-uniforms per trial; 1.3 trials per draw at a mean of 10, 1.13 at 1e6).
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from functools import cache
 
@@ -28,16 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "SeededGenerator",
-    "normal_deviate",
-    "poisson_deviate",
-]
-
-# PTRS's constants are fitted for means of 10 and above; below, the
-# inversion walk takes about ``mean`` steps and is as cheap.
-_PTRS_MIN_MEAN = 10.0
-_LOG_2PI = math.log(2.0 * math.pi)
+__all__ = ["SeededGenerator"]
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool's
 # hash, the output hash and the pool mix, in 32-bit words.
@@ -55,7 +44,7 @@ def _check_seed(seed) -> None:
 
 
 class SeededGenerator:
-    """Uniform(0, 1) stream keyed by a seed and a stream id.
+    """A numpy ``Generator``, ``generator``, keyed by a seed and a stream id.
 
     Distinct ``(seed, stream_id)`` pairs give statistically independent
     streams; equal pairs give identical streams.  Replicate ``j`` of a
@@ -68,7 +57,7 @@ class SeededGenerator:
             raise DomainError(f"stream_id must be a nonnegative integer, got {stream_id!r}")
         self.seed = seed
         self.stream_id = stream_id
-        self._rng = np.random.default_rng([seed, stream_id])
+        self.generator = np.random.default_rng([seed, stream_id])
 
     @classmethod
     def streams(cls, seed: int, m: int) -> Iterator[SeededGenerator]:
@@ -89,18 +78,8 @@ class SeededGenerator:
         for j, row in enumerate(words):
             stream = cls.__new__(cls)
             stream.seed, stream.stream_id = seed, j
-            stream._rng = generator(pcg64(seed_words(row)))
+            stream.generator = generator(pcg64(seed_words(row)))
             yield stream
-
-    def uniform(self) -> float:
-        """One draw from Uniform[0, 1)."""
-        return float(self._rng.random())
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """``count`` draws from Uniform[0, 1), in stream order."""
-        if count < 0:
-            raise DomainError(f"count must be nonnegative, got {count!r}")
-        return self._rng.random(count)
 
 
 def _seed_words(seed: int, m: int) -> np.ndarray:
@@ -172,78 +151,3 @@ def _pcg64_types():
             return self.words
 
     return np.random.Generator, np.random.PCG64, SeedWords
-
-
-def normal_deviate(rng) -> float:
-    """Standard normal draw via the polar form of two uniforms.
-
-    Consumes exactly two uniforms; the sine partner of the Box-Muller
-    pair is discarded to keep the per-draw uniform count fixed.
-    """
-    u1 = rng.uniform()
-    u2 = rng.uniform()
-    r = math.sqrt(-2.0 * math.log1p(-u1))
-    return r * math.cos(2.0 * math.pi * u2)
-
-
-def poisson_deviate(rng, mean: float) -> int:
-    """Poisson draw: chop-down inversion of the CDF below a mean of 10,
-    Hoermann's PTRS (transformed rejection with squeeze) from 10 up.
-    """
-    if not (isinstance(mean, (int, float)) and math.isfinite(mean)) or mean <= 0.0:
-        raise DomainError(f"mean must be a positive finite number, got {mean!r}")
-    if mean >= _PTRS_MIN_MEAN:
-        return _poisson_ptrs(rng, mean)
-    u = rng.uniform()
-    k = 0
-    pk = math.exp(-mean)
-    acc = pk
-    while u >= acc:
-        k += 1
-        pk *= mean / k
-        acc += pk
-        if k > 100_000_000:  # unreachable for admissible means; guards fp pathologies
-            raise DomainError(f"Poisson inversion failed to terminate for mean {mean!r}")
-    return k
-
-
-def _poisson_ptrs(rng, mean: float) -> int:
-    # W. Hoermann, "The transformed rejection method for generating Poisson
-    # random variables", Insurance: Mathematics and Economics 12 (1993),
-    # algorithm PTRS.
-    b = 0.931 + 2.53 * math.sqrt(mean)
-    a = -0.059 + 0.02483 * b
-    log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = rng.uniform() - 0.5
-        v = 1.0 - rng.uniform()  # in (0, 1], so log(v) is finite
-        us = 0.5 - abs(u)
-        # The hat's thin edges; also rejects us = 0 (u = -1/2) before it divides.
-        if us < 0.013 and v > us:
-            continue
-        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
-        if us >= 0.07 and v <= v_r:  # the squeeze: accepted without the pmf
-            return k
-        if k >= 0 and (
-            math.log(v) + log_inv_alpha - math.log(a / (us * us) + b)
-            <= _poisson_log_pmf(k, mean)
-        ):
-            return k
-
-
-def _poisson_log_pmf(k: int, mean: float) -> float:
-    """``log P(K = k)`` for ``K ~ Poisson(mean)``.
-
-    From k = 30 up, in the saddle-point form of C. Loader (2000), "Fast and
-    accurate computation of binomial probabilities": Stirling's series for
-    ``log k!`` and the deviance ``k log(k / mean) - (k - mean)`` through
-    ``log1p``.  Its error stays near 1e-16 |k - mean|; the direct form's
-    grows like ``mean`` 1e-16, 1e-3 at a mean of 1e12.
-    """
-    if k < 30:
-        return k * math.log(mean) - mean - math.lgamma(k + 1)
-    d = k - mean
-    k2 = float(k) * k
-    stirling = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * k2)) / k2) / k
-    return -0.5 * (_LOG_2PI + math.log(k)) - stirling - (k * math.log1p(d / mean) - d)

@@ -41,8 +41,9 @@ from bayessize.models import (
     param_bounds,
     posterior,
     sample_suffstat,
+    suffstat_sampler,
 )
-from bayessize.randomness import SeededGenerator, normal_deviate, poisson_deviate
+from bayessize.randomness import SeededGenerator
 from bayessize.specfun import beta_i, gamma_p
 
 
@@ -226,7 +227,7 @@ def test_sample_suffstat_poisson_clt_band():
 def test_sample_suffstat_poisson_total_is_one_deviate():
     # n draws at theta0 sum to one draw at n theta0, in O(1) at any mean
     stat = sample_suffstat(Poisson(), 0.75, 8, SeededGenerator(5, stream_id=1))
-    assert stat.s == poisson_deviate(SeededGenerator(5, stream_id=1), 6.0)
+    assert stat.s == np.random.default_rng([5, 1]).poisson(6.0)
     big = sample_suffstat(Poisson(), 800.0, 5, SeededGenerator(6))
     assert big.n == 5 and big.s == int(big.s)
     assert abs(big.s - 4000.0) <= 5.0 * math.sqrt(4000.0)
@@ -236,7 +237,7 @@ def test_sample_suffstat_normal_is_single_scaled_deviate():
     # the normal sample mean is drawn in one step from its exact law
     fam = NormalKnownVariance(0.8)
     stat = sample_suffstat(fam, 2.0, 25, SeededGenerator(99, stream_id=3))
-    z = normal_deviate(SeededGenerator(99, stream_id=3))
+    z = np.random.default_rng([99, 3]).standard_normal()
     assert stat.s == 2.0 + math.sqrt(0.8 / 25) * z
 
 
@@ -245,6 +246,20 @@ def test_sample_suffstat_rejects_bad_inputs():
         sample_suffstat(Bernoulli(), 1.5, 10, SeededGenerator(1))
     with pytest.raises(DomainError):
         sample_suffstat(Poisson(), 1.0, 0, SeededGenerator(1))
+
+
+def test_sample_suffstat_names_numpys_limits():
+    # Checked before any draw, so nothing of the size of n is allocated.
+    limit = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
+    assert limit == float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+    with pytest.raises(DomainError, match="exceeds numpy's limit") as err:
+        suffstat_sampler(Poisson(), 2.0 * limit, 1)
+    assert repr(2.0 * limit) in str(err.value) and repr(limit) in str(err.value)
+    with pytest.raises(DomainError, match=str(2**63)):
+        suffstat_sampler(Bernoulli(), 0.5, 2**63)
+    # At the limits numpy draws, in O(1).
+    assert sample_suffstat(Poisson(), limit, 1, SeededGenerator(1)).s > 0.5 * limit
+    assert sample_suffstat(Bernoulli(), 0.5, 2**63 - 1, SeededGenerator(1)).s > 2.0**61
 
 
 # ---------------------------------------------------------------------------

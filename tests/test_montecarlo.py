@@ -1,13 +1,13 @@
 """Seeded simulation of expected posterior functionals.
 
-The deviate transforms are pinned down with stub uniform streams; the
+Each sufficient statistic is checked against its exact law; the
 estimator is validated against the closed-form and quadrature oracles
 from the exact module.
 """
 
 import math
+import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,99 +38,123 @@ from bayessize.models import (
     SufficientStat,
     posterior,
     sample_suffstat,
+    suffstat_sampler,
 )
 from bayessize.montecarlo import MonteCarloEstimate, simulate_g, simulate_many
-from bayessize.randomness import (
-    SeededGenerator,
-    _poisson_log_pmf,
-    normal_deviate,
-    poisson_deviate,
-)
+from bayessize.randomness import SeededGenerator
 from bayessize.tables import _RATE_FUNCTIONALS
 
 
-class StubStream:
-    """Hands out a fixed list of uniforms, in order."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def uniform(self):
-        return self.values.pop(0)
-
-
 # ---------------------------------------------------------------------------
-# deviate transforms
+# sufficient statistics
 
 
-def test_normal_deviate_is_a_fixed_two_uniform_transform():
-    # u2 = 0 lands on the cosine axis: the draw is the radius itself
-    assert normal_deviate(StubStream([0.5, 0.0])) == math.sqrt(2.0 * math.log(2.0))
-    # u2 = 1/4 turns the angle to pi/2 where the cosine vanishes
-    assert abs(normal_deviate(StubStream([0.5, 0.25]))) < 1e-15
+def _law(family, theta0, n):
+    """The exact scipy law of the statistic ``sample_suffstat`` draws."""
+    if isinstance(family, NormalKnownVariance):
+        return stats.norm(theta0, math.sqrt(family.sigma2 / n))
+    if isinstance(family, Poisson):
+        return stats.poisson(n * theta0)
+    if isinstance(family, Bernoulli):
+        return stats.binom(n, theta0)
+    return stats.gamma(n, scale=1.0 / theta0)
 
 
-def test_poisson_deviate_chops_down_the_cdf():
-    # for mean 1 the mass at zero is e^-1 ~ 0.368
-    assert poisson_deviate(StubStream([0.3]), 1.0) == 0
-    assert poisson_deviate(StubStream([0.5]), 1.0) == 1
-    assert poisson_deviate(StubStream([0.95]), 1.0) == 3
+# theta0 near each end of its domain, n = 1 and n = 1e7, and numpy's
+# algorithm switches between: Poisson means either side of 10, binomial
+# n * min(p, 1 - p) either side of 30 and gamma shapes either side of 1.
+_LAW_CELLS = [
+    (NormalKnownVariance(0.2), 0.5, 1),
+    (NormalKnownVariance(0.2), -3.0, 10**7),
+    (Poisson(), 1e-3, 1),
+    (Poisson(), 2.5, 4),
+    (Poisson(), 0.5, 75),
+    (Poisson(), 100.0, 10),
+    (Poisson(), 0.999, 10**7),
+    (Bernoulli(), 1e-3, 1),
+    (Bernoulli(), 0.999, 1),
+    (Bernoulli(), 0.3, 30),
+    (Bernoulli(), 1e-3, 10**7),
+    (Bernoulli(), 0.999, 10**7),
+    (ExponentialRate(), 1e-3, 1),
+    (ExponentialRate(), 0.5, 100),
+    (ExponentialRate(), 0.999, 10**7),
+]
 
 
-def test_poisson_deviate_switches_to_ptrs_at_mean_ten():
-    # below 10: one uniform, inverted
-    assert poisson_deviate(StubStream([0.5]), 9.99) == 10
-    # from 10: uniform pairs (u, v); u = 1/2 and v = 1 - 0.9 lie in the
-    # squeeze, which returns floor(mean + 0.43) without the pmf
-    assert poisson_deviate(StubStream([0.5, 0.9]), 10.0) == 10
-    # u = 0 puts the pair on the hat's edge, where it is rejected before
-    # dividing by zero; the next pair is used
-    stream = StubStream([0.0, 0.5, 0.5, 0.9])
-    assert poisson_deviate(stream, 1e3) == 1000
-    assert stream.values == []
-
-
-@pytest.mark.parametrize("index,mean", enumerate([10.0, 37.5, 1e3, 1e6]))
-def test_ptrs_draws_follow_the_poisson_law(index, mean):
+@pytest.mark.parametrize(
+    "family,theta0,n", _LAW_CELLS, ids=[f"{type(f).__name__}-{t:g}-{n:g}" for f, t, n in _LAW_CELLS]
+)
+def test_statistics_follow_their_exact_law(family, theta0, n):
     draws = 20_000
-    rng = SeededGenerator(20060301, stream_id=index)
-    x = np.array([poisson_deviate(rng, mean) for _ in range(draws)], dtype=float)
-    # Mean and variance within 4 s.e.; for Poisson the fourth central
-    # moment is mean (1 + 3 mean), so var(s^2) ~ (mean + 2 mean^2) / draws.
-    assert abs(x.mean() - mean) <= 4.0 * math.sqrt(mean / draws)
-    assert abs(x.var(ddof=1) - mean) <= 4.0 * math.sqrt((mean + 2.0 * mean**2) / draws)
-    # Binned chi-square over about 20 bins of equal probability.
-    law = stats.poisson(mean)
-    cuts = np.unique(law.ppf(np.linspace(0.0, 1.0, 21)[1:-1]))
+    draw = suffstat_sampler(family, theta0, n)
+    x = np.array([draw(rng) for rng in SeededGenerator.streams(20060301, draws)])
+    law = _law(family, theta0, n)
+    mean, var, kurtosis = (float(v) for v in law.stats(moments="mvk"))
+    # Mean and variance within 4 s.e.; var(s^2) ~ (mu4 - var^2) / draws,
+    # with mu4 = (kurtosis + 3) var^2.
+    assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / draws)
+    assert abs(x.var(ddof=1) - var) <= 4.0 * var * math.sqrt((kurtosis + 2.0) / draws)
+    # Binned chi-square over bins of about 5 % probability.  An integer law
+    # is cut halfway between values at its quantiles from both tails, so an
+    # atom at either end of its support gets a bin of its own.
+    q = np.linspace(0.0, 1.0, 21)[1:-1]
+    cuts = law.ppf(q)
+    if hasattr(law, "pmf"):
+        cuts = np.concatenate((cuts + 0.5, law.isf(q) - 0.5))
+    cuts = np.unique(cuts[(law.cdf(cuts) > 0.0) & (law.cdf(cuts) < 1.0)])
     observed = np.bincount(np.searchsorted(cuts, x, side="left"), minlength=cuts.size + 1)
     expected = draws * np.diff(np.concatenate(([0.0], law.cdf(cuts), [1.0])))
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     assert stats.chi2.sf(chi2, cuts.size) > 1e-3
 
 
-@pytest.mark.parametrize("mean", [10.0, 37.5, 1e3, 1e6, 1e9, 1e12])
-def test_poisson_log_pmf_matches_mpmath(mean):
-    # scipy's logpmf is the direct form, whose error grows with the mean
-    with mpmath.workdps(40):
-        m = mpmath.mpf(mean)
-        for z in np.linspace(-8.0, 8.0, 33):
-            k = max(int(mean + z * math.sqrt(mean)), 0)
-            exact = float(k * mpmath.log(m) - m - mpmath.loggamma(k + 1))
-            assert abs(_poisson_log_pmf(k, mean) - exact) <= 1e-12 + 1e-15 * abs(k - mean)
+@pytest.mark.parametrize(
+    "family", [NormalKnownVariance(0.2), Poisson(), Bernoulli(), ExponentialRate()],
+    ids=lambda family: type(family).__name__,
+)
+def test_one_draw_at_large_n_allocates_nothing_large(family):
+    # A statistic is one deviate at any n: no array of n observations.
+    draw = suffstat_sampler(family, 0.5, 10**7)
+    rng = SeededGenerator(1)
+    tracemalloc.start()
+    try:
+        draw(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# First five totals per family at seed 20060301, one replicate stream each.
+_CANARY_CELLS = [
+    (NormalKnownVariance(0.2), 0.5, 30,
+     [0.5362504663000855, 0.5800907789175862, 0.4641628710069712, 0.5565582301471522,
+      0.47369203864435944]),
+    (Poisson(), 0.5, 100, [54.0, 44.0, 50.0, 46.0, 48.0]),
+    (Bernoulli(), 0.3, 200, [52.0, 53.0, 52.0, 62.0, 69.0]),
+    (ExponentialRate(), 0.5, 100,
+     [208.33009529239416, 219.5672194128058, 190.6975106100757, 213.48645418804568,
+      192.9689370192116]),
+]
+
+
+@pytest.mark.parametrize(
+    "family,theta0,n,totals", _CANARY_CELLS, ids=[type(cell[0]).__name__ for cell in _CANARY_CELLS]
+)
+def test_stream_canary_pins_the_first_totals(family, theta0, n, totals):
+    draw = suffstat_sampler(family, theta0, n)
+    drawn = [draw(rng) for rng in SeededGenerator.streams(20060301, 5)]
+    assert drawn == totals, (
+        f"numpy {np.__version__} changed a sampler of {family!r}: every seeded Monte Carlo "
+        f"output moves with it.  Drew {drawn!r}, pinned {totals!r}."
+    )
 
 
 def test_deviates_reject_bad_parameters():
-    good = StubStream([0.5, 0.5, 0.5, 0.5, 0.5])
-    for mean in (0.0, -3.0, math.inf, math.nan):
+    for theta0 in (0.0, -3.0, math.inf, math.nan):
         with pytest.raises(DomainError):
-            poisson_deviate(good, mean)
-
-
-def test_normal_deviates_have_standard_moments():
-    rng = SeededGenerator(777)
-    draws = np.array([normal_deviate(rng) for _ in range(100_000)])
-    assert abs(draws.mean()) < 4.0 / math.sqrt(100_000)
-    assert abs(draws.var(ddof=1) - 1.0) < 0.02
+            suffstat_sampler(Poisson(), theta0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +164,13 @@ def test_normal_deviates_have_standard_moments():
 def test_equal_keys_give_equal_streams():
     a = SeededGenerator(42, stream_id=7)
     b = SeededGenerator(42, stream_id=7)
-    assert [a.uniform() for _ in range(5)] == [b.uniform() for _ in range(5)]
+    assert a.generator.random(5).tobytes() == b.generator.random(5).tobytes()
 
 
 def test_distinct_stream_ids_differ():
     a = SeededGenerator(42, stream_id=0)
     b = SeededGenerator(42, stream_id=1)
-    assert a.uniform() != b.uniform()
-
-
-def test_block_draws_match_scalar_draws():
-    a = SeededGenerator(9, stream_id=2)
-    b = SeededGenerator(9, stream_id=2)
-    assert list(a.uniforms(6)) == [b.uniform() for _ in range(6)]
+    assert a.generator.random() != b.generator.random()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -160,7 +178,7 @@ def test_streams_are_numpys_default_rng_of_the_key_pair(seed):
     # The determinism contract: a stream is default_rng([seed, stream_id]),
     # on both sides of 2^32.
     for stream_id in (0, 1, 2**32 - 1, 2**32):
-        ours = SeededGenerator(seed, stream_id=stream_id).uniforms(8)
+        ours = SeededGenerator(seed, stream_id=stream_id).generator.random(8)
         reference = np.random.default_rng([seed, stream_id]).random(8)
         assert ours.tobytes() == reference.tobytes(), (seed, stream_id)
 
@@ -185,9 +203,9 @@ def test_batch_streams_are_default_rng_draw_for_draw(seed, m):
     for j, stream in enumerate(SeededGenerator.streams(seed, m)):
         reference = np.random.default_rng([seed, j])
         assert (stream.seed, stream.stream_id) == (seed, j)
-        assert stream._rng.bit_generator.state == reference.bit_generator.state, (seed, j)
-        assert stream.uniforms(3).tobytes() == reference.random(3).tobytes(), (seed, j)
-        assert stream.uniform() == float(reference.random())
+        assert stream.generator.bit_generator.state == reference.bit_generator.state, (seed, j)
+        assert stream.generator.random(3).tobytes() == reference.random(3).tobytes(), (seed, j)
+        assert stream.generator.poisson(7.5) == reference.poisson(7.5)
         count += 1
     assert count == m
 
@@ -219,8 +237,6 @@ def test_generator_rejects_bad_keys():
     for seed, stream in [(-1, 0), (2**64, 0), (1.0, 0), (True, 0), (5, -1), (5, 2.0)]:
         with pytest.raises(DomainError):
             SeededGenerator(seed, stream_id=stream)
-    with pytest.raises(DomainError):
-        SeededGenerator(5).uniforms(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +465,16 @@ def test_replicate_failure_replays_from_its_record():
 
 def test_replicate_failure_after_shared_evaluations_names_the_first_failure():
     # Totals 0 and 5 give a beta posterior unbounded at an edge, which has
-    # no HPD interval.  Replicates 0-19 draw totals in 1..4, so most of them
-    # reuse an earlier evaluation; replicate 20 is the first to draw 0.
+    # no HPD interval; totals in 1..4 evaluate, and repeat.
     family, prior = Bernoulli(), BetaPrior(0.5, 0.5)
-    totals = _totals(family, 0.5, 5, 21, 7)
-    assert set(totals[:20]) <= {1.0, 2.0, 3.0, 4.0} and totals[20] == 0.0
+    totals = _totals(family, 0.5, 5, 200, 7)
+    first = next(j for j, total in enumerate(totals) if total in (0.0, 5.0))
+    assert len(set(totals[:first])) < first  # an earlier replicate reused an evaluation
     with pytest.raises(ReplicateError) as err:
         simulate_many(family, prior, 0.5, 5, 200, [PosteriorVariance(), HpdWidth(0.95)], seed=7)
     exc = err.value
-    assert (exc.index, exc.stream_id, exc.seed) == (20, 20, 7)
-    assert exc.stat == SufficientStat(5, 0.0)
+    assert (exc.index, exc.stream_id, exc.seed) == (first, first, 7)
+    assert exc.stat == SufficientStat(5, totals[first])
     assert exc.functional == HpdWidth(0.95)
 
 
