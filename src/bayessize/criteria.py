@@ -15,6 +15,7 @@ of ``n`` so callers can compare them with exact or simulated values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -207,7 +208,12 @@ def min_sample_size(criterion: Criterion, family: LikelihoodFamily) -> SampleSiz
 
 
 def _check_n(n: float) -> float:
-    n = float(n)
+    try:
+        n = float(n)
+    except OverflowError:
+        raise DomainError(
+            f"sample size {n!r} exceeds the largest float {sys.float_info.max!r}"
+        ) from None
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"sample size must be positive, got {n!r}")
     return n

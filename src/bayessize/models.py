@@ -29,6 +29,7 @@ better unless documented otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Union
@@ -311,6 +312,8 @@ def sample_suffstat(
 # ``n`` that does not fit in an int64.
 _POISSON_MAX_MEAN = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
 _BINOMIAL_MAX_N = 2**63 - 1
+# The normal, Poisson and exponential draws use ``n`` as a float.
+_FLOAT_MAX_N = int(sys.float_info.max)
 
 
 def suffstat_sampler(
@@ -324,6 +327,8 @@ def suffstat_sampler(
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
     if not in_domain(family, theta0):
         raise DomainError(f"theta0 {theta0!r} lies outside the domain of {family!r}")
+    if n > _FLOAT_MAX_N and not isinstance(family, Bernoulli):
+        raise DomainError(f"sample size {n!r} exceeds the largest float {_FLOAT_MAX_N:.17g}")
 
     if isinstance(family, NormalKnownVariance):
         sd = math.sqrt(family.sigma2 / n)

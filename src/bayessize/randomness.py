@@ -9,12 +9,13 @@ process count or call site, for a fixed numpy version: numpy (NEP 19)
 does not promise that a ``Generator`` method's stream survives an
 upgrade.
 
-``SeededGenerator.streams(seed, m)`` builds the streams ``(seed, 0)`` to
-``(seed, m - 1)`` of a Monte Carlo run without a ``SeedSequence`` each:
-numpy's seed-sequence hash (``numpy/random/bit_generator.pyx``) runs once
-over all ``m`` stream ids as uint64 lanes, and each stream's PCG64 is
-seeded with its four words.  ``test_batch_streams_are_default_rng_draw_for_draw``
-checks the streams against ``default_rng`` bit for bit.
+``SeededGenerator.streams(seed, m, start)`` builds the streams ``(seed,
+start)`` to ``(seed, m - 1)`` of a Monte Carlo run without a
+``SeedSequence`` each: numpy's seed-sequence hash
+(``numpy/random/bit_generator.pyx``) runs once over all those stream ids
+as uint64 lanes, and each stream's PCG64 is seeded with its four words.
+``test_batch_streams_are_default_rng_draw_for_draw`` checks the streams
+against ``default_rng`` bit for bit.
 """
 
 from __future__ import annotations
@@ -60,30 +61,32 @@ class SeededGenerator:
         self.generator = np.random.default_rng([seed, stream_id])
 
     @classmethod
-    def streams(cls, seed: int, m: int) -> Iterator[SeededGenerator]:
-        """The streams ``(seed, 0)`` to ``(seed, m - 1)``, in order.
+    def streams(cls, seed: int, m: int, start: int = 0) -> Iterator[SeededGenerator]:
+        """The streams ``(seed, start)`` to ``(seed, m - 1)``, in order.
 
         Each equals ``SeededGenerator(seed, j)`` draw for draw; the seed
-        words of all ``m`` come from one pass of :func:`_seed_words`.  One
+        words of all of them come from one pass of :func:`_seed_words`.  One
         stream is built per step, so only the caller's streams stay alive.
         """
         _check_seed(seed)
         if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise DomainError(f"stream count must be a nonnegative integer, got {m!r}")
-        return cls._from_words(seed, _seed_words(seed, m))
+        if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start <= m:
+            raise DomainError(f"first stream must be an integer in [0, {m}], got {start!r}")
+        return cls._from_words(seed, start, _seed_words(seed, start, m))
 
     @classmethod
-    def _from_words(cls, seed: int, words: np.ndarray) -> Iterator[SeededGenerator]:
+    def _from_words(cls, seed: int, start: int, words: np.ndarray) -> Iterator[SeededGenerator]:
         generator, pcg64, seed_words = _pcg64_types()
-        for j, row in enumerate(words):
+        for j, row in enumerate(words, start):
             stream = cls.__new__(cls)
             stream.seed, stream.stream_id = seed, j
             stream.generator = generator(pcg64(seed_words(row)))
             yield stream
 
 
-def _seed_words(seed: int, m: int) -> np.ndarray:
-    """Row ``j`` is ``SeedSequence([seed, j]).generate_state(4, np.uint64)``.
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row ``j - start`` is ``SeedSequence([seed, j]).generate_state(4, np.uint64)``.
 
     numpy's algorithm, run on all stream ids at once: the entropy is the
     seed's 32-bit words then the stream id's, hashed into a pool of four
@@ -94,7 +97,7 @@ def _seed_words(seed: int, m: int) -> np.ndarray:
     sit in uint64 lanes and every product of two words is masked back to
     32 bits, so nothing overflows.
     """
-    j = np.arange(m, dtype=np.uint64)
+    j = np.arange(start, stop, dtype=np.uint64)
     entropy = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [j & _MASK32, j >> 32]
     entropy += [0] * (_POOL_SIZE - len(entropy))
     pool_hash = _hash_constants(_INIT_A, _MULT_A)
@@ -105,7 +108,7 @@ def _seed_words(seed: int, m: int) -> np.ndarray:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], pool_hash))
     out_hash = _hash_constants(_INIT_B, _MULT_B)
     state = [_hashmix(pool[i % _POOL_SIZE], out_hash) for i in range(8)]
-    words = np.empty((m, 4), dtype=np.uint64)
+    words = np.empty((len(j), 4), dtype=np.uint64)
     for k in range(4):
         words[:, k] = state[2 * k] | state[2 * k + 1] << 32
     return words

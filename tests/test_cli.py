@@ -29,15 +29,26 @@ DEFAULT_SEED = 20060301
 def test_importing_the_cli_loads_no_scipy():
     # scipy is a test oracle only; importing it would double the CLI's start-up.
     # numpy imports numpy.random lazily and only a simulation needs it, so
-    # sizing and closed-form runs never pay for loading it.
+    # sizing and closed-form runs never pay for loading it.  A simulation
+    # split across processes forks them itself and loads no process pool.
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, bayessize.cli; print([m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')])")
+    code = (
+        "import os, sys, bayessize.cli, bayessize.montecarlo as mc\n"
+        "print([m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')])\n"
+        "mc._MIN_PER_PROCESS, forks, fork = 2, [], os.fork\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "os.fork = lambda: forks.append(0) or fork()\n"
+        "code = bayessize.cli.main(['simulate', '--model', 'exp', '--criterion', 'apvc',"
+        " '--theta0', '0.5', '--n', '5', '--m', '4', '--out', os.devnull])\n"
+        "print(code, len(forks), [m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')])\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]", "0 1 []"]
 
 
 def run(argv, capsys):
@@ -387,8 +398,33 @@ def test_eval_rejects_nonpositive_n(capsys):
     assert "--n" in err
 
 
+def test_eval_names_a_sample_size_too_large_for_a_float(capsys):
+    code, out, err = run(
+        ["eval", "--model", "exp", "--criterion", "apvc", "--theta0", "0.5",
+         "--n", str(10**400)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == (f"error: sample size {10**400} exceeds the largest float"
+                   " 1.7976931348623157e+308\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate
+
+
+@pytest.mark.parametrize("model", ["normal", "poisson", "exp"])
+def test_simulate_names_a_sample_size_too_large_for_a_float(capsys, model):
+    code, out, err = run(
+        ["simulate", "--model", model, "--criterion", "apvc", "--sigma2", "0.2",
+         "--mu0", "0.25", "--tau2", "0.3", "--a", "1.5", "--b", "1.5", "--theta0", "0.5",
+         "--n", str(10**400), "--m", "2000"],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: replicate 0 failed: sample size {10**400} exceeds the"
+                          " largest float 1.7976931348623157e+308 [seed 20060301, stream 0,")
+    assert "stat None, functional None]" in err
 
 
 def test_simulate_two_replicate_smoke(capsys):

@@ -6,6 +6,7 @@ package itself never imports it for these paths.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -260,6 +261,19 @@ def test_sample_suffstat_names_numpys_limits():
     # At the limits numpy draws, in O(1).
     assert sample_suffstat(Poisson(), limit, 1, SeededGenerator(1)).s > 0.5 * limit
     assert sample_suffstat(Bernoulli(), 0.5, 2**63 - 1, SeededGenerator(1)).s > 2.0**61
+
+
+@pytest.mark.parametrize("family", [NormalKnownVariance(0.2), Poisson(), ExponentialRate()])
+def test_sample_suffstat_names_the_float_limit_of_n(family):
+    # These draws use n as a float; a larger n is refused before any draw,
+    # where float(n) would raise OverflowError.
+    limit = int(sys.float_info.max)
+    with pytest.raises(DomainError, match=r"exceeds the largest float 1\.7976931348623157e\+308"):
+        suffstat_sampler(family, 0.5, limit + 1)
+    with pytest.raises(DomainError, match=str(10**400)):
+        suffstat_sampler(family, 0.5, 10**400)
+    if isinstance(family, NormalKnownVariance):  # at the limit the draw is a float
+        assert math.isfinite(sample_suffstat(family, 0.5, limit, SeededGenerator(1)).s)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ from the exact module.
 """
 
 import math
+import os
+import signal
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -193,28 +197,35 @@ _SEEDS = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=_SEEDS, m=st.integers(2, 40))
-@example(seed=2**64 - 1, m=1000)
-@example(seed=0, m=1000)
-def test_batch_streams_are_default_rng_draw_for_draw(seed, m):
+@given(seed=_SEEDS, m=st.integers(2, 40), start=st.integers(0, 40))
+@example(seed=2**64 - 1, m=1000, start=0)
+@example(seed=0, m=1000, start=0)
+@example(seed=2**64 - 1, m=1000, start=500)
+def test_batch_streams_are_default_rng_draw_for_draw(seed, m, start):
     # The batch seeding is numpy's SeedSequence hash run over all stream ids
-    # at once: each stream must be default_rng([seed, j]), state and draws.
+    # at once: each stream must be default_rng([seed, j]), state and draws,
+    # from any first stream a process of a split run starts at.
+    start = min(start, m)
     count = 0
-    for j, stream in enumerate(SeededGenerator.streams(seed, m)):
+    for j, stream in enumerate(SeededGenerator.streams(seed, m, start), start):
         reference = np.random.default_rng([seed, j])
         assert (stream.seed, stream.stream_id) == (seed, j)
         assert stream.generator.bit_generator.state == reference.bit_generator.state, (seed, j)
         assert stream.generator.random(3).tobytes() == reference.random(3).tobytes(), (seed, j)
         assert stream.generator.poisson(7.5) == reference.poisson(7.5)
         count += 1
-    assert count == m
+    assert count == m - start
 
 
 def test_batch_streams_check_their_keys():
     assert list(SeededGenerator.streams(5, 0)) == []
+    assert list(SeededGenerator.streams(5, 3, 3)) == []
     for seed, m in [(-1, 2), (2**64, 2), (1.0, 2), (True, 2), (5, -1), (5, 2.0), (5, True)]:
         with pytest.raises(DomainError):
             SeededGenerator.streams(seed, m)
+    for start in (-1, 4, 1.0, True):
+        with pytest.raises(DomainError):
+            SeededGenerator.streams(5, 3, start)
 
 
 def test_simulate_many_builds_no_seed_sequence_per_replicate(monkeypatch):
@@ -370,19 +381,20 @@ _CONJUGATE_FUNCTIONALS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "family,prior,theta0,n,m,functionals",
-    [
-        (NormalKnownVariance(0.2), NormalPrior(0.25, 0.3), 0.5, 30, 60,
-         [PosteriorVariance(), PosteriorQuantile(0.05), CredibleLength(0.05), HpdWidth(0.95),
-          CenteredIntervalMass(0.2), TailMassAbove(0.5)]),
-        (Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 120, _CONJUGATE_FUNCTIONALS),
-        (Poisson(), GammaPrior(1.0, 2.0), 3.0, 200, 60, _CONJUGATE_FUNCTIONALS),
-        (Bernoulli(), BetaPrior(1.5, 1.5), 0.3, 30, 120, _CONJUGATE_FUNCTIONALS),
-        (ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 50, 40,
-         [functional for _, functional in _RATE_FUNCTIONALS]),
-    ],
-)
+# Every family; the exponential case evaluates the five table-3 functionals.
+_REPLAY_CASES = [
+    (NormalKnownVariance(0.2), NormalPrior(0.25, 0.3), 0.5, 30, 60,
+     [PosteriorVariance(), PosteriorQuantile(0.05), CredibleLength(0.05), HpdWidth(0.95),
+      CenteredIntervalMass(0.2), TailMassAbove(0.5)]),
+    (Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 120, _CONJUGATE_FUNCTIONALS),
+    (Poisson(), GammaPrior(1.0, 2.0), 3.0, 200, 60, _CONJUGATE_FUNCTIONALS),
+    (Bernoulli(), BetaPrior(1.5, 1.5), 0.3, 30, 120, _CONJUGATE_FUNCTIONALS),
+    (ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 50, 40,
+     [functional for _, functional in _RATE_FUNCTIONALS]),
+]
+
+
+@pytest.mark.parametrize("family,prior,theta0,n,m,functionals", _REPLAY_CASES)
 def test_simulate_many_equals_a_per_replicate_replay(family, prior, theta0, n, m, functionals):
     # Bit for bit: a shared evaluation must give what evaluating the
     # replicate afresh gives.
@@ -429,6 +441,171 @@ def test_posterior_is_built_once_per_distinct_total(monkeypatch, family, prior, 
 def test_different_seeds_differ():
     args = (Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 50, PosteriorQuantile(0.05))
     assert simulate_g(*args, seed=1) != simulate_g(*args, seed=2)
+
+
+# ---------------------------------------------------------------------------
+# replicate ranges split across forked processes
+
+
+def _split_into(monkeypatch, processes):
+    """Make ``simulate_many`` split any run of at least ``processes``
+    replicates over ``processes`` processes, and count its forks."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(montecarlo, "_MIN_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(processes) or fork())
+    return forks
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("family,prior,theta0,n,m,functionals", _REPLAY_CASES)
+def test_split_runs_equal_the_serial_run_bit_for_bit(
+    monkeypatch, processes, family, prior, theta0, n, m, functionals
+):
+    serial = simulate_many(family, prior, theta0, n, m, functionals, seed=4)
+    forks = _split_into(monkeypatch, processes)
+    split = simulate_many(family, prior, theta0, n, m, functionals, seed=4)
+    _assert_no_children()
+    assert len(forks) == processes - 1
+    # repr tells apart every float that differs in a bit, -0.0 from 0.0 among them
+    assert repr(split) == repr(serial) == repr(_replay(family, prior, theta0, n, m, functionals, 4))
+
+
+def _serial_failure(*args, **kwargs):
+    with pytest.raises(ReplicateError) as err:
+        simulate_many(*args, **kwargs)
+    return err.value
+
+
+def _same_failure(a, b):
+    assert (a.index, a.seed, a.stream_id, a.family, a.prior, a.stat, a.functional) == (
+        b.index, b.seed, b.stream_id, b.family, b.prior, b.stat, b.functional)
+    assert str(a) == str(b)
+
+
+def test_first_failure_in_a_child_range_raises_the_serial_error(monkeypatch):
+    # Totals 0 and 5 have no HPD interval under Beta(0.5, 0.5).  The run is
+    # sized so that the first of them falls in the first child's range, and
+    # the parent's range holds none.
+    family, prior = Bernoulli(), BetaPrior(0.5, 0.5)
+    totals = _totals(family, 0.5, 5, 400, 7)
+    first = next(j for j, total in enumerate(totals) if total in (0.0, 5.0))
+    m = 2 * first + 2
+    bounds = [m * k // 3 for k in range(4)]
+    assert bounds[1] <= first < bounds[2]
+    args = (family, prior, 0.5, 5, m, [PosteriorVariance(), HpdWidth(0.95)])
+    serial = _serial_failure(*args, seed=7)
+    assert serial.index == first
+    forks = _split_into(monkeypatch, 3)
+    _same_failure(_serial_failure(*args, seed=7), serial)
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+def test_failure_in_the_parent_range_kills_and_reaps_every_child(monkeypatch):
+    # Every replicate fails: the parent raises at replicate 0 and kills its
+    # children, which would otherwise stall for a minute each.
+    args = (Poisson(), GammaPrior(1.0, 0.5), 1e-12, 3, 30, [PosteriorVariance(), HpdWidth(0.95)])
+    serial = _serial_failure(*args, seed=11)
+    parent = os.getpid()
+
+    def stalling_posterior(family, prior, stat):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return posterior(family, prior, stat)
+
+    monkeypatch.setattr(montecarlo, "posterior", stalling_posterior)
+    forks = _split_into(monkeypatch, 3)
+    start = time.monotonic()
+    _same_failure(_serial_failure(*args, seed=11), serial)
+    assert time.monotonic() - start < 30
+    assert serial.index == 0 and len(forks) == 2
+    _assert_no_children()
+
+
+def test_bad_theta0_fails_as_replicate_0_before_any_fork(monkeypatch):
+    args = (Poisson(), GammaPrior(1.0, 0.5), -1.0, 3, 30, [PosteriorVariance()])
+    serial = _serial_failure(*args, seed=2)
+    forks = _split_into(monkeypatch, 3)
+    _same_failure(_serial_failure(*args, seed=2), serial)
+    assert forks == []
+
+
+@pytest.mark.parametrize("leave", [lambda: os._exit(5),
+                                   lambda: os.kill(os.getpid(), signal.SIGKILL)])
+def test_a_child_that_exits_nonzero_has_its_range_redone(monkeypatch, leave):
+    family, prior, theta0, n, m, functionals = _REPLAY_CASES[-1]
+    serial = simulate_many(family, prior, theta0, n, m, functionals, seed=5)
+    parent, built = os.getpid(), []
+
+    def dying_posterior(family, prior, stat):
+        if os.getpid() != parent:
+            leave()
+        built.append(stat.s)
+        return posterior(family, prior, stat)
+
+    monkeypatch.setattr(montecarlo, "posterior", dying_posterior)
+    forks = _split_into(monkeypatch, 3)
+    split = simulate_many(family, prior, theta0, n, m, functionals, seed=5)
+    _assert_no_children()
+    assert len(forks) == 2
+    assert len(built) == m  # exponential totals never repeat: every range ran here
+    assert repr(split) == repr(serial)
+
+
+def test_a_range_that_cannot_be_forked_is_run_in_process(monkeypatch):
+    family, prior, theta0, n, m, functionals = _REPLAY_CASES[1]
+    serial = simulate_many(family, prior, theta0, n, m, functionals, seed=6)
+    _split_into(monkeypatch, 3)
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert repr(simulate_many(family, prior, theta0, n, m, functionals, seed=6)) == repr(serial)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "cpus,m,forks",
+    [(2, 1000, 1), (8, 1000, 1), (2, 999, 0), (2, 500, 0), (1, 1000, 0), (8, 1500, 2)],
+)
+def test_fork_count_follows_cpus_and_replicates(monkeypatch, cpus, m, forks):
+    # A timing-free guard: one process per usable CPU, each with at least
+    # 500 replicates.
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: calls.append(m) or fork())
+    simulate_many(NormalKnownVariance(0.2), NormalPrior(0.25, 0.3), 0.5, 30, m,
+                  [PosteriorVariance()], seed=9)
+    _assert_no_children()
+    assert len(calls) == forks
+
+
+def test_a_run_of_1000_forks_once_on_this_machine(monkeypatch):
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(0) or fork())
+    for m in (500, 1000):
+        simulate_many(NormalKnownVariance(0.2), NormalPrior(0.25, 0.3), 0.5, 30, m,
+                      [PosteriorVariance()], seed=9)
+    _assert_no_children()
+    splits = sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+    assert len(calls) == (1 if splits else 0)
+
+
+def test_runs_off_linux_stay_in_process(monkeypatch):
+    forks = _split_into(monkeypatch, 3)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    simulate_many(Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 30, [PosteriorVariance()], seed=1)
+    assert forks == []
 
 
 # ---------------------------------------------------------------------------
