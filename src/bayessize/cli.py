@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     ReplicateError,
     UnsupportedShapeError,
+    integer,
 )
 from .exact import (
     exact_bernoulli_variance,
@@ -308,9 +309,7 @@ def _cmd_eval(settings: _Settings) -> str:
     functional = _functional_object(settings)
     family = _family(settings)
     theta0 = _require(settings.theta0, "theta0")
-    n = _require(settings.n, "n")
-    if not isinstance(n, int) or n <= 0:
-        raise _UsageError(f"--n must be a positive integer, got {n!r}")
+    n = integer("--n", _require(settings.n, "n"))
     star = asymptotic_functional(functional, family, theta0, n)
     exact = _exact_value(settings, functional, theta0, n)
     if settings.format == "csv":

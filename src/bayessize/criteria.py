@@ -15,11 +15,10 @@ of ``n`` so callers can compare them with exact or simulated values.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, check_fields, finite, open_unit, positive
 from .functionals import (
     CenteredIntervalMass,
     CredibleLength,
@@ -57,18 +56,14 @@ __all__ = [
 _CEIL_SLACK = 1e-9
 
 
-def _check_range(lo: float, hi: float) -> tuple[float, float]:
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise DomainError(f"planning range must be finite with lo < hi, got [{lo}, {hi}]")
-    return lo, hi
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    return alpha
+def _check_criterion(criterion, **rules) -> None:
+    """Check the criterion's own fields by their ``rules``, and its planning
+    range ``[lo, hi]``: finite, with ``lo < hi``."""
+    check_fields(criterion, **rules, lo=finite, hi=finite)
+    if not criterion.lo < criterion.hi:
+        raise DomainError(
+            f"planning range must satisfy lo < hi, got [{criterion.lo}, {criterion.hi}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -80,13 +75,7 @@ class Apvc:
     hi: float
 
     def __post_init__(self):
-        eps = float(self.eps)
-        if not math.isfinite(eps) or eps <= 0.0:
-            raise DomainError(f"eps must be a positive finite number, got {eps!r}")
-        lo, hi = _check_range(self.lo, self.hi)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _check_criterion(self, eps=positive)
 
 
 @dataclass(frozen=True)
@@ -100,14 +89,7 @@ class Acc:
     hi: float
 
     def __post_init__(self):
-        length = float(self.length)
-        if not math.isfinite(length) or length <= 0.0:
-            raise DomainError(f"length must be a positive finite number, got {length!r}")
-        lo, hi = _check_range(self.lo, self.hi)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _check_criterion(self, length=positive, alpha=open_unit)
 
 
 @dataclass(frozen=True)
@@ -121,14 +103,7 @@ class Alc:
     hi: float
 
     def __post_init__(self):
-        length = float(self.length)
-        if not math.isfinite(length) or length <= 0.0:
-            raise DomainError(f"length must be a positive finite number, got {length!r}")
-        lo, hi = _check_range(self.lo, self.hi)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _check_criterion(self, length=positive, alpha=open_unit)
 
 
 @dataclass(frozen=True)
@@ -146,14 +121,7 @@ class EffectSize:
     hi: float
 
     def __post_init__(self):
-        theta1 = float(self.theta1)
-        if not math.isfinite(theta1):
-            raise DomainError(f"theta1 must be finite, got {theta1!r}")
-        lo, hi = _check_range(self.lo, self.hi)
-        object.__setattr__(self, "theta1", theta1)
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _check_criterion(self, theta1=finite, alpha=open_unit)
 
 
 Criterion = Union[Apvc, Acc, Alc, EffectSize]
@@ -207,20 +175,8 @@ def min_sample_size(criterion: Criterion, family: LikelihoodFamily) -> SampleSiz
     return SampleSizeResult(_ceil_snap(n_real), n_real, info)
 
 
-def _check_n(n: float) -> float:
-    try:
-        n = float(n)
-    except OverflowError:
-        raise DomainError(
-            f"sample size {n!r} exceeds the largest float {sys.float_info.max!r}"
-        ) from None
-    if not math.isfinite(n) or n <= 0.0:
-        raise DomainError(f"sample size must be positive, got {n!r}")
-    return n
-
-
 def _scaled_info(family: LikelihoodFamily, theta0: float, n: float) -> float:
-    return fisher_info(family, theta0) * _check_n(n)
+    return fisher_info(family, theta0) * positive("sample size", n)
 
 
 def asymptotic_expected_variance(
@@ -234,8 +190,7 @@ def asymptotic_centered_mass(
     family: LikelihoodFamily, theta0: float, n: float, length: float
 ) -> float:
     """Leading-order expected mass of the centred interval of ``length``."""
-    if length <= 0.0 or not math.isfinite(length):
-        raise DomainError(f"length must be a positive finite number, got {length!r}")
+    length = positive("length", length)
     ni = _scaled_info(family, theta0, n)
     return 2.0 * std_normal_cdf(0.5 * length * math.sqrt(ni)) - 1.0
 
@@ -244,7 +199,7 @@ def asymptotic_credible_length(
     family: LikelihoodFamily, theta0: float, n: float, alpha: float
 ) -> float:
     """Leading-order expected length of the central ``1 - alpha`` interval."""
-    alpha = _check_alpha(alpha)
+    alpha = open_unit("alpha", alpha)
     ni = _scaled_info(family, theta0, n)
     spread = std_normal_quantile(1.0 - 0.5 * alpha) - std_normal_quantile(0.5 * alpha)
     return spread / math.sqrt(ni)
@@ -254,7 +209,7 @@ def asymptotic_expected_quantile(
     family: LikelihoodFamily, theta0: float, n: float, alpha: float
 ) -> float:
     """Leading-order expected posterior ``alpha`` quantile."""
-    alpha = _check_alpha(alpha)
+    alpha = open_unit("alpha", alpha)
     ni = _scaled_info(family, theta0, n)
     return theta0 + std_normal_quantile(alpha) / math.sqrt(ni)
 
@@ -263,8 +218,7 @@ def asymptotic_tail_mass(
     family: LikelihoodFamily, theta0: float, n: float, theta1: float
 ) -> float:
     """Leading-order expected posterior mass above ``theta1``."""
-    if not math.isfinite(theta1):
-        raise DomainError(f"theta1 must be finite, got {theta1!r}")
+    theta1 = finite("theta1", theta1)
     ni = _scaled_info(family, theta0, n)
     return 1.0 - std_normal_cdf(math.sqrt(0.5 * ni) * (theta1 - theta0))
 
@@ -273,9 +227,7 @@ def asymptotic_hpd(
     family: LikelihoodFamily, theta0: float, n: float, level: float
 ) -> HpdInterval:
     """Leading-order highest-density interval, centred at ``theta0``."""
-    level = float(level)
-    if not math.isfinite(level) or not 0.0 < level < 1.0:
-        raise DomainError(f"credibility level must lie in (0, 1), got {level!r}")
+    level = open_unit("level", level)
     ni = _scaled_info(family, theta0, n)
     half = std_normal_quantile(0.5 * (1.0 + level)) / math.sqrt(ni)
     return HpdInterval(theta0 - half, theta0 + half, level)

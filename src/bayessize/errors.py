@@ -1,11 +1,29 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks of scalar
+arguments.
 
 The command line maps these onto exit codes: domain and configuration
 problems exit 1, an unsatisfiable criterion exits 2, and accuracy or
 shape failures exit 3.
+
+Every module checks a scalar argument by one of four rules, each of
+which returns the checked value or raises ``DomainError("{name} must
+..., got {value!r}")`` naming the argument and the value as given:
+
+- :func:`finite`: a finite float;
+- :func:`positive`: a positive, finite float;
+- :func:`open_unit`: a float strictly inside (0, 1);
+- :func:`integer`: an ``int``, not a ``bool``, of at least ``least``.
+
+A number too large for a float, such as ``10**400``, is refused by the
+three float rules as ``"{name} {value!r} exceeds the largest float
+1.7976931348623157e+308"``.  :func:`check_fields` applies them to the
+fields of a frozen dataclass.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 
 class BayesSizeError(Exception):
@@ -40,8 +58,10 @@ class AccuracyError(BayesSizeError):
 class UnsupportedShapeError(BayesSizeError):
     """The posterior shape falls outside the supported class.
 
-    Highest-density intervals are only defined here for bounded densities:
-    a shape below 1 at an edge of the support raises this.
+    Highest-density intervals are defined here for a density bounded at
+    one edge of the support at least: a monotone posterior, unbounded at
+    one edge, has the interval that ends there, and only a beta posterior
+    with both shapes below 1 raises this.
     """
 
 
@@ -62,3 +82,50 @@ class ReplicateError(BayesSizeError):
         super().__init__(f"replicate {index} failed: {cause}{details}")
         self.index, self.cause, self.seed, self.stream_id = index, cause, seed, stream_id
         self.family, self.prior, self.stat, self.functional = family, prior, stat, functional
+
+
+def _float(name: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(
+            f"{name} {value!r} exceeds the largest float {sys.float_info.max!r}"
+        ) from None
+
+
+def finite(name: str, value) -> float:
+    """``value`` as a float, refused unless finite."""
+    x = _float(name, value)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def positive(name: str, value) -> float:
+    """``value`` as a float, refused unless positive and finite."""
+    x = _float(name, value)
+    if not 0.0 < x < math.inf:  # NaN fails both comparisons
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return x
+
+
+def open_unit(name: str, value) -> float:
+    """``value`` as a float, refused unless strictly inside (0, 1)."""
+    x = _float(name, value)
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+    return x
+
+
+def integer(name: str, value, least: int = 1) -> int:
+    """``value``, refused unless an ``int`` (not a ``bool``) of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def check_fields(obj, **rules) -> None:
+    """Replace each named field of the frozen dataclass ``obj`` by its value
+    checked under its rule, e.g. ``check_fields(self, a=positive)``."""
+    for name, rule in rules.items():
+        object.__setattr__(obj, name, rule(name, getattr(obj, name)))

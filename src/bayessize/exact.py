@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigurationError, DomainError
+from .errors import (
+    AccuracyError,
+    ConfigurationError,
+    DomainError,
+    finite,
+    integer,
+    open_unit,
+    positive,
+)
 from .functionals import (
     CredibleLength,
     Functional,
@@ -27,7 +35,7 @@ from .functionals import (
     TailMassAbove,
     evaluate,
 )
-from .models import BetaPrior, ExponentialRate, SufficientStat, _finite, _positive, posterior
+from .models import BetaPrior, ExponentialRate, SufficientStat, posterior
 from .specfun import std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -70,11 +78,8 @@ class ExactEval:
 
 
 def _normal_setup(sigma2, mu0, tau2, theta0, n):
-    sigma2 = _positive("sigma2", sigma2)
-    tau2 = _positive("tau2", tau2)
-    mu0 = _finite("mu0", mu0)
-    theta0 = _finite("theta0", theta0)
-    n = _positive("n", n)
+    sigma2, tau2 = positive("sigma2", sigma2), positive("tau2", tau2)
+    mu0, theta0, n = finite("mu0", mu0), finite("theta0", theta0), positive("n", n)
     shrink = sigma2 / (n * tau2)
     post_var = sigma2 * tau2 / (n * tau2 + sigma2)
     return sigma2, mu0, tau2, theta0, n, shrink, post_var
@@ -144,7 +149,7 @@ def normal_tail_mass_convolution(
     sigma2, mu0, tau2, theta0, n, shrink, post_var = _normal_setup(
         sigma2, mu0, tau2, theta0, n
     )
-    theta1 = _finite("theta1", theta1)
+    theta1 = finite("theta1", theta1)
     mean, var = _normal_mean_law(sigma2, mu0, tau2, theta0, n)
     return 1.0 - std_normal_cdf((theta1 - mean) / math.sqrt(post_var + var))
 
@@ -189,37 +194,21 @@ def normal_expected_density_sq_at_truth(
 def exact_poisson_variance(a: float, b: float, theta0: float, n: float) -> ExactEval:
     """Expected posterior variance for Poisson counts under a gamma prior
     with rate ``a`` and shape ``b``: ``(b + n theta0) / (a + n)^2``."""
-    a = _positive("a", a)
-    b = _positive("b", b)
-    theta0 = _positive("theta0", theta0)
-    n = _positive("n", n)
+    a, b = positive("a", a), positive("b", b)
+    theta0, n = positive("theta0", theta0), positive("n", n)
     return ExactEval((b + n * theta0) / (a + n) ** 2, "closed_form")
 
 
 def exact_bernoulli_variance(theta0: float, n: float) -> ExactEval:
     """Expected posterior variance for Bernoulli trials under the uniform
     prior, a rational function of ``n`` and ``theta0``."""
-    theta0 = float(theta0)
-    if not 0.0 < theta0 < 1.0:
-        raise DomainError(f"theta0 must lie strictly inside (0, 1), got {theta0!r}")
-    n = _positive("n", n)
+    theta0, n = open_unit("theta0", theta0), positive("n", n)
     numer = n * n * theta0 - n * theta0 - n * (n - 1.0) * theta0 * theta0 + n + 1.0
     return ExactEval(numer / ((n + 2.0) ** 2 * (n + 3.0)), "closed_form")
 
 
 # ---------------------------------------------------------------------------
 # Exponential-rate observations, beta prior: quadrature oracle
-
-
-def _check_expbeta_args(theta0: float, n: int, prior: BetaPrior):
-    theta0 = float(theta0)
-    if not 0.0 < theta0 <= 1.0:
-        raise DomainError(f"theta0 must lie in (0, 1] for the rate study, got {theta0!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise DomainError(f"sample size must be a positive integer, got {n!r}")
-    if not isinstance(prior, BetaPrior):
-        raise ConfigurationError(f"the rate study needs a beta prior, got {prior!r}")
-    return theta0, n
 
 
 def expbeta_expected_many(
@@ -244,7 +233,11 @@ def expbeta_expected_many(
     1e-5; past ``h = 0.1`` (points 0.05 apart) it raises
     ``AccuracyError``.
     """
-    theta0, n = _check_expbeta_args(theta0, n, prior)
+    theta0, n = positive("theta0", theta0), integer("n", n)
+    if theta0 > 1.0:
+        raise DomainError(f"theta0 must lie in (0, 1] for the rate study, got {theta0!r}")
+    if not isinstance(prior, BetaPrior):
+        raise ConfigurationError(f"the rate study needs a beta prior, got {prior!r}")
     if not functionals:
         raise DomainError("at least one functional is required")
 

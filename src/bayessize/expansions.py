@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .criteria import _check_n, asymptotic_expected_quantile
-from .errors import DomainError
+from .criteria import asymptotic_expected_quantile
+from .errors import integer, positive
 from .models import LikelihoodFamily, fisher_info
 from .specfun import (
     expect_half_variance,
@@ -44,18 +44,6 @@ class ExpansionTerm:
     description: str
 
 
-def _checked_info(family: LikelihoodFamily, theta0: float, n: float) -> float:
-    info = fisher_info(family, theta0)
-    _check_n(n)
-    return info
-
-
-def _check_order(order: int) -> int:
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise DomainError(f"order must be a positive integer, got {order!r}")
-    return order
-
-
 def expected_posterior_moment(
     family: LikelihoodFamily, theta0: float, n: float, order: int
 ) -> float:
@@ -73,9 +61,10 @@ def posterior_moment_term(
     family: LikelihoodFamily, theta0: float, n: float, order: int
 ) -> ExpansionTerm:
     """Same as :func:`expected_posterior_moment`, with the order label and caveats attached."""
-    order = _check_order(order)
-    info = _checked_info(family, theta0, n)
-    value = normal_abs_moment(order) / (float(n) * info) ** (0.5 * order)
+    order = integer("order", order)
+    info = fisher_info(family, theta0)
+    n = positive("sample size", n)
+    value = normal_abs_moment(order) / (n * info) ** (0.5 * order)
     note = "leading centered posterior moment"
     if order % 2 == 1:
         note += "; odd order: even-order coefficient formula extrapolated, indicative only"
@@ -100,9 +89,10 @@ def expected_density_at_truth(
     For a ``dim``-parameter model with information determinant equal to
     the scalar information this is ``(n / (4 pi))^(dim/2) * sqrt(I)``.
     """
-    dim = _check_order(dim)
-    info = _checked_info(family, theta0, n)
-    return (float(n) / _FOUR_PI) ** (0.5 * dim) * math.sqrt(info)
+    dim = integer("dim", dim)
+    info = fisher_info(family, theta0)
+    n = positive("sample size", n)
+    return (n / _FOUR_PI) ** (0.5 * dim) * math.sqrt(info)
 
 
 def expected_density_sq_at_truth(
@@ -110,9 +100,10 @@ def expected_density_sq_at_truth(
 ) -> float:
     """Leading term of the expected squared posterior density at ``theta0``,
     ``n^dim * I / (3^(dim/2) (2 pi)^dim)``."""
-    dim = _check_order(dim)
-    info = _checked_info(family, theta0, n)
-    return float(n) ** dim * info / (3.0 ** (0.5 * dim) * (2.0 * math.pi) ** dim)
+    dim = integer("dim", dim)
+    info = fisher_info(family, theta0)
+    n = positive("sample size", n)
+    return n ** dim * info / (3.0 ** (0.5 * dim) * (2.0 * math.pi) ** dim)
 
 
 def expected_cdf_derivative_leading(
@@ -130,11 +121,12 @@ def expected_cdf_derivative_leading(
     At order 1 this reproduces the expected-density leading term; at
     order 2 the polynomial is odd and the term vanishes.
     """
-    order = _check_order(order)
-    info = _checked_info(family, theta0, n)
+    order = integer("order", order)
+    info = fisher_info(family, theta0)
+    n = positive("sample size", n)
     poly = hermite_poly(order - 1, info)
     value = (
-        float(n) ** (0.5 * order)
+        n ** (0.5 * order)
         * math.sqrt(info / _FOUR_PI)
         * expect_half_variance(poly)
     )

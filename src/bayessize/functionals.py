@@ -9,11 +9,10 @@ hashable and printable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, check_fields, finite, open_unit, positive
 
 
 class _OpenUnit:
@@ -21,10 +20,7 @@ class _OpenUnit:
 
     def __post_init__(self):
         (name,) = self.__dataclass_fields__
-        x = float(getattr(self, name))
-        if not math.isfinite(x) or not 0.0 < x < 1.0:
-            raise DomainError(f"{name} must lie strictly inside (0, 1), got {x!r}")
-        object.__setattr__(self, name, x)
+        check_fields(self, **{name: open_unit})
 
 
 @dataclass(frozen=True)
@@ -77,10 +73,7 @@ class CenteredIntervalMass:
     length: float
 
     def __post_init__(self):
-        length = float(self.length)
-        if not math.isfinite(length) or length <= 0.0:
-            raise DomainError(f"length must be a positive finite number, got {length!r}")
-        object.__setattr__(self, "length", length)
+        check_fields(self, length=positive)
 
 
 @dataclass(frozen=True)
@@ -90,10 +83,7 @@ class TailMassAbove:
     theta1: float
 
     def __post_init__(self):
-        theta1 = float(self.theta1)
-        if not math.isfinite(theta1):
-            raise DomainError(f"theta1 must be finite, got {theta1!r}")
-        object.__setattr__(self, "theta1", theta1)
+        check_fields(self, theta1=finite)
 
 
 Functional = Union[

@@ -18,7 +18,8 @@ exponential-rate posterior's CDF and quantiles are its grid's trapezoid
 rule, but its log density is closed form.  Where bounded, all three
 densities are unimodal, and each highest-density interval is one Newton
 root in both ends: equal closed-form densities and mass ``level`` under
-the posterior's own CDF.
+the posterior's own CDF.  A density unbounded at one edge is monotone,
+and its interval ends at that edge: ``[0, Q(level)]`` or ``[Q(1 - level), 1]``.
 
 Posterior objects are immutable once constructed and safe to share
 across threads.  All numeric posterior summaries (quantiles, interval
@@ -42,6 +43,11 @@ from .errors import (
     CriterionUnsatisfiableError,
     DomainError,
     UnsupportedShapeError,
+    check_fields,
+    finite,
+    integer,
+    open_unit,
+    positive,
 )
 from .specfun import (
     beta_i,
@@ -81,20 +87,6 @@ GRID_NODES = 4096
 _TINY = float(np.finfo(float).tiny)
 
 
-def _positive(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{name} must be a positive finite number, got {x!r}")
-    return x
-
-
-def _finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Likelihood families
 
@@ -106,7 +98,7 @@ class NormalKnownVariance:
     sigma2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma2", _positive("sigma2", self.sigma2))
+        check_fields(self, sigma2=positive)
 
 
 @dataclass(frozen=True)
@@ -196,8 +188,7 @@ def inf_weighted_info(
     Raises ``CriterionUnsatisfiableError`` when the infimum is zero,
     which happens exactly when ``theta1`` lies inside the planning range.
     """
-    lo = _finite("range lower end", lo)
-    hi = _finite("range upper end", hi)
+    lo, hi = finite("lo", lo), finite("hi", hi)
     if not lo < hi:
         raise DomainError(f"planning range must satisfy lo < hi, got [{lo}, {hi}]")
     if not (in_domain(family, lo) and in_domain(family, hi)):
@@ -205,7 +196,7 @@ def inf_weighted_info(
             f"planning range [{lo}, {hi}] must sit inside the domain of {family!r}"
         )
     if theta1 is not None:
-        theta1 = _finite("theta1", theta1)
+        theta1 = finite("theta1", theta1)
         if lo <= theta1 <= hi:
             raise CriterionUnsatisfiableError(
                 f"alternative {theta1!r} lies inside the planning range; the "
@@ -242,8 +233,7 @@ class NormalPrior:
     tau2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mu0", _finite("mu0", self.mu0))
-        object.__setattr__(self, "tau2", _positive("tau2", self.tau2))
+        check_fields(self, mu0=finite, tau2=positive)
 
 
 @dataclass(frozen=True)
@@ -260,8 +250,7 @@ class GammaPrior:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _positive("a", self.a))
-        object.__setattr__(self, "b", _positive("b", self.b))
+        check_fields(self, a=positive, b=positive)
 
 
 @dataclass(frozen=True)
@@ -272,8 +261,7 @@ class BetaPrior:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _positive("a", self.a))
-        object.__setattr__(self, "b", _positive("b", self.b))
+        check_fields(self, a=positive, b=positive)
 
 
 @dataclass(frozen=True)
@@ -288,9 +276,7 @@ class SufficientStat:
     s: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n <= 0:
-            raise DomainError(f"sample size must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "s", _finite("s", self.s))
+        check_fields(self, n=integer, s=finite)
 
 
 def sample_suffstat(
@@ -323,8 +309,7 @@ def suffstat_sampler(
     draws, as a float-valued function of ``rng``, with ``n`` and ``theta0``
     checked once for every draw it makes.  ``SufficientStat(n, s)`` checks
     the draw itself."""
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise DomainError(f"sample size must be a positive integer, got {n!r}")
+    integer("n", n)
     if not in_domain(family, theta0):
         raise DomainError(f"theta0 {theta0!r} lies outside the domain of {family!r}")
     if n > _FLOAT_MAX_N and not isinstance(family, Bernoulli):
@@ -362,20 +347,6 @@ class HpdInterval:
     mass: float
 
 
-def _check_prob(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
-        raise DomainError(f"probability must lie strictly inside (0, 1), got {alpha!r}")
-    return alpha
-
-
-def _check_level(level: float) -> float:
-    level = float(level)
-    if not math.isfinite(level) or not 0.0 < level < 1.0:
-        raise DomainError(f"credibility level must lie in (0, 1), got {level!r}")
-    return level
-
-
 # ---------------------------------------------------------------------------
 # Posterior families
 
@@ -388,10 +359,7 @@ class NormalPosterior:
     variance_value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_value", _finite("mean", self.mean_value))
-        object.__setattr__(
-            self, "variance_value", _positive("variance", self.variance_value)
-        )
+        check_fields(self, mean_value=finite, variance_value=positive)
 
     @property
     def sd(self) -> float:
@@ -404,7 +372,7 @@ class NormalPosterior:
         return self.variance_value
 
     def quantile(self, alpha: float) -> float:
-        return self.mean_value + self.sd * std_normal_quantile(_check_prob(alpha))
+        return self.mean_value + self.sd * std_normal_quantile(open_unit("alpha", alpha))
 
     def cdf(self, x: float) -> float:
         if math.isnan(x):
@@ -423,12 +391,12 @@ class NormalPosterior:
         return max(upper - lower, 0.0)
 
     def hpd(self, level: float) -> HpdInterval:
-        level = _check_level(level)
+        level = open_unit("level", level)
         half = self.sd * std_normal_quantile(0.5 * (1.0 + level))
         return HpdInterval(self.mean_value - half, self.mean_value + half, level)
 
     def prob_above(self, theta1: float) -> float:
-        theta1 = _finite("theta1", theta1)
+        theta1 = finite("theta1", theta1)
         return 1.0 - std_normal_cdf((theta1 - self.mean_value) / self.sd)
 
 
@@ -466,7 +434,7 @@ class _NumericPosterior:
         ``AccuracyError``.  The last Newton correction, below 1e-12 of the
         point, is applied: the HPD's equal-density ends need it.
         """
-        p = _check_prob(alpha)
+        p = open_unit("alpha", alpha)
         lo, hi = 0.0, self._hi
         x = min(max(self._guess(p), 1e-300), hi * (1.0 - 2.0**-52))
         for _ in range(100):
@@ -497,7 +465,7 @@ class _NumericPosterior:
         return max(self.cdf(hi) - self.cdf(lo), 0.0)
 
     def prob_above(self, theta1: float) -> float:
-        return 1.0 - self.cdf(_finite("theta1", theta1))
+        return 1.0 - self.cdf(finite("theta1", theta1))
 
     @cached_property
     def _hpd_cache(self) -> dict[float, HpdInterval]:
@@ -507,7 +475,7 @@ class _NumericPosterior:
     def hpd(self, level: float) -> HpdInterval:
         """Highest-density interval: the shortest one of mass ``level``,
         found by ``_hpd`` once per level and then kept."""
-        level = _check_level(level)
+        level = open_unit("level", level)
         cached = self._hpd_cache.get(level)
         if cached is None:
             cached = self._hpd_cache[level] = self._hpd(level)
@@ -517,13 +485,14 @@ class _NumericPosterior:
         """The interval's ends have equal densities (Hyndman 1996; Chen and
         Shao 1999) and are found by ``_hpd_ends``.  The mass is never below
         ``level``: the ends are widened by ulps until it is reached.  A
-        shape below 1 makes the density unbounded at an edge and raises
-        ``UnsupportedShapeError``.
+        density unbounded at one edge, a shape below 1 there, is monotone
+        and its interval ends at that edge; one unbounded at both edges
+        raises ``UnsupportedShapeError``.
         """
-        if min(self._edge_shapes) < 1.0:
+        if max(self._edge_shapes) < 1.0:
             raise UnsupportedShapeError(
-                "highest-density intervals need a bounded density; "
-                f"{self!r} is unbounded at an edge of its support"
+                "highest-density intervals need a density bounded at one edge; "
+                f"{self!r} is unbounded at both edges of its support"
             )
         lo, hi = self._hpd_ends(level)
         mass = self.cdf(hi) - self.cdf(lo)
@@ -601,8 +570,7 @@ class GammaPosterior(_NumericPosterior):
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", _positive("shape", self.shape))
-        object.__setattr__(self, "rate", _positive("rate", self.rate))
+        check_fields(self, shape=positive, rate=positive)
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -670,8 +638,7 @@ class BetaPosterior(_NumericPosterior):
     _hi = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _positive("a", self.a))
-        object.__setattr__(self, "b", _positive("b", self.b))
+        check_fields(self, a=positive, b=positive)
 
     def mean(self) -> float:
         return self.a / (self.a + self.b)
@@ -828,7 +795,7 @@ class GridPosterior(_NumericPosterior):
 
     def quantile(self, alpha: float) -> float:
         """Leftmost point where the trapezoid CDF reaches ``alpha``."""
-        p = _check_prob(alpha)
+        p = open_unit("alpha", alpha)
         d, cdf = self.density.item, self._node_cdf
         j = int(cdf.searchsorted(p)) - 1  # the segment that reaches p
         gain = p - cdf.item(j)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ReplicateError
+from .errors import DomainError, ReplicateError, integer
 from .functionals import Functional, evaluate
 from .models import LikelihoodFamily, SufficientStat, posterior, suffstat_sampler
 from .randomness import SeededGenerator
@@ -46,14 +46,6 @@ class MonteCarloEstimate:
     std_err: float
     replicates: int
     seed: int
-
-
-def _check_counts(n: int, m: int):
-    # The seed is checked by SeededGenerator.streams, before the first replicate.
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise DomainError(f"sample size must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise DomainError(f"replicate count must be an integer >= 2, got {m!r}")
 
 
 # Fewest replicates a process is given: a fork costs about as much as 500
@@ -149,7 +141,8 @@ def simulate_many(
     child failed is redone in this process, so the first failing
     replicate raises the same ``ReplicateError`` as a serial run.
     """
-    _check_counts(n, m)
+    integer("n", n)
+    integer("m", m, 2)  # the seed is checked by SeededGenerator.streams
     if not functionals:
         raise DomainError("at least one functional is required")
     processes = _process_count(m)

@@ -25,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 __all__ = ["SeededGenerator"]
 
@@ -40,8 +40,9 @@ _POOL_SIZE = 4
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    # The seed enters numpy's seed-sequence hash as one uint64 lane.
+    if integer("seed", seed, 0) >= 2**64:
+        raise DomainError(f"seed must be below 2^64, got {seed!r}")
 
 
 class SeededGenerator:
@@ -54,8 +55,7 @@ class SeededGenerator:
 
     def __init__(self, seed: int, stream_id: int = 0):
         _check_seed(seed)
-        if not isinstance(stream_id, int) or isinstance(stream_id, bool) or stream_id < 0:
-            raise DomainError(f"stream_id must be a nonnegative integer, got {stream_id!r}")
+        integer("stream_id", stream_id, 0)
         self.seed = seed
         self.stream_id = stream_id
         self.generator = np.random.default_rng([seed, stream_id])
@@ -69,10 +69,8 @@ class SeededGenerator:
         stream is built per step, so only the caller's streams stay alive.
         """
         _check_seed(seed)
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-            raise DomainError(f"stream count must be a nonnegative integer, got {m!r}")
-        if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start <= m:
-            raise DomainError(f"first stream must be an integer in [0, {m}], got {start!r}")
+        if integer("start", start, 0) > integer("m", m, 0):
+            raise DomainError(f"start must be at most m = {m}, got {start!r}")
         return cls._from_words(seed, start, _seed_words(seed, start, m))
 
     @classmethod

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, finite, open_unit, positive
 
 __all__ = [
     "Polynomial",
@@ -39,13 +39,6 @@ _EPS = 2.220446049250313e-16
 _TINY = 1e-300  # Lentz's guard against a zero denominator
 
 
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """A real polynomial stored densely by ascending power.
@@ -58,10 +51,7 @@ class Polynomial:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        for c in coeffs:
-            if not math.isfinite(c):
-                raise DomainError(f"polynomial coefficient must be finite, got {c!r}")
+        coeffs = tuple(finite("polynomial coefficient", c) for c in self.coefficients)
         while coeffs and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -107,19 +97,19 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     def scale(self, factor: float) -> "Polynomial":
-        factor = _require_finite("scale factor", factor)
+        factor = finite("scale factor", factor)
         return Polynomial(tuple(factor * c for c in self.coefficients))
 
 
 def std_normal_pdf(x: float) -> float:
     """Standard normal density at ``x``."""
-    x = _require_finite("x", x)
+    x = finite("x", x)
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def std_normal_cdf(x: float) -> float:
     """Standard normal distribution function, accurate to machine precision."""
-    x = _require_finite("x", x)
+    x = finite("x", x)
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
@@ -129,10 +119,7 @@ def std_normal_quantile(p: float) -> float:
     Wichura's AS241 rational approximations (``statistics.NormalDist``),
     accurate to about 1e-16 relative over the whole domain.
     """
-    p = _require_finite("p", p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie strictly inside (0, 1), got {p!r}")
-    return _STD_NORMAL.inv_cdf(p)
+    return _STD_NORMAL.inv_cdf(open_unit("p", p))
 
 
 def _max_terms(shape: float) -> int:
@@ -156,9 +143,9 @@ def gamma_p(a: float, x: float, log_norm: float | None = None) -> float:
     caller holds it.  Raises ``AccuracyError`` if the expansion has not
     converged at its term cap.
     """
-    a, x = _require_finite("a", a), _require_finite("x", x)
-    if a <= 0.0 or x < 0.0:
-        raise DomainError(f"gamma_p needs a > 0 and x >= 0, got a={a!r}, x={x!r}")
+    a, x = positive("a", a), finite("x", x)
+    if x < 0.0:
+        raise DomainError(f"gamma_p needs x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
     if log_norm is None:
@@ -230,11 +217,9 @@ def beta_i(a: float, b: float, x: float, log_norm: float | None = None) -> float
     ``log_norm = beta_log_norm(a, b)`` when a caller holds it.  Raises
     ``AccuracyError`` if the fraction has not converged at its term cap.
     """
-    a, b, x = _require_finite("a", a), _require_finite("b", b), _require_finite("x", x)
-    if a <= 0.0 or b <= 0.0 or not 0.0 <= x <= 1.0:
-        raise DomainError(
-            f"beta_i needs a, b > 0 and 0 <= x <= 1, got a={a!r}, b={b!r}, x={x!r}"
-        )
+    a, b, x = positive("a", a), positive("b", b), finite("x", x)
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"beta_i needs 0 <= x <= 1, got {x!r}")
     if x == 0.0 or x == 1.0:
         return x
     if log_norm is None:
@@ -271,7 +256,7 @@ def normal_abs_moment(order: float) -> float:
     reproduce :func:`normal_moment` bit for bit; fractional orders go
     through the gamma-function form.
     """
-    order = _require_finite("order", order)
+    order = finite("order", order)
     if order < 0:
         raise DomainError(f"absolute moment order must be nonnegative, got {order!r}")
     if order == int(order):
@@ -295,9 +280,7 @@ def hermite_poly(order: int, info: float) -> Polynomial:
     """
     if order < 0 or order != int(order):
         raise DomainError(f"order must be a nonnegative integer, got {order!r}")
-    info = _require_finite("info", info)
-    if info <= 0.0:
-        raise DomainError(f"information must be positive, got {info!r}")
+    info = positive("info", info)
     minus_iv = Polynomial.of(0.0, -info)
     h = Polynomial.of(1.0)
     for _ in range(int(order)):

@@ -900,11 +900,32 @@ def test_gamma_hpd_is_exact():
     assert 1.0 - dist.cdf(box.hi) > dist.cdf(box.lo)
 
 
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.95])
+@pytest.mark.parametrize(
+    "post",
+    [GammaPosterior(0.5, 3.0), GammaPosterior(0.7, 1.0), BetaPosterior(0.5, 5.5),
+     BetaPosterior(5.5, 0.5), BetaPosterior(0.5, 1.0), BetaPosterior(0.8, 2.0)],
+)
+def test_hpd_of_a_monotone_density_ends_at_its_pole(post, level):
+    # A shape below 1 at one edge makes the density unbounded there and
+    # monotone, so the shortest interval of mass `level` ends at that edge.
+    box, dist = post.hpd(level), _law(post)
+    if isinstance(post, BetaPosterior) and post.b < 1.0:
+        assert box.hi == 1.0
+        assert box.lo == pytest.approx(dist.ppf(1.0 - level), rel=1e-14)
+    else:
+        assert box.lo == 0.0
+        assert box.hi == pytest.approx(dist.ppf(level), rel=1e-14)
+    assert level <= box.mass <= level + 1e-12
+    assert dist.cdf(box.hi) - dist.cdf(box.lo) == pytest.approx(level, abs=1e-12)
+
+
 def test_hpd_rejects_unbounded_densities():
+    # Unbounded at both edges: U-shaped, with no interval of highest density.
+    with pytest.raises(UnsupportedShapeError, match="both edges"):
+        BetaPosterior(0.5, 0.5).hpd(0.9)
     with pytest.raises(UnsupportedShapeError):
-        GammaPosterior(0.7, 1.0).hpd(0.9)
-    with pytest.raises(UnsupportedShapeError):
-        BetaPosterior(0.8, 2.0).hpd(0.9)
+        BetaPosterior(0.8, 0.9).hpd(0.5)
 
 
 def _law(post):

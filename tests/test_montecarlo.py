@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from bayessize import montecarlo
-from bayessize.errors import DomainError, ReplicateError
+from bayessize.errors import DomainError, ReplicateError, UnsupportedShapeError
 from bayessize.exact import exact_normal, expbeta_expected, expbeta_expected_many
 from bayessize.functionals import (
     CenteredIntervalMass,
@@ -35,6 +35,7 @@ from bayessize.models import (
     Bernoulli,
     BetaPrior,
     ExponentialRate,
+    GammaPosterior,
     GammaPrior,
     NormalKnownVariance,
     NormalPrior,
@@ -477,6 +478,19 @@ def test_split_runs_equal_the_serial_run_bit_for_bit(
     assert repr(split) == repr(serial) == repr(_replay(family, prior, theta0, n, m, functionals, 4))
 
 
+def _refuse_hpd_at_a_pole(monkeypatch):
+    """Make ``simulate_many`` fail where HPD functionals once refused: on a
+    posterior with a shape below 1, unbounded at an edge.  The patch is in
+    place before any fork, so every child inherits it."""
+
+    def evaluate_or_refuse(functional, post):
+        if isinstance(functional, HpdWidth) and min(getattr(post, "_edge_shapes", [1.0])) < 1.0:
+            raise UnsupportedShapeError(f"{post!r} is unbounded at an edge of its support")
+        return evaluate(functional, post)
+
+    monkeypatch.setattr(montecarlo, "evaluate", evaluate_or_refuse)
+
+
 def _serial_failure(*args, **kwargs):
     with pytest.raises(ReplicateError) as err:
         simulate_many(*args, **kwargs)
@@ -490,9 +504,10 @@ def _same_failure(a, b):
 
 
 def test_first_failure_in_a_child_range_raises_the_serial_error(monkeypatch):
-    # Totals 0 and 5 have no HPD interval under Beta(0.5, 0.5).  The run is
-    # sized so that the first of them falls in the first child's range, and
-    # the parent's range holds none.
+    # Totals 0 and 5 under Beta(0.5, 0.5) give a posterior with a pole, whose
+    # HPD is refused here.  The run is sized so that the first of them falls
+    # in the first child's range, and the parent's range holds none.
+    _refuse_hpd_at_a_pole(monkeypatch)
     family, prior = Bernoulli(), BetaPrior(0.5, 0.5)
     totals = _totals(family, 0.5, 5, 400, 7)
     first = next(j for j, total in enumerate(totals) if total in (0.0, 5.0))
@@ -511,6 +526,7 @@ def test_first_failure_in_a_child_range_raises_the_serial_error(monkeypatch):
 def test_failure_in_the_parent_range_kills_and_reaps_every_child(monkeypatch):
     # Every replicate fails: the parent raises at replicate 0 and kills its
     # children, which would otherwise stall for a minute each.
+    _refuse_hpd_at_a_pole(monkeypatch)
     args = (Poisson(), GammaPrior(1.0, 0.5), 1e-12, 3, 30, [PosteriorVariance(), HpdWidth(0.95)])
     serial = _serial_failure(*args, seed=11)
     parent = os.getpid()
@@ -612,9 +628,10 @@ def test_runs_off_linux_stay_in_process(monkeypatch):
 # failure reporting
 
 
-def test_replicate_failure_carries_index_and_cause():
+def test_replicate_failure_carries_index_and_cause(monkeypatch):
     # a tiny rate makes every count zero; the resulting gamma posterior
-    # has shape below one, whose density has no interior mode to cut
+    # has shape below one, whose HPD is refused here
+    _refuse_hpd_at_a_pole(monkeypatch)
     with pytest.raises(ReplicateError) as err:
         simulate_g(
             Poisson(), GammaPrior(1.0, 0.5), 1e-12, 3, 5, HpdWidth(0.95), seed=1
@@ -623,7 +640,8 @@ def test_replicate_failure_carries_index_and_cause():
     assert err.value.cause is not None
 
 
-def test_replicate_failure_replays_from_its_record():
+def test_replicate_failure_replays_from_its_record(monkeypatch):
+    _refuse_hpd_at_a_pole(monkeypatch)
     family, prior = Poisson(), GammaPrior(1.0, 0.5)
     functionals = [PosteriorVariance(), HpdWidth(0.95)]
     with pytest.raises(ReplicateError) as err:
@@ -635,14 +653,15 @@ def test_replicate_failure_replays_from_its_record():
     for field in ("seed 11", "stream 0", repr(family), repr(prior), repr(exc.stat),
                   repr(exc.functional)):
         assert field in str(exc)
-    with pytest.raises(type(exc.cause)) as again:
-        evaluate(exc.functional, posterior(exc.family, exc.prior, exc.stat))
+    with pytest.raises(type(exc.cause)) as again:  # through the run's own evaluate
+        montecarlo.evaluate(exc.functional, posterior(exc.family, exc.prior, exc.stat))
     assert str(again.value) == str(exc.cause)
 
 
-def test_replicate_failure_after_shared_evaluations_names_the_first_failure():
-    # Totals 0 and 5 give a beta posterior unbounded at an edge, which has
-    # no HPD interval; totals in 1..4 evaluate, and repeat.
+def test_replicate_failure_after_shared_evaluations_names_the_first_failure(monkeypatch):
+    # Totals 0 and 5 give a beta posterior unbounded at an edge, whose HPD
+    # is refused here; totals in 1..4 evaluate, and repeat.
+    _refuse_hpd_at_a_pole(monkeypatch)
     family, prior = Bernoulli(), BetaPrior(0.5, 0.5)
     totals = _totals(family, 0.5, 5, 200, 7)
     first = next(j for j, total in enumerate(totals) if total in (0.0, 5.0))
@@ -653,6 +672,18 @@ def test_replicate_failure_after_shared_evaluations_names_the_first_failure():
     assert (exc.index, exc.stream_id, exc.seed) == (first, first, 7)
     assert exc.stat == SufficientStat(5, totals[first])
     assert exc.functional == HpdWidth(0.95)
+
+
+def test_hpd_of_posteriors_with_a_pole_is_estimated():
+    # At a tiny rate every count is zero, and every posterior Gamma(0.5, 4):
+    # unbounded at 0, with HPD [0, Q(0.95)].
+    est = simulate_g(Poisson(), GammaPrior(1.0, 0.5), 1e-12, 3, 5, HpdWidth(0.95), seed=1)
+    assert est.mean == pytest.approx(GammaPosterior(0.5, 4.0).quantile(0.95), rel=1e-14)
+    assert est.std_err == 0.0
+    # Totals 0 and 5 give Beta(0.5, 5.5) and Beta(5.5, 0.5) among the rest.
+    args = (Bernoulli(), BetaPrior(0.5, 0.5), 0.5, 5, 200, [PosteriorVariance(), HpdWidth(0.95)])
+    assert {0.0, 5.0} <= set(_totals(Bernoulli(), 0.5, 5, 200, 7))
+    assert repr(simulate_many(*args, seed=7)) == repr(_replay(*args, 7))
 
 
 def test_replicate_failure_in_the_draw_has_no_stat():
