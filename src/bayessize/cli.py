@@ -14,7 +14,6 @@ import argparse
 import functools
 import secrets
 import sys
-from dataclasses import dataclass
 
 from .criteria import (
     Acc,
@@ -34,6 +33,7 @@ from .errors import (
     integer,
 )
 from .exact import (
+    RATE_PRIOR,
     exact_bernoulli_variance,
     exact_normal,
     exact_poisson_variance,
@@ -59,6 +59,7 @@ from .models import (
 )
 from .montecarlo import simulate_g
 from .tables import (
+    DEFAULT_ALPHA,
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
     TableRow,
@@ -88,17 +89,19 @@ _OPTIONS: dict[str, dict] = {
     **{key: {"type": float}
        for key in ("sigma2", "mu0", "tau2", "a", "b", "eps", "len", "alpha", "theta1", "theta0")},
     "criterion": {"choices": ("apvc", "acc", "alc", "alc-quantile", "es")},
-    "range": {"dest": "range_", "metavar": "LO:HI"},
+    "range": {"metavar": "LO:HI"},
     **{key: {"type": int} for key in ("n", "m", "seed")},
     "format": {"choices": ("text", "csv")},
     "out": {},
-    "fresh-seed": {"dest": "fresh_seed", "action": "store_const", "const": True},
+    "fresh-seed": {"action": "store_const", "const": True},
+}
+# What an option holds when neither a flag nor the config file gives it; any
+# other option holds None.
+_DEFAULTS = {
+    "alpha": DEFAULT_ALPHA, "m": DEFAULT_REPLICATES, "seed": DEFAULT_SEED,
+    "format": "text", "fresh_seed": False,
 }
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _dest(key: str) -> str:
-    return _OPTIONS[key].get("dest", key)
 
 
 def _add_options(sub: argparse.ArgumentParser):
@@ -156,44 +159,20 @@ def _coerce(key: str, raw: str):
     return value
 
 
-@dataclass
-class _Settings:
-    command: str
-    which: int | None
-    model: str | None = None
-    sigma2: float | None = None
-    mu0: float | None = None
-    tau2: float | None = None
-    a: float | None = None
-    b: float | None = None
-    criterion: str | None = None
-    eps: float | None = None
-    len: float | None = None
-    alpha: float = 0.05
-    theta1: float | None = None
-    theta0: float | None = None
-    range_: str | None = None
-    n: int | None = None
-    m: int = DEFAULT_REPLICATES
-    seed: int = DEFAULT_SEED
-    format: str = "text"
-    out: str | None = None
-    fresh_seed: bool = False
-
-
-def _merge(args: argparse.Namespace) -> _Settings:
-    """Flag values win over config-file values win over defaults."""
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill ``args`` in place: a flag wins over a config-file value, which
+    wins over ``_DEFAULTS``."""
     config = _parse_config_file(args.config) if args.config else {}
-    merged: dict[str, object] = {}
     for key, raw in config.items():
-        merged[_dest(key)] = _coerce(key, raw)
-    for key in _OPTIONS:
-        flag_value = getattr(args, _dest(key))
-        if flag_value is not None:
-            merged[_dest(key)] = flag_value
-    if merged.get("fresh_seed", False):
-        merged["seed"] = secrets.randbits(63)
-    return _Settings(args.command, getattr(args, "which", None), **merged)
+        value, dest = _coerce(key, raw), key.replace("-", "_")  # argparse's dest for --key
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    for dest, value in _DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    if args.fresh_seed:
+        args.seed = secrets.randbits(63)
+    return args
 
 
 def _require(value, flag: str):
@@ -202,7 +181,7 @@ def _require(value, flag: str):
     return value
 
 
-def _family(settings: _Settings) -> LikelihoodFamily:
+def _family(settings: argparse.Namespace) -> LikelihoodFamily:
     model = _require(settings.model, "model")
     if model == "normal":
         return NormalKnownVariance(_require(settings.sigma2, "sigma2"))
@@ -213,20 +192,16 @@ def _family(settings: _Settings) -> LikelihoodFamily:
     return ExponentialRate()
 
 
-def _prior(settings: _Settings):
+def _prior(settings: argparse.Namespace):
     """Prior for the chosen model, with the study defaults filled in."""
     model = settings.model
     if model == "normal":
         return NormalPrior(_require(settings.mu0, "mu0"), _require(settings.tau2, "tau2"))
     if model == "poisson":
         return GammaPrior(_require(settings.a, "a"), _require(settings.b, "b"))
-    if model == "bernoulli":
-        a = 1.0 if settings.a is None else settings.a
-        b = 1.0 if settings.b is None else settings.b
-        return BetaPrior(a, b)
-    a = 1.5 if settings.a is None else settings.a
-    b = 1.5 if settings.b is None else settings.b
-    return BetaPrior(a, b)
+    default = RATE_PRIOR if model == "exp" else BetaPrior(1.0, 1.0)
+    a, b = settings.a, settings.b
+    return BetaPrior(default.a if a is None else a, default.b if b is None else b)
 
 
 def _parse_range(raw: str | None) -> tuple[float, float]:
@@ -240,9 +215,9 @@ def _parse_range(raw: str | None) -> tuple[float, float]:
         raise _UsageError(f"--range expects numeric LO:HI, got {raw!r}") from None
 
 
-def _criterion_object(settings: _Settings):
+def _criterion_object(settings: argparse.Namespace):
     name = _require(settings.criterion, "criterion")
-    lo, hi = _parse_range(settings.range_)
+    lo, hi = _parse_range(settings.range)
     if name == "apvc":
         return Apvc(_require(settings.eps, "eps"), lo, hi)
     if name == "acc":
@@ -254,7 +229,7 @@ def _criterion_object(settings: _Settings):
     raise _UsageError(f"criterion {name!r} has no sample-size form")
 
 
-def _functional_object(settings: _Settings) -> Functional:
+def _functional_object(settings: argparse.Namespace) -> Functional:
     name = _require(settings.criterion, "criterion")
     if name == "apvc":
         return PosteriorVariance()
@@ -267,28 +242,24 @@ def _functional_object(settings: _Settings) -> Functional:
     return TailMassAbove(_require(settings.theta1, "theta1"))
 
 
-def _exact_value(settings: _Settings, functional: Functional, theta0: float, n: int):
+def _exact_value(settings: argparse.Namespace, functional: Functional, theta0: float, n: int):
     """Closed-form or oracle expectation where one exists, else None."""
     model = settings.model
+    if model in ("poisson", "bernoulli") and not isinstance(functional, PosteriorVariance):
+        return None  # their closed forms are posterior variances only
+    prior = _prior(settings)
     if model == "normal":
-        mu0 = _require(settings.mu0, "mu0")
-        tau2 = _require(settings.tau2, "tau2")
-        return exact_normal(functional, settings.sigma2, mu0, tau2, theta0, n)
-    if model == "poisson" and isinstance(functional, PosteriorVariance):
-        a = _require(settings.a, "a")
-        b = _require(settings.b, "b")
-        return exact_poisson_variance(a, b, theta0, n)
-    if model == "bernoulli" and isinstance(functional, PosteriorVariance):
-        prior = _prior(settings)
-        if prior.a == 1.0 and prior.b == 1.0:
-            return exact_bernoulli_variance(theta0, n)
-        return None
+        return exact_normal(functional, settings.sigma2, prior.mu0, prior.tau2, theta0, n)
+    if model == "poisson":
+        return exact_poisson_variance(prior.a, prior.b, theta0, n)
     if model == "exp":
-        return expbeta_expected(functional, theta0, n, _prior(settings))
+        return expbeta_expected(functional, theta0, n, prior)
+    if prior.a == 1.0 and prior.b == 1.0:
+        return exact_bernoulli_variance(theta0, n)
     return None
 
 
-def _cmd_size(settings: _Settings) -> str:
+def _cmd_size(settings: argparse.Namespace) -> str:
     result = min_sample_size(_criterion_object(settings), _family(settings))
     return (
         f"n_min={result.n_min}\n"
@@ -297,7 +268,7 @@ def _cmd_size(settings: _Settings) -> str:
     )
 
 
-def _params_text(settings: _Settings) -> str:
+def _params_text(settings: argparse.Namespace) -> str:
     model = settings.model
     if model == "normal":
         return f"sigma2={settings.sigma2!r};mu0={settings.mu0!r};tau2={settings.tau2!r}"
@@ -305,7 +276,7 @@ def _params_text(settings: _Settings) -> str:
     return f"a={prior.a!r};b={prior.b!r}"
 
 
-def _cmd_eval(settings: _Settings) -> str:
+def _cmd_eval(settings: argparse.Namespace) -> str:
     functional = _functional_object(settings)
     family = _family(settings)
     theta0 = _require(settings.theta0, "theta0")
@@ -332,7 +303,7 @@ def _cmd_eval(settings: _Settings) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(settings: _Settings) -> str:
+def _cmd_simulate(settings: argparse.Namespace) -> str:
     functional = _functional_object(settings)
     family = _family(settings)
     prior = _prior(settings)
@@ -343,9 +314,8 @@ def _cmd_simulate(settings: _Settings) -> str:
     )
     if settings.format == "csv":
         star = asymptotic_functional(functional, family, theta0, n)
-        exact = None
-        if settings.model in ("normal", "poisson", "bernoulli"):
-            exact = _exact_value(settings, functional, theta0, n)
+        # a simulated rate cell is printed without its quadrature oracle
+        exact = None if settings.model == "exp" else _exact_value(settings, functional, theta0, n)
         row = TableRow(
             settings.criterion, settings.model, "", _params_text(settings), theta0, n,
             estimate.mean, estimate.std_err,
@@ -360,11 +330,8 @@ def _cmd_simulate(settings: _Settings) -> str:
     )
 
 
-def _cmd_table(settings: _Settings) -> str:
-    which = settings.which
-    if which not in (1, 2, 3):
-        raise _UsageError(f"unknown table index {which!r}; expected 1, 2, or 3")
-    rows = build_table(which, m=settings.m, seed=settings.seed)
+def _cmd_table(settings: argparse.Namespace) -> str:
+    rows = build_table(settings.which, m=settings.m, seed=settings.seed)
     if settings.format == "csv":
         return render_csv(rows)
     return render_text(rows)
@@ -396,8 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         if argv[i] == "--range" and not argv[i + 1].startswith("--"):
             argv[i : i + 2] = [f"--range={argv[i + 1]}"]
     try:
-        args = parser.parse_args(argv)
-        settings = _merge(args)
+        settings = _merge(parser.parse_args(argv))
         text = _COMMANDS[settings.command](settings)
     except _UsageError as exc:
         if exc.usage:

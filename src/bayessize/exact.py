@@ -48,7 +48,11 @@ __all__ = [
     "exact_bernoulli_variance",
     "expbeta_expected",
     "expbeta_expected_many",
+    "RATE_PRIOR",
 ]
+
+# The rate study's prior, Beta(1.5, 1.5): table 3's and the command line's default.
+RATE_PRIOR = BetaPrior(1.5, 1.5)
 
 # The rate oracle's trapezoid rule in z = sqrt(n) log(theta0 s / n): points
 # where the log weight is within the window of its peak, and the step of
@@ -215,7 +219,7 @@ def expbeta_expected_many(
     functionals: list[Functional],
     theta0: float,
     n: int,
-    prior: BetaPrior = BetaPrior(1.5, 1.5),
+    prior: BetaPrior = RATE_PRIOR,
 ) -> list[ExactEval]:
     """Expected functionals for exponential data with a beta rate prior.
 
@@ -291,7 +295,7 @@ def expbeta_expected(
     functional: Functional,
     theta0: float,
     n: int,
-    prior: BetaPrior = BetaPrior(1.5, 1.5),
+    prior: BetaPrior = RATE_PRIOR,
 ) -> ExactEval:
     """Single-functional version of :func:`expbeta_expected_many`."""
     return expbeta_expected_many([functional], theta0, n, prior)[0]

@@ -131,17 +131,25 @@ def param_bounds(family: LikelihoodFamily) -> tuple[float, float]:
 
 
 def in_domain(family: LikelihoodFamily, theta: float) -> bool:
-    """Whether ``theta`` lies strictly inside the family's parameter domain."""
-    if not isinstance(theta, (int, float)) or not math.isfinite(theta):
+    """Whether ``theta`` is a number a float can hold, strictly inside the
+    family's parameter domain."""
+    # NaN fails the comparison, and so does an integer such as 10**400
+    if not isinstance(theta, (int, float)) or not abs(theta) <= sys.float_info.max:
         return False
     lo, hi = param_bounds(family)
     return lo < theta < hi
 
 
+def _check_in_domain(family: LikelihoodFamily, name: str, theta: float) -> None:
+    if not in_domain(family, theta):
+        if isinstance(theta, int):
+            finite(name, theta)  # refuses an integer no float can hold by name
+        raise DomainError(f"{name} {theta!r} lies outside the domain of {family!r}")
+
+
 def fisher_info(family: LikelihoodFamily, theta: float) -> float:
     """Per-observation Fisher information at ``theta``."""
-    if not in_domain(family, theta):
-        raise DomainError(f"theta {theta!r} lies outside the domain of {family!r}")
+    _check_in_domain(family, "theta", theta)
     if isinstance(family, NormalKnownVariance):
         return 1.0 / family.sigma2
     if isinstance(family, Poisson):
@@ -310,8 +318,7 @@ def suffstat_sampler(
     checked once for every draw it makes.  ``SufficientStat(n, s)`` checks
     the draw itself."""
     integer("n", n)
-    if not in_domain(family, theta0):
-        raise DomainError(f"theta0 {theta0!r} lies outside the domain of {family!r}")
+    _check_in_domain(family, "theta0", theta0)
     if n > _FLOAT_MAX_N and not isinstance(family, Bernoulli):
         raise DomainError(f"sample size {n!r} exceeds the largest float {_FLOAT_MAX_N:.17g}")
 

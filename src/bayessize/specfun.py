@@ -11,10 +11,11 @@ prefactors lose about shape * 1e-16).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import AccuracyError, DomainError, finite, open_unit, positive
+from .errors import AccuracyError, DomainError, finite, integer, open_unit, positive
 
 __all__ = [
     "Polynomial",
@@ -28,7 +29,6 @@ __all__ = [
     "normal_moment",
     "normal_abs_moment",
     "hermite_poly",
-    "expect_std_normal",
     "expect_half_variance",
     "gaussian_product_expectation",
 ]
@@ -37,6 +37,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STD_NORMAL = NormalDist()
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300  # Lentz's guard against a zero denominator
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -235,39 +236,36 @@ def normal_moment(order: int) -> float:
     """Raw moment E[Z^order] of a standard normal variable.
 
     Odd orders vanish; even order ``2m`` gives the double factorial
-    ``(2m - 1)!!``, computed exactly in floating point for small orders.
+    ``(2m - 1)!!``, which is :func:`normal_abs_moment` of that order.
     """
-    if order < 0 or order != int(order):
-        raise DomainError(f"moment order must be a nonnegative integer, got {order!r}")
-    order = int(order)
-    if order % 2 == 1:
-        return 0.0
-    acc = 1.0
-    for k in range(1, order, 2):
-        acc *= k
-    return acc
+    order = integer("order", order, least=0)
+    return 0.0 if order % 2 == 1 else normal_abs_moment(order)
 
 
 def normal_abs_moment(order: float) -> float:
     """Absolute moment E[|Z|^order] of a standard normal variable.
 
     Equals ``2^(order/2) * Gamma((order + 1) / 2) / Gamma(1/2)``.  Integer
-    orders take the double-factorial recursion so that even orders
-    reproduce :func:`normal_moment` bit for bit; fractional orders go
-    through the gamma-function form.
+    orders take the double-factorial recursion, exact in floating point
+    for small orders; fractional orders go through the gamma-function
+    form.  Above order 301 the moment exceeds the largest float, and the
+    order is refused.
     """
-    order = finite("order", order)
-    if order < 0:
+    x = finite("order", order)
+    if x < 0:
         raise DomainError(f"absolute moment order must be nonnegative, got {order!r}")
-    if order == int(order):
-        order = int(order)
-        acc = 1.0 if order % 2 == 0 else math.sqrt(2.0 / math.pi)
-        for k in range(1 + order % 2, order, 2):
+    log_moment = 0.5 * x * math.log(2.0) + math.lgamma(0.5 * (x + 1.0)) - math.lgamma(0.5)
+    if log_moment > _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"normal moment of order {order!r} exceeds the largest float {sys.float_info.max!r}"
+        )
+    if x == int(x):
+        k_max = int(x)
+        acc = 1.0 if k_max % 2 == 0 else math.sqrt(2.0 / math.pi)
+        for k in range(1 + k_max % 2, k_max, 2):
             acc *= k
         return acc
-    return math.exp(
-        0.5 * order * math.log(2.0) + math.lgamma(0.5 * (order + 1.0)) - math.lgamma(0.5)
-    )
+    return math.exp(log_moment)
 
 
 def hermite_poly(order: int, info: float) -> Polynomial:
@@ -278,19 +276,13 @@ def hermite_poly(order: int, info: float) -> Polynomial:
     ``H_{i+1}(v) = H_i'(v) - info * v * H_i(v)``, so for ``info = 1`` the
     first few are 1, -v, v^2 - 1, ...
     """
-    if order < 0 or order != int(order):
-        raise DomainError(f"order must be a nonnegative integer, got {order!r}")
+    order = integer("order", order, least=0)
     info = positive("info", info)
     minus_iv = Polynomial.of(0.0, -info)
     h = Polynomial.of(1.0)
-    for _ in range(int(order)):
+    for _ in range(order):
         h = h.derivative() + minus_iv * h
     return h
-
-
-def expect_std_normal(poly: Polynomial) -> float:
-    """E[p(Z)] for a standard normal Z, exact via raw moments."""
-    return sum(c * normal_moment(k) for k, c in enumerate(poly.coefficients))
 
 
 def expect_half_variance(poly: Polynomial) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .criteria import asymptotic_functional
 from .errors import DomainError
 from .exact import (
+    RATE_PRIOR,
     exact_bernoulli_variance,
     exact_normal,
     exact_poisson_variance,
@@ -29,7 +30,7 @@ from .functionals import (
     PosteriorQuantile,
     PosteriorVariance,
 )
-from .models import Bernoulli, BetaPrior, ExponentialRate, NormalKnownVariance, Poisson
+from .models import Bernoulli, ExponentialRate, NormalKnownVariance, Poisson
 from .montecarlo import simulate_many
 
 __all__ = [
@@ -153,7 +154,7 @@ _RATE_FUNCTIONALS: tuple[tuple[str, Functional], ...] = (
 
 def _rate_rows(m: int, seed: int) -> list[TableRow]:
     family = ExponentialRate()
-    prior = BetaPrior(1.5, 1.5)
+    prior = RATE_PRIOR
     params = f"a={prior.a!r};b={prior.b!r}"
     names = [name for name, _ in _RATE_FUNCTIONALS]
     functionals = [functional for _, functional in _RATE_FUNCTIONALS]

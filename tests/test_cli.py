@@ -128,6 +128,47 @@ def test_size_flags_override_config(tmp_path, capsys):
     assert kv(out)["n_min"] == "400"
 
 
+def _option_values(key):
+    """Two (config text, parsed value) pairs option ``key`` accepts; the
+    second is also given as a flag."""
+    spec = cli._OPTIONS[key]
+    if "choices" in spec:
+        return [(choice, choice) for choice in spec["choices"][:2]]
+    if spec.get("action") == "store_const":
+        return [("no", False), ("", True)]  # the flag takes no value
+    return [(raw, spec.get("type", str)(raw)) for raw in ("3", "5")]
+
+
+def _merged(tmp_path, config, flags=()):
+    path = tmp_path / "study.cfg"
+    path.write_text(config, encoding="utf-8")
+    argv = ["size", "--config", str(path), *flags]
+    return cli._merge(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("key", list(cli._OPTIONS))
+def test_every_option_is_read_from_the_config_file(tmp_path, key):
+    (raw, value), _ = _option_values(key)
+    assert getattr(_merged(tmp_path, f"{key} = {raw}\n"), key.replace("-", "_")) == value
+
+
+@pytest.mark.parametrize("key", list(cli._OPTIONS))
+def test_every_flag_wins_over_the_config_file(tmp_path, key):
+    (raw, _), (flag_raw, flag_value) = _option_values(key)
+    flags = [f"--{key}", flag_raw] if flag_raw else [f"--{key}"]
+    merged = _merged(tmp_path, f"{key} = {raw}\n", flags)
+    assert getattr(merged, key.replace("-", "_")) == flag_value
+
+
+def test_options_given_nowhere_hold_the_defaults_or_none(tmp_path):
+    merged = vars(_merged(tmp_path, "# no options\n"))
+    defaults = {"alpha": 0.05, "m": 1000, "seed": DEFAULT_SEED, "format": "text",
+                "fresh_seed": False}
+    for key in cli._OPTIONS:
+        dest = key.replace("-", "_")
+        assert merged[dest] == defaults.get(dest), key
+
+
 @pytest.mark.parametrize(
     "content, fragment",
     [

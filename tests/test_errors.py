@@ -7,6 +7,7 @@ argument and the value as given.
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from bayessize.exact import (
     exact_poisson_variance,
     expbeta_expected,
 )
+from bayessize.expansions import expected_posterior_moment
 from bayessize.functionals import (
     CenteredIntervalMass,
     CredibleLength,
@@ -51,14 +53,18 @@ from bayessize.models import (
     NormalPrior,
     Poisson,
     SufficientStat,
+    fisher_info,
+    suffstat_sampler,
 )
 from bayessize.montecarlo import simulate_many
 from bayessize.randomness import SeededGenerator
+from bayessize.specfun import hermite_poly, normal_abs_moment, normal_moment
 
 _FINITE = (math.nan, math.inf, -math.inf)
 _POSITIVE = _FINITE + (0.0, -2.5)
 _OPEN_UNIT = _FINITE + (0.0, 1.0)
 _COUNT = _FINITE + (True, 2.0, 0)  # an integer of at least 1
+_ORDER = _FINITE + (True, 2.0, -1)  # an integer of at least 0
 
 # (what is called, the name its message starts with, the bad values)
 _REFUSALS = [
@@ -122,6 +128,9 @@ _REFUSALS = [
     (lambda v: simulate_many(Poisson(), GammaPrior(1.0, 1.0), 0.5, 10, v,
                              [PosteriorVariance()], seed=1), "m", _COUNT + (1,)),
     (lambda v: SeededGenerator(1, v), "stream_id", _FINITE + (True, 2.0, -1)),
+    (lambda v: normal_moment(v), "order", _ORDER),
+    (lambda v: hermite_poly(v, 1.0), "order", _ORDER),
+    (lambda v: normal_abs_moment(v), "order", _FINITE),
 ]
 
 
@@ -148,6 +157,10 @@ def test_every_checked_argument_names_itself_and_its_value(call, name, values):
         lambda: asymptotic_expected_variance(Poisson(), 0.5, 10**400),
         lambda: Apvc(0.01, 0.2, 10**400),
         lambda: TailMassAbove(-(10**400)),
+        # theta checked against the family's domain
+        lambda: fisher_info(Poisson(), 10**400),
+        lambda: asymptotic_expected_variance(Poisson(), 10**400, 10),
+        lambda: suffstat_sampler(Poisson(), 10**400, 3),
     ],
 )
 def test_an_integer_too_large_for_a_float_is_refused_by_name(call):
@@ -155,6 +168,26 @@ def test_an_integer_too_large_for_a_float_is_refused_by_name(call):
     limit = r"10{400} exceeds the largest float 1\.7976931348623157e\+308"
     with pytest.raises(DomainError, match=limit):
         call()
+
+
+@pytest.mark.parametrize(
+    "call,order",
+    [
+        (lambda: normal_abs_moment(1e300), "1e+300"),
+        (lambda: normal_abs_moment(400.5), "400.5"),
+        (lambda: normal_abs_moment(400), "400"),
+        (lambda: normal_abs_moment(302), "302"),
+        (lambda: normal_moment(302), "302"),
+        (lambda: expected_posterior_moment(NormalKnownVariance(1.0), 0.0, 10, 400), "400"),
+    ],
+)
+def test_a_normal_moment_too_large_for_a_float_is_refused_by_order(call, order):
+    # The refusal comes before the double-factorial loop, which at order 1e300
+    # would not end; order 301 is the largest whose moment a float holds.
+    limit = re.escape(f"order {order} exceeds the largest float 1.7976931348623157e+308")
+    with pytest.raises(DomainError, match=limit):
+        call()
+    assert math.isfinite(normal_abs_moment(301))
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
