@@ -56,6 +56,7 @@ from .models import (
     NormalKnownVariance,
     NormalPrior,
     Poisson,
+    fisher_info,
 )
 from .montecarlo import simulate_g
 from .tables import (
@@ -245,9 +246,9 @@ def _functional_object(settings: argparse.Namespace) -> Functional:
 def _exact_value(settings: argparse.Namespace, functional: Functional, theta0: float, n: int):
     """Closed-form or oracle expectation where one exists, else None."""
     model = settings.model
+    prior = _prior(settings)  # checked even where no exact value follows
     if model in ("poisson", "bernoulli") and not isinstance(functional, PosteriorVariance):
         return None  # their closed forms are posterior variances only
-    prior = _prior(settings)
     if model == "normal":
         return exact_normal(functional, settings.sigma2, prior.mu0, prior.tau2, theta0, n)
     if model == "poisson":
@@ -308,6 +309,7 @@ def _cmd_simulate(settings: argparse.Namespace) -> str:
     family = _family(settings)
     prior = _prior(settings)
     theta0 = _require(settings.theta0, "theta0")
+    fisher_info(family, theta0)  # refuses a theta0 outside the domain as eval does
     n = _require(settings.n, "n")
     estimate = simulate_g(
         family, prior, theta0, n, settings.m, functional, settings.seed

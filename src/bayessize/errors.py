@@ -70,8 +70,12 @@ class ReplicateError(BayesSizeError):
 
     ``simulate_many`` also gives the ``seed``, ``stream_id``, ``family``,
     ``prior``, drawn ``stat`` (``None`` if the draw failed) and failing
-    ``functional`` (``None`` unless one failed), all named in the message;
-    ``evaluate(functional, posterior(family, prior, stat))`` replays it.
+    ``functional`` (``None`` unless one failed), all named in the message.
+    ``stream_id`` is the replicate's index in the run's one draw, so
+    ``sample_suffstat(family, theta0, n, SeededGenerator(seed, stream_id))``
+    redraws ``stat`` at the run's ``theta0`` and ``n``, and
+    ``evaluate(functional, posterior(family, prior, stat))`` replays the
+    failure.
     """
 
     def __init__(self, index: int, cause: BaseException, *, seed=None, stream_id=None,

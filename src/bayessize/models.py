@@ -9,7 +9,8 @@ restricted to rates in (0, 1] and is tabulated on a dense grid.
 Simulated data enter only through the sufficient statistic, and each
 family's statistic has a one-deviate exact law that numpy's ``Generator``
 samples in O(1) at any ``n``: a normal mean, or a Poisson, binomial or
-gamma total.  :func:`sample_suffstat` draws it with one generator call.
+gamma total.  :func:`suffstat_sampler` draws a run's statistics with one
+generator call, and :func:`sample_suffstat` replays one of them.
 
 The gamma and beta posterior CDFs are closed forms, the regularized
 incomplete gamma and beta functions of :mod:`bayessize.specfun`, and
@@ -290,15 +291,17 @@ class SufficientStat:
 def sample_suffstat(
     family: LikelihoodFamily, theta0: float, n: int, rng
 ) -> SufficientStat:
-    """Draw one sufficient statistic for ``n`` observations at ``theta0``.
+    """Replicate ``rng.stream_id``'s sufficient statistic for ``n``
+    observations at ``theta0`` in the run seeded ``rng.seed``.
 
-    The statistic is one draw from its exact law by one call of the
-    numpy generator ``rng.generator``, at the same cost for every ``n``:
+    ``rng`` is a :class:`bayessize.randomness.SeededGenerator`.  The
+    statistic is element ``stream_id`` of the run's one draw from its
+    exact law, made by :func:`suffstat_sampler` on ``default_rng(seed)``:
     the normal mean ``theta0 + sd * Z``, the Poisson total
     Poisson(``n * theta0``), the Bernoulli total Binomial(``n``,
     ``theta0``) and the exponential sum Gamma(``n``) / ``theta0``.
     """
-    return SufficientStat(n, suffstat_sampler(family, theta0, n)(rng))
+    return SufficientStat(n, rng.replay(suffstat_sampler(family, theta0, n)))
 
 
 # numpy's limits: ``Generator.poisson`` refuses a mean above
@@ -312,11 +315,11 @@ _FLOAT_MAX_N = int(sys.float_info.max)
 
 def suffstat_sampler(
     family: LikelihoodFamily, theta0: float, n: int
-) -> Callable[[object], float]:
-    """The statistic ``s`` that ``sample_suffstat(family, theta0, n, rng)``
-    draws, as a float-valued function of ``rng``, with ``n`` and ``theta0``
-    checked once for every draw it makes.  ``SufficientStat(n, s)`` checks
-    the draw itself."""
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """``draw(generator, size)``: ``size`` statistics of ``n`` observations
+    at ``theta0``, one call of one ``generator`` sampler, with ``n`` and
+    ``theta0`` checked once for every draw it makes.  ``SufficientStat(n,
+    s)`` checks each statistic ``s`` itself."""
     integer("n", n)
     _check_in_domain(family, "theta0", theta0)
     if n > _FLOAT_MAX_N and not isinstance(family, Bernoulli):
@@ -324,21 +327,21 @@ def suffstat_sampler(
 
     if isinstance(family, NormalKnownVariance):
         sd = math.sqrt(family.sigma2 / n)
-        return lambda rng: theta0 + sd * rng.generator.standard_normal()
+        return lambda generator, size: theta0 + sd * generator.standard_normal(size)
     if isinstance(family, Poisson):
         mean = n * theta0
         if mean > _POISSON_MAX_MEAN:
             raise DomainError(
                 f"Poisson mean n * theta0 = {mean!r} exceeds numpy's limit {_POISSON_MAX_MEAN!r}"
             )
-        return lambda rng: float(rng.generator.poisson(mean))
+        return lambda generator, size: generator.poisson(mean, size)
     if isinstance(family, Bernoulli):
         if n > _BINOMIAL_MAX_N:
             raise DomainError(
                 f"Bernoulli sample size {n!r} exceeds numpy's binomial limit {_BINOMIAL_MAX_N!r}"
             )
-        return lambda rng: float(rng.generator.binomial(n, theta0))
-    return lambda rng: rng.generator.standard_gamma(n) / theta0
+        return lambda generator, size: generator.binomial(n, theta0, size)
+    return lambda generator, size: generator.standard_gamma(n, size) / theta0
 
 
 # ---------------------------------------------------------------------------

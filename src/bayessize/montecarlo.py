@@ -1,19 +1,20 @@
 """Seeded Monte Carlo estimation of expected posterior functionals.
 
-Replicate ``j`` draws its data from the uniform stream keyed by
-``(seed, j)``, so estimates are bitwise reproducible; a run derives the
-seed words of all its streams in one pass.  A posterior depends
-on the data only through its sufficient statistic, so the statistic and
-its posterior are built and the functionals evaluated once per distinct
-total drawn, and one gather gives every replicate its total's values.
+A run of ``m`` replicates at ``seed`` draws all its sufficient statistics
+with one sampler call on ``default_rng(seed)``, replicate ``j``'s being
+element ``j`` (see :mod:`bayessize.randomness`), so estimates are bitwise
+reproducible.  A posterior depends on the data only through its
+sufficient statistic, so the statistic and its posterior are built and
+the functionals evaluated once per distinct total drawn, in order of
+first draw, and one gather gives every replicate its total's values.
 
-On Linux a run of ``m`` replicates is split into contiguous ranges of
-replicate indices, one per process: ``min(usable CPUs, m // 500)``
-processes, or one.  The calling process runs the first range and one
-``os.fork()``ed child runs each other range, writing its columns of the
-values table into shared memory.  Every value is the same function of its
-replicate's stream in whichever process computes it, so the estimates are
-bit-identical for any split.
+On Linux the ``k`` distinct totals of a run are split into contiguous
+slices, one per process: ``min(usable CPUs, k // 500)`` processes, or
+one.  The calling process evaluates the first slice and one
+``os.fork()``ed child each other slice, writing its columns of the values
+table into shared memory.  Every value is the same function of its total
+in whichever process computes it, so the estimates are bit-identical for
+any split.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import DomainError, ReplicateError, integer
 from .functionals import Functional, evaluate
 from .models import LikelihoodFamily, SufficientStat, posterior, suffstat_sampler
-from .randomness import SeededGenerator
+from .randomness import SeededGenerator, run_generator
 
 __all__ = [
     "SeededGenerator",
@@ -48,17 +49,17 @@ class MonteCarloEstimate:
     seed: int
 
 
-# Fewest replicates a process is given: a fork costs about as much as 500
-# replicates of the cheapest family.
+# Fewest distinct totals a process is given: a fork costs about as much as
+# evaluating 500 totals of the cheapest family.
 _MIN_PER_PROCESS = 500
 
 
-def _process_count(m: int) -> int:
-    """Processes a run of ``m`` replicates is split over: one per usable CPU,
-    each with at least ``_MIN_PER_PROCESS`` replicates, and one off Linux."""
+def _process_count(k: int) -> int:
+    """Processes ``k`` distinct totals are split over: one per usable CPU,
+    each with at least ``_MIN_PER_PROCESS`` totals, and one off Linux."""
     if sys.platform != "linux" or not hasattr(os, "fork"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), m // _MIN_PER_PROCESS))
+    return max(1, min(len(os.sched_getaffinity(0)), k // _MIN_PER_PROCESS))
 
 
 def _shared_table(shape: tuple[int, int]) -> np.ndarray:
@@ -74,8 +75,8 @@ def _fill_ranges(fill, bounds: list[int]) -> None:
 
     Every child is reaped before this returns or raises, and killed first
     if this raises.  A range whose child could not be forked or did not
-    exit 0 is then redone here, in order, so its first failing replicate
-    raises here as it would in a serial run.
+    exit 0 is then redone here, in order, so its first failure raises here
+    as it would in a serial run.
     """
     children = []  # (pid or None, lo, hi)
     try:
@@ -118,66 +119,61 @@ def simulate_many(
 ) -> list[MonteCarloEstimate]:
     """Estimate several expected functionals from one set of replicates.
 
-    Replicate ``j`` draws a sufficient statistic with stream ``(seed, j)``,
-    forms the posterior once, and evaluates every requested functional on
-    it.  The estimates therefore agree exactly with separate
-    :func:`simulate_g` calls at the same seed, while sharing the per
-    replicate sampling and posterior construction.
+    Replicate ``j``'s sufficient statistic is element ``j`` of one draw of
+    ``m`` on ``default_rng(seed)``; its posterior is formed once, and every
+    requested functional evaluated on it.  The estimates therefore agree
+    exactly with separate :func:`simulate_g` calls at the same seed, while
+    sharing the sampling and posterior construction.
 
-    Each replicate draws its raw total and looks it up first: only the
-    first replicate to draw a total builds its ``SufficientStat`` and
-    posterior and evaluates the functionals; a later one records that
-    replicate's index.  One gather over those indices then fills every
-    replicate's values, which are the same deterministic function of the
-    same statistic, so the estimates are bit-identical to evaluating every
-    replicate.  Poisson and Bernoulli totals are integers and repeat often;
-    continuous totals practically never do.  The first replicate to fail
-    raises ``ReplicateError`` carrying what replays it.
+    ``np.unique`` finds the distinct totals drawn, with the first
+    replicate to draw each and every replicate's total.  Each distinct
+    total, in order of first draw, builds its ``SufficientStat`` and
+    posterior and evaluates the functionals once; one gather then fills
+    every replicate's values, which are the same deterministic function of
+    the same statistic, so the estimates are bit-identical to evaluating
+    every replicate.  Poisson and Bernoulli totals are integers and repeat
+    often; continuous totals practically never do.  The first replicate to
+    fail raises ``ReplicateError`` carrying what replays it.
 
-    The lookup and gather run per range of replicate indices.  With
-    several processes (see the module docstring) the sampler, which checks
-    ``theta0`` and ``n`` as replicate 0, is built before any fork, and
-    every child is reaped before this returns or raises.  A range whose
-    child failed is redone in this process, so the first failing
-    replicate raises the same ``ReplicateError`` as a serial run.
+    With several processes (see the module docstring) the sampler, which
+    checks ``theta0`` and ``n`` as replicate 0, and the draw run before any
+    fork, and every child is reaped before this returns or raises.  A
+    slice whose child failed is redone in this process, so the first
+    failing replicate raises the same ``ReplicateError`` as a serial run.
     """
     integer("n", n)
-    integer("m", m, 2)  # the seed is checked by SeededGenerator.streams
+    integer("m", m, 2)
     if not functionals:
         raise DomainError("at least one functional is required")
-    processes = _process_count(m)
-    bounds = [m * k // processes for k in range(processes + 1)]
-    first_streams = SeededGenerator.streams(seed, bounds[1])  # checks the seed before any fork
+    generator = run_generator(seed)  # checks the seed
     try:  # checks theta0 and n once, as replicate 0's draw
         draw = suffstat_sampler(family, theta0, n)
     except Exception as exc:
         raise ReplicateError(0, exc, seed=seed, stream_id=0, family=family, prior=prior,
                              stat=None, functional=None) from exc
-    values = (np.empty if processes == 1 else _shared_table)((len(functionals), m))
+    distinct, firsts, inverse = np.unique(draw(generator, m), return_index=True,
+                                          return_inverse=True)
+    order = np.argsort(firsts, kind="stable").tolist()  # distinct totals in order of first draw
+    totals, firsts = distinct.tolist(), firsts.tolist()
+    processes = _process_count(len(order))
+    values = (np.empty if processes == 1 else _shared_table)((len(functionals), len(order)))
 
     def fill(lo: int, hi: int) -> None:
-        """Columns ``lo:hi`` of ``values``: replicates ``lo`` to ``hi - 1``."""
-        streams = first_streams if lo == 0 else SeededGenerator.streams(seed, hi, lo)
-        first_by_total = {}  # total -> first replicate that drew it
-        firsts = []  # replicate j -> first replicate that drew j's total
-        for j, rng in enumerate(streams, lo):
+        """The columns of ``values`` of the distinct totals ``order[lo:hi]``."""
+        for u in order[lo:hi]:
+            j = firsts[u]
             stat = functional = None
             try:
-                total = draw(rng)
-                first = first_by_total.setdefault(total, j)
-                firsts.append(first)
-                if first != j:
-                    continue
-                stat = SufficientStat(n, total)
+                stat = SufficientStat(n, totals[u])
                 post = posterior(family, prior, stat)
                 for i, functional in enumerate(functionals):
-                    values[i, j] = evaluate(functional, post)
+                    values[i, u] = evaluate(functional, post)
             except Exception as exc:
                 raise ReplicateError(j, exc, seed=seed, stream_id=j, family=family,
                                      prior=prior, stat=stat, functional=functional) from exc
-        values[:, lo:hi] = values[:, firsts]
 
-    _fill_ranges(fill, bounds)
+    _fill_ranges(fill, [len(order) * k // processes for k in range(processes + 1)])
+    values = values[:, inverse]
 
     out = []
     for i in range(len(functionals)):

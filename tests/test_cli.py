@@ -450,8 +450,30 @@ def test_eval_names_a_sample_size_too_large_for_a_float(capsys):
                    " 1.7976931348623157e+308\n")
 
 
+def test_eval_checks_the_prior_where_no_exact_value_follows(capsys):
+    # A Poisson alc cell has no closed form, yet its prior is still checked.
+    code, out, err = run(
+        ["eval", "--model", "poisson", "--criterion", "alc", "--len", "0.1", "--a", "-1",
+         "--b", "1", "--theta0", "0.5", "--n", "10"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: a must be positive and finite, got -1.0\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
+
+
+def test_simulate_refuses_theta0_outside_the_domain_as_eval_does(monkeypatch, capsys):
+    # A usage error, exit 1, with eval's message and before any draw.
+    argv = ["--model", "bernoulli", "--criterion", "apvc", "--theta0", "1.5", "--n", "10"]
+    runs = []
+    monkeypatch.setattr(cli, "simulate_g", lambda *args: runs.append(args))
+    code, out, err = run(["simulate", *argv, "--m", "4"], capsys)
+    assert (code, out, runs) == (1, "", [])
+    assert err == "error: theta 1.5 lies outside the domain of Bernoulli()\n"
+    assert run(["eval", *argv], capsys) == (code, out, err)
 
 
 @pytest.mark.parametrize("model", ["normal", "poisson", "exp"])

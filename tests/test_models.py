@@ -228,7 +228,7 @@ def test_sample_suffstat_poisson_clt_band():
 def test_sample_suffstat_poisson_total_is_one_deviate():
     # n draws at theta0 sum to one draw at n theta0, in O(1) at any mean
     stat = sample_suffstat(Poisson(), 0.75, 8, SeededGenerator(5, stream_id=1))
-    assert stat.s == np.random.default_rng([5, 1]).poisson(6.0)
+    assert stat.s == np.random.default_rng(5).poisson(6.0, 2)[1]
     big = sample_suffstat(Poisson(), 800.0, 5, SeededGenerator(6))
     assert big.n == 5 and big.s == int(big.s)
     assert abs(big.s - 4000.0) <= 5.0 * math.sqrt(4000.0)
@@ -238,7 +238,7 @@ def test_sample_suffstat_normal_is_single_scaled_deviate():
     # the normal sample mean is drawn in one step from its exact law
     fam = NormalKnownVariance(0.8)
     stat = sample_suffstat(fam, 2.0, 25, SeededGenerator(99, stream_id=3))
-    z = np.random.default_rng([99, 3]).standard_normal()
+    z = np.random.default_rng(99).standard_normal(4)[3]
     assert stat.s == 2.0 + math.sqrt(0.8 / 25) * z
 
 

@@ -46,7 +46,7 @@ from bayessize.models import (
     suffstat_sampler,
 )
 from bayessize.montecarlo import MonteCarloEstimate, simulate_g, simulate_many
-from bayessize.randomness import SeededGenerator
+from bayessize.randomness import _CHUNK, SeededGenerator, run_generator
 from bayessize.tables import _RATE_FUNCTIONALS
 
 
@@ -92,8 +92,7 @@ _LAW_CELLS = [
 )
 def test_statistics_follow_their_exact_law(family, theta0, n):
     draws = 20_000
-    draw = suffstat_sampler(family, theta0, n)
-    x = np.array([draw(rng) for rng in SeededGenerator.streams(20060301, draws)])
+    x = suffstat_sampler(family, theta0, n)(np.random.default_rng(20060301), draws)
     law = _law(family, theta0, n)
     mean, var, kurtosis = (float(v) for v in law.stats(moments="mvk"))
     # Mean and variance within 4 s.e.; var(s^2) ~ (mu4 - var^2) / draws,
@@ -121,26 +120,26 @@ def test_statistics_follow_their_exact_law(family, theta0, n):
 def test_one_draw_at_large_n_allocates_nothing_large(family):
     # A statistic is one deviate at any n: no array of n observations.
     draw = suffstat_sampler(family, 0.5, 10**7)
-    rng = SeededGenerator(1)
+    generator = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        draw(rng)
+        draw(generator, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
 
 
-# First five totals per family at seed 20060301, one replicate stream each.
+# First five totals per family of a run at seed 20060301.
 _CANARY_CELLS = [
     (NormalKnownVariance(0.2), 0.5, 30,
-     [0.5362504663000855, 0.5800907789175862, 0.4641628710069712, 0.5565582301471522,
-      0.47369203864435944]),
-    (Poisson(), 0.5, 100, [54.0, 44.0, 50.0, 46.0, 48.0]),
-    (Bernoulli(), 0.3, 200, [52.0, 53.0, 52.0, 62.0, 69.0]),
+     [0.5362504663000855, 0.4254810909815008, 0.5141934240303072, 0.6263791738136314,
+      0.5473654018162718]),
+    (Poisson(), 0.5, 100, [54, 57, 51, 50, 48]),
+    (Bernoulli(), 0.3, 200, [52, 68, 68, 56, 48]),
     (ExponentialRate(), 0.5, 100,
-     [208.33009529239416, 219.5672194128058, 190.6975106100757, 213.48645418804568,
-      192.9689370192116]),
+     [208.33009529239416, 202.82438301708262, 211.14188354592156, 235.64105367361637,
+      208.34455953112027]),
 ]
 
 
@@ -148,8 +147,7 @@ _CANARY_CELLS = [
     "family,theta0,n,totals", _CANARY_CELLS, ids=[type(cell[0]).__name__ for cell in _CANARY_CELLS]
 )
 def test_stream_canary_pins_the_first_totals(family, theta0, n, totals):
-    draw = suffstat_sampler(family, theta0, n)
-    drawn = [draw(rng) for rng in SeededGenerator.streams(20060301, 5)]
+    drawn = suffstat_sampler(family, theta0, n)(run_generator(20060301), 5).tolist()
     assert drawn == totals, (
         f"numpy {np.__version__} changed a sampler of {family!r}: every seeded Monte Carlo "
         f"output moves with it.  Drew {drawn!r}, pinned {totals!r}."
@@ -166,26 +164,67 @@ def test_deviates_reject_bad_parameters():
 # seeded streams
 
 
+# numpy's algorithm switches: Poisson means either side of 10 (inversion,
+# then PTRS), binomial n * min(p, 1 - p) either side of 30 (inversion, then
+# BTPE) and gamma shape 1 (an exponential) and above (Marsaglia-Tsang).
+_PREFIX_CELLS = [
+    (NormalKnownVariance(0.2), 0.5, 30),
+    (Poisson(), 0.5, 19),
+    (Poisson(), 0.5, 21),
+    (Poisson(), 1e6, 10**6),
+    (Bernoulli(), 0.29, 100),
+    (Bernoulli(), 0.31, 100),
+    (Bernoulli(), 0.71, 100),
+    (Bernoulli(), 0.5, 2**40),
+    (ExponentialRate(), 0.5, 1),
+    (ExponentialRate(), 0.5, 2),
+    (ExponentialRate(), 0.5, 10**7),
+]
+
+
+@pytest.mark.parametrize(
+    "family,theta0,n", _PREFIX_CELLS,
+    ids=[f"{type(f).__name__}-{t:g}-{n:g}" for f, t, n in _PREFIX_CELLS],
+)
+def test_a_run_draw_is_a_prefix_of_every_longer_draw(family, theta0, n):
+    # The replay contract: element j of a run's draw of m is the last element
+    # of a draw of j + 1, and draws in chunks give what one call gives.
+    draw = suffstat_sampler(family, theta0, n)
+    m = 2 * _CHUNK + 5
+    run = draw(np.random.default_rng(17), m)
+    for j in (0, 1, 2, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1, m - 1):
+        assert draw(np.random.default_rng(17), j + 1)[-1] == run[j], j
+        assert sample_suffstat(family, theta0, n, SeededGenerator(17, j)).s == float(run[j]), j
+    generator = np.random.default_rng(17)
+    chunks = [draw(generator, size) for size in (1, 2, 30, _CHUNK, m - _CHUNK - 33)]
+    assert np.concatenate(chunks).tobytes() == run.tobytes()
+
+
+def _uniforms(generator, size):
+    return generator.random(size)
+
+
 def test_equal_keys_give_equal_streams():
     a = SeededGenerator(42, stream_id=7)
     b = SeededGenerator(42, stream_id=7)
-    assert a.generator.random(5).tobytes() == b.generator.random(5).tobytes()
+    assert a.replay(_uniforms) == b.replay(_uniforms)
 
 
 def test_distinct_stream_ids_differ():
     a = SeededGenerator(42, stream_id=0)
     b = SeededGenerator(42, stream_id=1)
-    assert a.generator.random() != b.generator.random()
+    assert a.replay(_uniforms) != b.replay(_uniforms)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_streams_are_numpys_default_rng_of_the_key_pair(seed):
-    # The determinism contract: a stream is default_rng([seed, stream_id]),
-    # on both sides of 2^32.
-    for stream_id in (0, 1, 2**32 - 1, 2**32):
-        ours = SeededGenerator(seed, stream_id=stream_id).generator.random(8)
-        reference = np.random.default_rng([seed, stream_id]).random(8)
-        assert ours.tobytes() == reference.tobytes(), (seed, stream_id)
+    # The determinism contract: the key pair (seed, stream_id) is element
+    # stream_id of a draw on default_rng(seed), on both sides of 2^32 and
+    # of a replay chunk.
+    reference = np.random.default_rng(seed).random(2 * _CHUNK + 2)
+    for stream_id in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
+        ours = SeededGenerator(seed, stream_id=stream_id).replay(_uniforms)
+        assert ours == reference[stream_id], (seed, stream_id)
 
 
 # Seeds of one and two 32-bit words, dense around the boundary at 2^32.
@@ -200,49 +239,53 @@ _SEEDS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(seed=_SEEDS, m=st.integers(2, 40), start=st.integers(0, 40))
 @example(seed=2**64 - 1, m=1000, start=0)
-@example(seed=0, m=1000, start=0)
-@example(seed=2**64 - 1, m=1000, start=500)
+@example(seed=0, m=1000, start=990)
 def test_batch_streams_are_default_rng_draw_for_draw(seed, m, start):
-    # The batch seeding is numpy's SeedSequence hash run over all stream ids
-    # at once: each stream must be default_rng([seed, j]), state and draws,
-    # from any first stream a process of a split run starts at.
-    start = min(start, m)
-    count = 0
-    for j, stream in enumerate(SeededGenerator.streams(seed, m, start), start):
-        reference = np.random.default_rng([seed, j])
-        assert (stream.seed, stream.stream_id) == (seed, j)
-        assert stream.generator.bit_generator.state == reference.bit_generator.state, (seed, j)
-        assert stream.generator.random(3).tobytes() == reference.random(3).tobytes(), (seed, j)
-        assert stream.generator.poisson(7.5) == reference.poisson(7.5)
-        count += 1
-    assert count == m - start
+    # A run's one draw on default_rng(seed) and the replay of each of its
+    # keys give the same statistics, draw for draw.
+    start = min(start, m - 1)
+    family, theta0, n = Poisson(), 0.75, 10
+    batch = suffstat_sampler(family, theta0, n)(run_generator(seed), m)
+    for j in range(start, m):
+        assert sample_suffstat(family, theta0, n, SeededGenerator(seed, j)).s == batch[j], (seed, j)
 
 
-def test_batch_streams_check_their_keys():
-    assert list(SeededGenerator.streams(5, 0)) == []
-    assert list(SeededGenerator.streams(5, 3, 3)) == []
-    for seed, m in [(-1, 2), (2**64, 2), (1.0, 2), (True, 2), (5, -1), (5, 2.0), (5, True)]:
-        with pytest.raises(DomainError):
-            SeededGenerator.streams(seed, m)
-    for start in (-1, 4, 1.0, True):
-        with pytest.raises(DomainError):
-            SeededGenerator.streams(5, 3, start)
+class _CountingGenerator:
+    """A numpy generator that records the name of every method called on it."""
+
+    def __init__(self, generator, calls):
+        self.generator, self.calls = generator, calls
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.generator, name)
 
 
 def test_simulate_many_builds_no_seed_sequence_per_replicate(monkeypatch):
-    # A timing-free guard: a run seeds all its streams from one batch of
-    # seed words, so it never calls default_rng, whose SeedSequence costs
-    # more than the rest of a conjugate replicate.
-    args = (Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 50, [PosteriorVariance(), HpdWidth(0.9)])
-    expected = _replay(*args, seed=3)
-    calls = []
-    real = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
-    SeededGenerator(3, stream_id=7)
-    assert calls == [([3, 7],)]  # the counter sees a stream built alone
-    calls.clear()
-    assert simulate_many(*args, seed=3) == expected
-    assert calls == []
+    # A timing-free guard: a run builds one generator and makes one sampler
+    # call, whatever m is, and a Bernoulli run's 11 possible totals fork
+    # nothing at any m.
+    runs = [
+        (Bernoulli(), BetaPrior(1.0, 1.0), 0.3, 10, 2000, "binomial"),
+        (Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 50, "poisson"),
+        (NormalKnownVariance(0.2), NormalPrior(0.25, 0.3), 0.5, 30, 200, "standard_normal"),
+        (ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 20, 200, "standard_gamma"),
+    ]
+    expected = [simulate_many(*run[:5], [PosteriorVariance()], seed=3) for run in runs]
+    seeds, calls, forks = [], [], []
+    real, fork = np.random.default_rng, os.fork
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda *a: seeds.append(a) or _CountingGenerator(real(*a), calls))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(0) or fork())
+    for run, estimates in zip(runs, expected):
+        for log in (seeds, calls, forks):
+            log.clear()
+        assert simulate_many(*run[:5], [PosteriorVariance()], seed=3) == estimates
+        _assert_no_children()
+        assert (seeds, calls) == ([(3,)], [run[5]]), run
+        if isinstance(run[0], Bernoulli):
+            assert forks == []
 
 
 def test_generator_rejects_bad_keys():
@@ -505,15 +548,15 @@ def _same_failure(a, b):
 
 def test_first_failure_in_a_child_range_raises_the_serial_error(monkeypatch):
     # Totals 0 and 5 under Beta(0.5, 0.5) give a posterior with a pole, whose
-    # HPD is refused here.  The run is sized so that the first of them falls
-    # in the first child's range, and the parent's range holds none.
+    # HPD is refused here.  They are drawn after the other four totals, so
+    # the first of them falls in a child's slice of the six distinct totals,
+    # and the parent's slice holds none.
     _refuse_hpd_at_a_pole(monkeypatch)
-    family, prior = Bernoulli(), BetaPrior(0.5, 0.5)
-    totals = _totals(family, 0.5, 5, 400, 7)
+    family, prior, m = Bernoulli(), BetaPrior(0.5, 0.5), 400
+    totals = _totals(family, 0.5, 5, m, 7)
+    distinct = list(dict.fromkeys(totals))  # in order of first draw
     first = next(j for j, total in enumerate(totals) if total in (0.0, 5.0))
-    m = 2 * first + 2
-    bounds = [m * k // 3 for k in range(4)]
-    assert bounds[1] <= first < bounds[2]
+    assert len(distinct) == 6 and distinct.index(totals[first]) >= 6 // 3
     args = (family, prior, 0.5, 5, m, [PosteriorVariance(), HpdWidth(0.95)])
     serial = _serial_failure(*args, seed=7)
     assert serial.index == first
@@ -526,8 +569,14 @@ def test_first_failure_in_a_child_range_raises_the_serial_error(monkeypatch):
 def test_failure_in_the_parent_range_kills_and_reaps_every_child(monkeypatch):
     # Every replicate fails: the parent raises at replicate 0 and kills its
     # children, which would otherwise stall for a minute each.
-    _refuse_hpd_at_a_pole(monkeypatch)
-    args = (Poisson(), GammaPrior(1.0, 0.5), 1e-12, 3, 30, [PosteriorVariance(), HpdWidth(0.95)])
+
+    def refuse_every_hpd(functional, post):
+        if isinstance(functional, HpdWidth):
+            raise UnsupportedShapeError(f"{post!r}: refused")
+        return evaluate(functional, post)
+
+    monkeypatch.setattr(montecarlo, "evaluate", refuse_every_hpd)
+    args = (Poisson(), GammaPrior(1.0, 0.5), 2.0, 3, 30, [PosteriorVariance(), HpdWidth(0.95)])
     serial = _serial_failure(*args, seed=11)
     parent = os.getpid()
 
@@ -650,12 +699,27 @@ def test_replicate_failure_replays_from_its_record(monkeypatch):
     assert (exc.seed, exc.stream_id, exc.index) == (11, 0, 0)
     assert (exc.family, exc.prior, exc.functional) == (family, prior, HpdWidth(0.95))
     assert exc.stat == SufficientStat(3, 0.0)
+    assert sample_suffstat(family, 1e-12, 3, SeededGenerator(exc.seed, exc.stream_id)) == exc.stat
     for field in ("seed 11", "stream 0", repr(family), repr(prior), repr(exc.stat),
                   repr(exc.functional)):
         assert field in str(exc)
     with pytest.raises(type(exc.cause)) as again:  # through the run's own evaluate
         montecarlo.evaluate(exc.functional, posterior(exc.family, exc.prior, exc.stat))
     assert str(again.value) == str(exc.cause)
+
+
+def test_replicate_failure_replays_its_stat_from_its_seed_and_stream_id(monkeypatch):
+    # Totals 0 and 13 give a posterior with a pole, whose HPD is refused
+    # here; at this seed the first of them is drawn past the first replay
+    # chunk.
+    _refuse_hpd_at_a_pole(monkeypatch)
+    family = Bernoulli()
+    with pytest.raises(ReplicateError) as err:
+        simulate_many(family, BetaPrior(0.5, 0.5), 0.5, 13, 5000, [HpdWidth(0.95)], seed=4)
+    exc = err.value
+    assert exc.stream_id == exc.index > _CHUNK
+    assert exc.stat.s in (0.0, 13.0)
+    assert sample_suffstat(family, 0.5, 13, SeededGenerator(exc.seed, exc.stream_id)) == exc.stat
 
 
 def test_replicate_failure_after_shared_evaluations_names_the_first_failure(monkeypatch):
