@@ -56,7 +56,7 @@ from .models import (
     NormalKnownVariance,
     NormalPrior,
     Poisson,
-    fisher_info,
+    suffstat_sampler,
 )
 from .montecarlo import simulate_g
 from .tables import (
@@ -309,13 +309,15 @@ def _cmd_simulate(settings: argparse.Namespace) -> str:
     family = _family(settings)
     prior = _prior(settings)
     theta0 = _require(settings.theta0, "theta0")
-    fisher_info(family, theta0)  # refuses a theta0 outside the domain as eval does
-    n = _require(settings.n, "n")
+    n = integer("--n", _require(settings.n, "n"))
+    # Refused before any draw, as eval refuses them: a theta0 outside the
+    # domain or an n too large for a float, then numpy's sampler limits.
+    star = asymptotic_functional(functional, family, theta0, n)
+    suffstat_sampler(family, theta0, n)
     estimate = simulate_g(
         family, prior, theta0, n, settings.m, functional, settings.seed
     )
     if settings.format == "csv":
-        star = asymptotic_functional(functional, family, theta0, n)
         # a simulated rate cell is printed without its quadrature oracle
         exact = None if settings.model == "exp" else _exact_value(settings, functional, theta0, n)
         row = TableRow(

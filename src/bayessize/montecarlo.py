@@ -7,14 +7,17 @@ reproducible.  A posterior depends on the data only through its
 sufficient statistic, so the statistic and its posterior are built and
 the functionals evaluated once per distinct total drawn, in order of
 first draw, and one gather gives every replicate its total's values.
+Exponential-rate totals are evaluated a block of ``RATE_BLOCK_ROWS``
+rows at a time (see :class:`bayessize.models.RatePosterior`), every other
+family's one total at a time.
 
 On Linux the ``k`` distinct totals of a run are split into contiguous
-slices, one per process: ``min(usable CPUs, k // 500)`` processes, or
-one.  The calling process evaluates the first slice and one
-``os.fork()``ed child each other slice, writing its columns of the values
+runs of whole blocks, one per process: ``min(usable CPUs, k // 500)``
+processes, or one.  The calling process evaluates the first run and one
+``os.fork()``ed child each other run, writing its columns of the values
 table into shared memory.  Every value is the same function of its total
-in whichever process computes it, so the estimates are bit-identical for
-any split.
+in whichever process and block computes it, so the estimates are
+bit-identical for any split.
 """
 
 from __future__ import annotations
@@ -28,7 +31,15 @@ import numpy as np
 
 from .errors import DomainError, ReplicateError, integer
 from .functionals import Functional, evaluate
-from .models import LikelihoodFamily, SufficientStat, posterior, suffstat_sampler
+from .models import (
+    RATE_BLOCK_ROWS,
+    ExponentialRate,
+    LikelihoodFamily,
+    SufficientStat,
+    posterior,
+    rate_posterior,
+    suffstat_sampler,
+)
 from .randomness import SeededGenerator, run_generator
 
 __all__ = [
@@ -128,18 +139,21 @@ def simulate_many(
     ``np.unique`` finds the distinct totals drawn, with the first
     replicate to draw each and every replicate's total.  Each distinct
     total, in order of first draw, builds its ``SufficientStat`` and
-    posterior and evaluates the functionals once; one gather then fills
-    every replicate's values, which are the same deterministic function of
-    the same statistic, so the estimates are bit-identical to evaluating
-    every replicate.  Poisson and Bernoulli totals are integers and repeat
-    often; continuous totals practically never do.  The first replicate to
-    fail raises ``ReplicateError`` carrying what replays it.
+    posterior, or its row of a block of rate posteriors, and evaluates the
+    functionals once; one gather then fills every replicate's values,
+    which are the same deterministic function of the same statistic, so
+    the estimates are bit-identical to evaluating every replicate.
+    Poisson and Bernoulli totals are integers and repeat often; continuous
+    totals practically never do.  The first replicate to fail raises
+    ``ReplicateError`` carrying what replays it: a block that fails is
+    redone one posterior at a time, each the block's row bit for bit.
 
     With several processes (see the module docstring) the sampler, which
     checks ``theta0`` and ``n`` as replicate 0, and the draw run before any
     fork, and every child is reaped before this returns or raises.  A
-    slice whose child failed is redone in this process, so the first
-    failing replicate raises the same ``ReplicateError`` as a serial run.
+    run of blocks whose child failed is redone in this process, so the
+    first failing replicate raises the same ``ReplicateError`` as a serial
+    run.
     """
     integer("n", n)
     integer("m", m, 2)
@@ -157,22 +171,45 @@ def simulate_many(
     totals, firsts = distinct.tolist(), firsts.tolist()
     processes = _process_count(len(order))
     values = (np.empty if processes == 1 else _shared_table)((len(functionals), len(order)))
+    block = RATE_BLOCK_ROWS if isinstance(family, ExponentialRate) else 1
+
+    def fill_one(u: int) -> None:
+        """Column ``u`` of ``values``, failing as replicate ``firsts[u]``."""
+        j = firsts[u]
+        stat = functional = None
+        try:
+            stat = SufficientStat(n, totals[u])
+            post = posterior(family, prior, stat)
+            for i, functional in enumerate(functionals):
+                values[i, u] = evaluate(functional, post)
+        except Exception as exc:
+            raise ReplicateError(j, exc, seed=seed, stream_id=j, family=family,
+                                 prior=prior, stat=stat, functional=functional) from exc
+
+    def fill_block(us: list[int]) -> bool:
+        """Columns ``us`` of ``values`` from one block of rate posteriors;
+        False if any of it failed."""
+        try:
+            post = rate_posterior(prior, n, distinct[us])
+            for i, functional in enumerate(functionals):
+                values[i, us] = evaluate(functional, post)
+        except Exception:
+            return False
+        return True
 
     def fill(lo: int, hi: int) -> None:
-        """The columns of ``values`` of the distinct totals ``order[lo:hi]``."""
-        for u in order[lo:hi]:
-            j = firsts[u]
-            stat = functional = None
-            try:
-                stat = SufficientStat(n, totals[u])
-                post = posterior(family, prior, stat)
-                for i, functional in enumerate(functionals):
-                    values[i, u] = evaluate(functional, post)
-            except Exception as exc:
-                raise ReplicateError(j, exc, seed=seed, stream_id=j, family=family,
-                                     prior=prior, stat=stat, functional=functional) from exc
+        """The columns of ``values`` of the distinct totals ``order[lo:hi]``,
+        a block at a time.  A block that fails is redone one total at a
+        time, so its first failing total raises as in a serial run."""
+        for start in range(lo, hi, block):
+            us = order[start:min(start + block, hi)]
+            if block == 1 or not fill_block(us):
+                for u in us:
+                    fill_one(u)
 
-    _fill_ranges(fill, [len(order) * k // processes for k in range(processes + 1)])
+    blocks = -(-len(order) // block)
+    _fill_ranges(fill, [min(block * (blocks * k // processes), len(order))
+                        for k in range(processes + 1)])
     values = values[:, inverse]
 
     out = []

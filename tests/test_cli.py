@@ -390,6 +390,57 @@ def test_eval_rate_cell_at_one_observation_meets_the_oracle_gate(capsys):
     assert 0.0 < float(pairs["g_exact"]) < 0.25
 
 
+def _quad_expected_alc(theta0, n, a=1.5, b=1.5, alpha=0.05):
+    """E[Q(1 - alpha/2) - Q(alpha/2)] of the rate posterior over the Gamma(n,
+    theta0) law of s, by scipy alone: Gauss-Legendre over the law's
+    probability scale, and each quantile a brentq root of a quad CDF about
+    the mode."""
+    from scipy import integrate, optimize, special, stats
+
+    shape = a + n
+
+    def length(s):
+        big = shape + b - 2.0 + s
+        mode = 2.0 * (shape - 1.0) / (big + math.sqrt(big * big - 4.0 * s * (shape - 1.0)))
+        sd = 1.0 / math.sqrt((shape - 1.0) / mode**2 + (b - 1.0) / (1.0 - mode) ** 2)
+        lo, hi = max(mode - 40.0 * sd, 0.0), min(mode + 40.0 * sd, 1.0)
+
+        def f(r):  # the density over its mode's, about the mode
+            return math.exp((shape - 1.0) * math.log1p((r - mode) / mode) - s * (r - mode)
+                            + (b - 1.0) * (math.log1p(-r) - math.log1p(-mode)))
+
+        def mass(x):
+            return integrate.quad(f, lo, x, points=[mode] if lo < mode < x else None,
+                                  epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+        total = mass(hi)
+        ends = [optimize.brentq(lambda x: mass(x) / total - p, mode - 4.0 * sd,
+                                mode + 4.0 * sd, xtol=1e-300, rtol=1e-12)
+                for p in (0.5 * alpha, 1.0 - 0.5 * alpha)]
+        return ends[1] - ends[0]
+
+    # Over the law's probability scale the length is smooth and nearly
+    # constant at this n: 16 Gauss-Legendre points resolve it.
+    law = stats.gamma(n, scale=1.0 / theta0)
+    u, w = special.roots_legendre(16)
+    return 0.5 * sum(wk * length(law.ppf(0.5 * (uk + 1.0))) for uk, wk in zip(u, w))
+
+
+def test_eval_rate_alc_at_a_million_observations_meets_quadrature(capsys):
+    # The fixed k/4096 grid printed g_exact=0.0010545 here, 7.6 % above
+    # g_star; each posterior on its own nodes puts the oracle within its
+    # 1e-5 gate of a scipy quadrature reference.
+    code, out, err = run(
+        ["eval", "--model", "exp", "--criterion", "alc", "--len", "0.1",
+         "--theta0", "0.25", "--n", "1000000"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    pairs = kv(out)
+    reference = _quad_expected_alc(0.25, 1_000_000)
+    assert float(pairs["g_exact"]) == pytest.approx(reference, rel=1e-5)
+
+
 def test_eval_expected_quantile_cell(capsys):
     code, out, _ = run(
         ["eval", "--model", "normal", "--sigma2", "0.2", "--mu0", "0.25",
@@ -484,10 +535,23 @@ def test_simulate_names_a_sample_size_too_large_for_a_float(capsys, model):
          "--n", str(10**400), "--m", "2000"],
         capsys,
     )
-    assert code == 3 and out == ""
-    assert err.startswith(f"error: replicate 0 failed: sample size {10**400} exceeds the"
-                          " largest float 1.7976931348623157e+308 [seed 20060301, stream 0,")
-    assert "stat None, functional None]" in err
+    # A usage error, exit 1, with eval's message and before any draw.
+    assert code == 1 and out == ""
+    assert err == (f"error: sample size {10**400} exceeds the largest float"
+                   " 1.7976931348623157e+308\n")
+
+
+def test_simulate_refuses_a_poisson_mean_past_numpys_limit(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "simulate_g", lambda *args: runs.append(args))
+    code, out, err = run(
+        ["simulate", "--model", "poisson", "--criterion", "apvc", "--a", "1", "--b", "1",
+         "--theta0", "1e300", "--n", "1000000", "--m", "2"],
+        capsys,
+    )
+    assert code == 1 and out == "" and runs == []
+    assert err == ("error: Poisson mean n * theta0 = 1e+306 exceeds numpy's limit"
+                   " 9.223372006484771e+18\n")
 
 
 def test_simulate_two_replicate_smoke(capsys):

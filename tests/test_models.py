@@ -21,7 +21,17 @@ from bayessize.errors import (
     DomainError,
     UnsupportedShapeError,
 )
-from bayessize.functionals import HpdLower, HpdUpper, HpdWidth, evaluate
+import bayessize.models as models
+from bayessize.functionals import (
+    CenteredIntervalMass,
+    CredibleLength,
+    HpdLower,
+    HpdUpper,
+    HpdWidth,
+    PosteriorVariance,
+    TailMassAbove,
+    evaluate,
+)
 from bayessize.models import (
     GRID_NODES,
     Bernoulli,
@@ -30,17 +40,18 @@ from bayessize.models import (
     ExponentialRate,
     GammaPosterior,
     GammaPrior,
-    GridPosterior,
     NormalKnownVariance,
     NormalPosterior,
     NormalPrior,
     Poisson,
+    RatePosterior,
     SufficientStat,
     fisher_info,
     in_domain,
     inf_weighted_info,
     param_bounds,
     posterior,
+    rate_posterior,
     sample_suffstat,
     suffstat_sampler,
 )
@@ -305,11 +316,13 @@ def test_bernoulli_update_accepts_degenerate_totals():
 
 
 def test_exponential_update_returns_grid():
+    # a batch of one row, on its own nodes in (0, 1]
     post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(25, 50.0))
-    assert isinstance(post, GridPosterior)
-    assert post.nodes.size == GRID_NODES
-    assert post.nodes[-1] == 1.0
-    assert post.nodes[0] > 0.0
+    assert isinstance(post, RatePosterior) and len(post) == 1
+    nodes = post.nodes
+    assert nodes.shape == (1, 257)
+    assert 0.0 < nodes[0, 0] and nodes[0, -1] <= 1.0
+    assert np.all(np.diff(nodes[0]) > 0.0)
 
 
 def test_posterior_rejects_unsupported_pairs():
@@ -512,25 +525,35 @@ def test_quantile_failure_names_the_posterior(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# grid posterior
+# rate posterior: each row on its own nodes in phi = arcsin(sqrt(r))
 
 def _beta_grid(a, b):
-    # With s = 0 the rate posterior is Beta(a, b) on the nodes.
-    return GridPosterior(a, b, 0.0)
+    # With s = 0 the rate posterior is Beta(a, b).
+    return RatePosterior(a, b, 0.0)
+
+
+def _row_log_density(post, r):
+    """The row's closed-form log density at rates r, up to a constant; a
+    power with exponent 0 is 1 at its edge too."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):
+        value = -float(post.s) * r
+        if post.shape != 1.0:
+            value = value + (post.shape - 1.0) * np.log(r)
+        if post.b != 1.0:
+            value = value + (post.b - 1.0) * np.log1p(-r)
+    return value
 
 
 @pytest.mark.parametrize("a, b", [(1.5, 1.5), (3.0, 3.0), (51.0, 51.0)])
 def test_grid_posterior_reproduces_beta_oracle(a, b):
-    # The nodes start at 1/K: the oracle is the beta law cut there.
+    # The rows' nodes reach both edges: the oracle is the whole beta law.
     grid = _beta_grid(a, b)
     dist = stats.beta(a, b)
-    cut = dist.cdf(grid.nodes[0])
-    mean = dist.expect(lambda x: x, lb=grid.nodes[0], conditional=True)
-    var = dist.expect(lambda x: (x - mean) ** 2, lb=grid.nodes[0], conditional=True)
-    assert grid.mean() == pytest.approx(mean, abs=1e-5)
-    assert grid.variance() == pytest.approx(var, abs=1e-5)
+    assert grid.mean() == pytest.approx(dist.mean(), rel=1e-12)
+    assert grid.variance() == pytest.approx(dist.var(), rel=1e-9)
     for p in (0.025, 0.5, 0.975):
-        assert grid.quantile(p) == pytest.approx(dist.ppf(cut + p * (1.0 - cut)), abs=1e-5)
+        assert grid.quantile(p) == pytest.approx(dist.ppf(p), rel=1e-9)
 
 
 @pytest.mark.parametrize("n, s", [(100, 400.0), (10, 30.0), (1000, 2000.0)])
@@ -541,54 +564,60 @@ def test_grid_quantile_inverts_the_trapezoid_cdf(n, s):
 
 
 def _cdf_by_search(grid, v):
-    # GridPosterior.cdf as written with a binary search for the segment
-    x, d = grid.nodes, grid.density
-    if v <= x[0]:
+    # RatePosterior.cdf with a binary search for the segment among the
+    # row's nodes in phi
+    phi0, h, k = grid._phi0[0], grid._step[0], grid._node_cdf.shape[1] - 1
+    nodes = phi0 + h * np.arange(k + 1.0)
+    nodes[-1] = grid._phi1[0]
+    phi = math.asin(math.sqrt(min(max(v, 0.0), 1.0)))
+    if phi <= nodes[0]:
         return 0.0
-    if v >= x[-1]:
+    if phi >= nodes[-1]:
         return 1.0
-    i = int(np.searchsorted(x, v, side="right")) - 1
-    t = (v - x[i]) / grid.step
-    d_at = d[i] + t * (d[i + 1] - d[i])
-    return min(float(grid._node_cdf[i] + 0.5 * (d[i] + d_at) * (v - x[i])), 1.0)
+    i = min(int(np.searchsorted(nodes, phi, side="right")) - 1, k - 1)
+    coef = grid._segments(np.array([0]), np.array([i]))
+    t = np.array([min(max((phi - phi0) / h - i, 0.0), 1.0)])
+    return min(max(float(grid._within(np.array([0]), np.array([i]), coef, t)[0][0]), 0.0), 1.0)
 
 
 @pytest.mark.parametrize(
     "grid",
     [posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(30, 60.0)),
-     _beta_grid(3.0, 8.0), GridPosterior(2.0, 1.0, 700.0)],
+     _beta_grid(3.0, 8.0), RatePosterior(2.0, 1.0, 700.0)],
 )
 def test_grid_scalar_lookups_match_numpy(grid):
-    # cdf() indexes the segment directly from x and must agree with the
-    # binary search bit for bit; inside the nodes, the lookup behind it
-    # also returns the interpolated density, the CDF's slope.  The direct
-    # index rests on node i being (i + 1) * step exactly.
-    x, d = grid.nodes, grid.density
-    assert np.array_equal((np.arange(x.size) + 1) * grid.step, x)
+    # cdf() indexes the segment directly from phi and must agree with a
+    # binary search over the nodes; on a node either neighbour's quartic
+    # gives the node CDF, to a few ulps.  Inside the nodes its slope is the
+    # closed-form density.
+    x = grid.nodes[0]
     on = x[[0, 1, 2, 100, -2, -1]]
     points = np.concatenate((
         on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
         np.random.default_rng(7).uniform(x[0], x[-1], 300), [x[0] - 1.0, x[-1] + 1.0],
     ))
     for v in points.tolist():
-        assert grid.cdf(v) == _cdf_by_search(grid, v)
-        if x[0] < v < x[-1]:
-            cdf, density = grid._cdf_density(v)
-            assert cdf == grid.cdf(v)
-            assert density == pytest.approx(np.interp(v, x, d), rel=1e-12, abs=1e-15 * d.max())
-    # The last node closes the last segment.
-    cdf, density = grid._cdf_density(x[-1])
-    assert cdf == pytest.approx(1.0, abs=1e-12)
-    assert density == pytest.approx(d[-1], rel=1e-12, abs=1e-15 * d.max())
+        assert grid.cdf(v) == pytest.approx(_cdf_by_search(grid, v), abs=2e-15)
+    assert grid.cdf(x[-1]) == 1.0 and grid.cdf(x[0]) == 0.0
+    # the cubic Hermite density is good to O(h^4): 1e-6 between the 1 %
+    # quantiles of these rows
+    inside = np.random.default_rng(8).uniform(grid.quantile(0.01), grid.quantile(0.99), 50)
+    rows = np.zeros(inside.size, dtype=np.intp)
+    phi = np.arcsin(np.sqrt(inside))
+    density = grid._cdf_phi(rows, phi)[1] / np.sin(2.0 * phi)  # d/dr = d/dphi / sin(2 phi)
+    closed = np.exp(_row_log_density(grid, inside))
+    ratio = density / closed
+    assert np.ptp(ratio) <= 1e-6 * ratio.mean()
     with pytest.raises(DomainError):
         grid.cdf(math.nan)
 
 
 def _trapezoid_weights(grid):
-    # density times the trapezoid rule's weight at each node
-    w = np.full(grid.nodes.size, grid.step)
-    w[0] = w[-1] = 0.5 * grid.step
-    return w * grid.density
+    # the stored h g / total at each node, times the trapezoid rule's weights
+    w = grid._density[0].copy()
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 def test_grid_posterior_weights_sum_to_one():
@@ -600,8 +629,8 @@ def test_grid_posterior_weights_sum_to_one():
 def test_grid_posterior_symmetric_hpd_matches_equal_tails():
     grid = _beta_grid(3.0, 3.0)
     box = grid.hpd(0.95)
-    assert box.lo == pytest.approx(grid.quantile(0.025), abs=grid.step)
-    assert box.hi == pytest.approx(grid.quantile(0.975), abs=grid.step)
+    assert box.lo == pytest.approx(grid.quantile(0.025), rel=1e-12)
+    assert box.hi == pytest.approx(grid.quantile(0.975), rel=1e-12)
 
 
 @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
@@ -617,44 +646,48 @@ def test_grid_hpd_mass_band(level):
 _BENCH_RATE_CELLS = ((0.25, 10), (0.25, 100), (0.5, 30), (0.75, 10), (0.75, 50))
 
 
+def _bench_rows(theta0, n):
+    # 200 replicates of the cell, in one block as simulate_many builds them
+    fam, prior = ExponentialRate(), BetaPrior(1.5, 1.5)
+    totals = [sample_suffstat(fam, theta0, n, SeededGenerator(2006, stream_id=j)).s
+              for j in range(200)]
+    return rate_posterior(prior, n, np.array(totals))
+
+
 @pytest.mark.parametrize("theta0, n", _BENCH_RATE_CELLS)
 def test_grid_hpd_pad_starts_at_one_ulp(monkeypatch, theta0, n):
-    # Each pad pass costs two cdf calls after the first two; starting at
+    # Each pad pass costs two CDF calls after the first two; starting at
     # one ulp of the ends, at most two passes reach the level.
     calls = []
-    cdf = GridPosterior.cdf
+    cdf = RatePosterior._cdf
 
-    def counted(self, x):
-        calls.append(x)
-        return cdf(self, x)
+    def counted(self, rows, x):
+        calls.append(rows.size)
+        return cdf(self, rows, x)
 
-    monkeypatch.setattr(GridPosterior, "cdf", counted)
-    fam, prior = ExponentialRate(), BetaPrior(1.5, 1.5)
-    for j in range(200):
-        stat = sample_suffstat(fam, theta0, n, SeededGenerator(2006, stream_id=j))
-        post = posterior(fam, prior, stat)
-        calls.clear()
-        box = post.hpd(0.95)
-        assert 0.0 <= box.mass - 0.95 <= 1e-14
-        assert len(calls) <= 2 + 2 * 2
+    post = _bench_rows(theta0, n)
+    monkeypatch.setattr(RatePosterior, "_cdf", counted)
+    box = post.hpd(0.95)
+    assert np.all((0.0 <= box.mass - 0.95) & (box.mass - 0.95 <= 1e-14))
+    assert len(calls) <= 2 + 2 * 2
 
 
 def test_grid_hpd_no_wider_than_equal_tails():
     post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(25, 50.0))
     box = post.hpd(0.95)
     et = post.quantile(0.975) - post.quantile(0.025)
-    assert box.hi - box.lo <= et + 2.0 * post.step
+    assert box.hi - box.lo <= et * (1.0 + 1e-12)
 
 
-def _rate_grid(theta0, n, u):
+def _rate_grid(theta0, n, u, b=1.5):
     # s at probability u of its Gamma(n, theta0) sampling law
     s = float(stats.gamma.ppf(u, n) / theta0)
-    return posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(n, s))
+    return posterior(ExponentialRate(), BetaPrior(1.5, b), SufficientStat(n, s))
 
 
 def _gamma_grid(shape, rate):
-    # With b = 1 the rate posterior is Gamma(shape, rate) cut to the nodes.
-    return GridPosterior(shape, 1.0, rate)
+    # With b = 1 the rate posterior is Gamma(shape, rate) cut at 1.
+    return RatePosterior(shape, 1.0, rate)
 
 
 _RATE_GRIDS = st.builds(
@@ -667,19 +700,56 @@ _GRIDS = st.one_of(
 )
 
 
+def _reference_log_density(shape, b, s):
+    """The closed-form mode of r^(shape-1) (1-r)^(b-1) exp(-s r) on [0, 1]
+    and its log density less the mode's, about the mode so that no term
+    grows with n."""
+    if b == 1.0:
+        mode = min((shape - 1.0) / s, 1.0) if s > 0.0 else 1.0
+    else:  # the smaller root of s r^2 - (shape + b - 2 + s) r + shape - 1
+        pa, pb = shape - 1.0, b - 1.0
+        mode = 2.0 * pa / (pa + pb + s + math.hypot(s - pa + pb, 2.0 * math.sqrt(pa * pb)))
+    # a centre at the mode, or next to it inside (0, 1)
+    centre = min(max(mode, 1e-300), 1.0 - 2.0**-40)
+
+    def log_k(r):
+        value = -s * (r - centre)
+        if shape != 1.0:
+            d = (r - centre) / centre
+            value += (shape - 1.0) * (math.log1p(d) if d > -0.5 else math.log(r / centre))
+        if b != 1.0:
+            value += (b - 1.0) * (math.log1p(-r) - math.log1p(-centre))
+        return value
+
+    return mode, log_k
+
+
+def _moments_by_quad(post):
+    # the closed-form density's mass, mean and variance on (0, 1)
+    mode, log_k = _reference_log_density(post.shape, post.b, float(post.s))
+    f = lambda r: math.exp(log_k(r)) if 0.0 < r < 1.0 else 0.0  # noqa: E731
+    points = [mode] if 0.0 < mode < 1.0 else None
+
+    def q(g):
+        return integrate.quad(g, 0.0, 1.0, points=points, limit=400, epsabs=0.0,
+                              epsrel=1e-12)[0]
+
+    z = q(f)
+    mean = q(lambda r: r * f(r)) / z
+    return mean, q(lambda r: (r - mean) ** 2 * f(r)) / z
+
+
 @settings(max_examples=80, deadline=None)
 @given(grid=_GRIDS)
 def test_grid_normalisation_is_exact_at_the_ends(grid):
-    # One cumulative sum gives the node CDF and the total it is divided by.
-    cdf = grid._node_cdf
+    # One cumulative sum gives the node CDF and the total it is divided by;
+    # the mean and variance are those of the closed-form density.
+    cdf = grid._node_cdf[0]
     assert cdf[0] == 0.0 and cdf[-1] == 1.0
     assert np.all(np.diff(cdf) >= 0.0)
-    w = _trapezoid_weights(grid).tolist()
-    x = grid.nodes.tolist()
-    mean = math.fsum(wi * xi for wi, xi in zip(w, x))
-    variance = math.fsum(wi * (xi - mean) ** 2 for wi, xi in zip(w, x))
-    assert grid.mean() == pytest.approx(mean, rel=1e-13)
-    assert grid.variance() == pytest.approx(variance, rel=1e-13)
+    mean, variance = _moments_by_quad(grid)
+    assert grid.mean() == pytest.approx(mean, rel=1e-9)
+    assert grid.variance() == pytest.approx(variance, rel=1e-8)
 
 
 @settings(max_examples=80, deadline=None)
@@ -689,32 +759,33 @@ def test_grid_hpd_properties(grid, level):
     assert level <= box.mass <= level + 1e-12
     tail = 0.5 * (1.0 - level)
     equal_tail = grid.quantile(1.0 - tail) - grid.quantile(tail)
-    assert box.hi - box.lo <= equal_tail + 2.0 * grid.step
-    if box.lo > grid.nodes[0] and box.hi < grid.nodes[-1]:
-        d_lo, d_hi = np.interp([box.lo, box.hi], grid.nodes, grid.density)
-        assert abs(d_lo - d_hi) <= np.abs(np.diff(grid.density)).max()
+    assert box.hi - box.lo <= equal_tail * (1.0 + 1e-12)
+    if 0.0 < box.lo and box.hi < 1.0:
+        ends = _row_log_density(grid, np.array([box.lo, box.hi]))
+        assert abs(ends[0] - ends[1]) <= 1e-8
 
 
 @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
 @pytest.mark.parametrize("n", [1, 2])
 def test_grid_hpd_at_the_support_edge(n, level):
-    # n = 1 with a large s piles the rate posterior onto the first nodes;
-    # a gamma of shape 1, cut to the nodes, is densest at the first node.
+    # n = 1 with a large s piles the rate posterior near rate 0; a gamma of
+    # shape 1 falls from its maximum at rate 0, where its interval starts.
     exponential = _gamma_grid(1.0, 5.0)
     for grid in (_rate_grid(0.05, n, 0.999), _rate_grid(1.0, n, 0.001), exponential):
         box = grid.hpd(level)
         assert level <= box.mass <= level + 1e-12
-    assert exponential.hpd(level).lo == exponential.nodes[0]
+    assert exponential.hpd(level).lo == exponential.nodes[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
 def test_grid_hpd_on_a_flat_density_has_the_level_mass(level):
-    # Beta(1, 1) on the nodes: every interval of mass `level` is a
-    # highest-density one, and its width is `level` of the nodes' span.
+    # Beta(1, 1): every interval of mass `level` is a highest-density one,
+    # and its width is `level` of the nodes' span, the unit interval.
     grid = _beta_grid(1.0, 1.0)
     box = grid.hpd(level)
     assert level <= box.mass <= level + 1e-12
-    span = grid.nodes[-1] - grid.nodes[0]
+    span = grid.nodes[0, -1] - grid.nodes[0, 0]
+    assert span == 1.0
     assert box.hi - box.lo == pytest.approx(level * span, abs=1e-12)
 
 
@@ -727,7 +798,7 @@ def test_grid_hpd_on_a_flat_density_has_the_level_mass(level):
 def test_grid_hpd_no_wider_than_any_node_anchored_interval(grid, level):
     # hpd() never looks at the nodes; still, no interval with an end on a
     # node and mass `level` may be shorter
-    x, cdf = grid.nodes, grid._node_cdf
+    x, cdf = grid.nodes[0], grid._node_cdf[0]
     starts, ends = cdf + level <= cdf[-1], cdf >= level
     reach = np.vectorize(lambda p: x[0] if p <= 0.0 else x[-1] if p >= 1.0 else grid.quantile(p))
     widths = np.r_[reach(cdf[starts] + level) - x[starts],
@@ -737,34 +808,35 @@ def test_grid_hpd_no_wider_than_any_node_anchored_interval(grid, level):
 
 
 def test_grid_hpd_ends_move_continuously_with_the_data():
-    # An end snapped to a node would jump by a whole step (2.4e-4) as s
-    # moves; the rate-study oracle integrates these ends over s.
+    # An end snapped to a node would jump by a whole step as s moves; the
+    # rate-study oracle integrates these ends over s.
     fam, prior = ExponentialRate(), BetaPrior(1.5, 1.5)
     boxes = [
         posterior(fam, prior, SufficientStat(30, float(s))).hpd(0.95)
         for s in np.linspace(60.0, 60.01, 41)
     ]
     ends = np.array([(box.lo, box.hi) for box in boxes])
-    assert np.abs(np.diff(ends, axis=0)).max() <= 1e-5
+    steps = np.diff(ends, axis=0)
+    assert np.abs(steps).max() <= 1e-5
+    # smooth in s: the steps of equal width in s agree to their second difference
+    assert np.abs(np.diff(steps, axis=0)).max() <= 1e-9
 
 
 def test_rate_posterior_grid_matches_a_tabulated_log_density():
-    # Beta(1.5 + n, 1.5) times the exponential likelihood's exp(-s r)
+    # Beta(1.5 + n, 1.5) times the exponential likelihood's exp(-s r), times
+    # dr / dphi = sin(2 phi) on the row's nodes in phi
     post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(30, 60.0))
-    nodes = np.linspace(1.0 / GRID_NODES, 1.0, GRID_NODES)
-    with np.errstate(divide="ignore"):
-        log_density = stats.beta.logpdf(nodes, 31.5, 1.5) - 60.0 * nodes
-    tabulated = np.exp(log_density - log_density[:-1].max())
-    step = float(nodes[1] - nodes[0])
-    tabulated /= step * (tabulated.sum() - 0.5 * (tabulated[0] + tabulated[-1]))
-    assert step == pytest.approx(post.step, rel=1e-12)
-    np.testing.assert_allclose(nodes, post.nodes, rtol=1e-15)
-    np.testing.assert_allclose(tabulated, post.density, rtol=1e-12)
-    # The closed form the HPD's ends use is the table's log density, up to
-    # the normalising constant (the last node, rate 1, has density 0).
-    closed = np.array([post._log_pdf_at(r) for r in post.nodes[:-1].tolist()])
-    offset = np.log(post.density[:-1]) - closed
-    assert post.density[-1] == 0.0
+    r = post.nodes[0]
+    assert r[0] > 0.0 and r[-1] <= 1.0 and np.all(np.diff(r) > 0.0)
+    phi = np.arcsin(np.sqrt(r))
+    assert np.ptp(np.diff(phi)) <= 1e-9 * post._step[0]
+    r, phi = r[:-1], phi[:-1]  # the last node may be rate 1, where the density is 0
+    tabulated = stats.beta.logpdf(r, 31.5, 1.5) - 60.0 * r + np.log(np.sin(2.0 * phi))
+    offset = np.log(post._density[0, :-1]) - tabulated
+    assert np.ptp(offset) <= 1e-12 * np.abs(tabulated).max()
+    # The closed form the HPD's ends use is the same log density.
+    closed = post._log_pdf(r)
+    offset = stats.beta.logpdf(r, 31.5, 1.5) - 60.0 * r - closed
     assert np.ptp(offset) <= 1e-12 * np.abs(closed).max()
 
 
@@ -780,64 +852,66 @@ def test_rate_hpd_reaches_one_when_b_is_one(s, level):
     assert box.lo == pytest.approx(post.quantile(1.0 - level), abs=1e-15)
     assert box.lo <= post.quantile(1.0 - level)
     assert level <= box.mass <= level + 1e-12
-    assert post._log_pdf_at(box.lo) <= post._log_pdf_at(1.0)
+    assert _row_log_density(post, box.lo) <= _row_log_density(post, 1.0)
 
 
 def test_rate_hpd_with_b_one_and_an_interior_mode_stays_below_one():
     post = posterior(ExponentialRate(), BetaPrior(1.5, 1.0), SufficientStat(20, 60.0))
     box = post.hpd(0.95)
     assert box.hi < 1.0
-    assert abs(post._log_pdf_at(box.lo) - post._log_pdf_at(box.hi)) <= 1e-12
+    assert abs(_row_log_density(post, box.lo) - _row_log_density(post, box.hi)) <= 1e-12
 
 
 @pytest.mark.parametrize("level", [0.05, 0.5, 0.95, 0.99])
 @pytest.mark.parametrize("s", [1e4, 1e5])
 def test_rate_hpd_lower_end_on_the_first_node(s, level):
-    # n = 1 and a large s put the mode, 1.5 / s, below the first node 1/K.
+    # n = 1 and a large s put the mode, 1.5 / s, below 1/4096, the first
+    # node of the fixed grid these posteriors replaced, which pinned the
+    # interval's lower end there.  The row's own nodes resolve it: the ends
+    # are the quadrature reference's.
     post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(1, s))
-    assert post._mode < post.nodes[0]
+    assert post._mode[0] < 1.0 / GRID_NODES
     box = post.hpd(level)
-    assert box.lo == post.nodes[0]
-    assert box.hi == pytest.approx(post.quantile(level), abs=1e-15)
+    lo, hi = _reference_rate_hpd(post.shape, post.b, float(post.s), level)
+    assert 0.0 < box.lo < post._mode[0] < box.hi
+    assert box.lo == pytest.approx(lo, rel=1e-8)
+    assert box.hi == pytest.approx(hi, rel=1e-8)
     assert level <= box.mass <= level + 1e-12
 
 
 def test_rate_hpd_failure_names_the_posterior(monkeypatch):
     post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(30, 60.0))
-    monkeypatch.setattr(GridPosterior, "_dlog_pdf_at", lambda self, x: math.nan)
+    cdf_phi = RatePosterior._cdf_phi
+    monkeypatch.setattr(RatePosterior, "_cdf_phi",
+                        lambda self, rows, phi: (cdf_phi(self, rows, phi)[0], phi * math.nan))
     with pytest.raises(AccuracyError,
-                       match=r"GridPosterior\(shape=31\.5, b=1\.5, s=60\.0\).*level=0\.95"):
+                       match=r"RatePosterior\(shape=31\.5, b=1\.5, s=60\.0\).*level=0\.95"):
         post.hpd(0.95)
 
 
 def _reference_rate_hpd(shape, b, s, level):
     """HPD of the continuous density r^(shape-1) exp(-s r) (1-r)^(b-1) on
-    (0, 1], from scipy alone: the mode by bounded minimisation, masses by
-    quad, and the cut log density by brentq, with each end a brentq root."""
-    def log_k(r):
-        return (shape - 1.0) * math.log(r) - s * r + (b - 1.0) * math.log1p(-r)
-
+    (0, 1], from scipy alone: masses by quad, and the cut log density by
+    brentq, with each end a brentq root, about the closed-form mode."""
+    mode, log_k = _reference_log_density(shape, b, s)
     top = 1.0 - 2.0**-53
-    mode = optimize.minimize_scalar(lambda r: -log_k(r), bounds=(1e-300, top),
-                                    method="bounded", options={"xatol": 1e-15}).x
-    peak = log_k(mode)
     sd = 1.0 / math.sqrt((shape - 1.0) / mode**2 + (b - 1.0) / (1.0 - mode) ** 2)
 
     def f(r):
-        return math.exp(log_k(r) - peak) if 0.0 < r < 1.0 else 0.0
+        return math.exp(log_k(r)) if 0.0 < r < 1.0 else 0.0
 
     def mass(lo, hi):  # lo <= mode <= hi; each side's density is monotone
-        return sum(integrate.quad(f, x0, x1, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+        return sum(integrate.quad(f, x0, x1, epsabs=0.0, epsrel=1e-11, limit=200)[0]
                    for x0, x1 in ((lo, mode), (mode, hi)))
 
     total = mass(max(mode - 50.0 * sd, 0.0), min(mode + 50.0 * sd, 1.0))
 
     def ends(cut):
-        return (optimize.brentq(lambda r: log_k(r) - cut, 1e-300, mode, xtol=1e-16),
-                optimize.brentq(lambda r: log_k(r) - cut, mode, top, xtol=1e-16))
+        return (optimize.brentq(lambda r: log_k(r) - cut, 1e-300, mode, xtol=1e-300, rtol=1e-15),
+                optimize.brentq(lambda r: log_k(r) - cut, mode, top, xtol=1e-300, rtol=1e-15))
 
-    floor = max(peak - 60.0, log_k(1e-300), log_k(top)) + 1e-9
-    cut = optimize.brentq(lambda c: mass(*ends(c)) / total - level, floor, peak - 1e-6,
+    floor = max(-60.0, log_k(1e-300), log_k(top)) + 1e-9
+    cut = optimize.brentq(lambda c: mass(*ends(c)) / total - level, floor, -1e-6,
                           xtol=1e-14)
     return ends(cut)
 
@@ -850,46 +924,166 @@ def _reference_rate_hpd(shape, b, s, level):
 def test_rate_hpd_matches_a_quadrature_reference(theta0, n, u, level):
     post = _rate_grid(theta0, n, u)
     box = post.hpd(level)
-    lo, hi = _reference_rate_hpd(post.shape, post.b, post.s, level)
-    # The grid's trapezoid CDF and its first node at 1/K set the ends'
-    # resolution: over 750 random draws and the corners of this range the
-    # ends were at most 0.20 of a node spacing from the reference.
-    assert abs(box.lo - lo) <= 0.5 * post.step
-    assert abs(box.hi - hi) <= 0.5 * post.step
+    lo, hi = _reference_rate_hpd(post.shape, post.b, float(post.s), level)
+    # The fixed grid's ends were within half a node spacing, 1.2e-4; the
+    # row's own nodes put them within 1e-8 of the reference's width.
+    assert abs(box.lo - lo) <= 1e-8 * (hi - lo)
+    assert abs(box.hi - hi) <= 1e-8 * (hi - lo)
     assert level <= box.mass <= level + 1e-12
     tail = 0.5 * (1.0 - level)
     equal_tail = post.quantile(1.0 - tail) - post.quantile(tail)
     assert box.hi - box.lo <= equal_tail * (1.0 + 1e-9)
     # An end snapped to a node would jump by up to a node spacing.
     nearby = posterior(ExponentialRate(), BetaPrior(1.5, 1.5),
-                       SufficientStat(n, post.s * (1.0 + 1e-9))).hpd(level)
-    assert abs(nearby.lo - box.lo) <= 1e-3 * post.step
-    assert abs(nearby.hi - box.hi) <= 1e-3 * post.step
+                       SufficientStat(n, float(post.s) * (1.0 + 1e-9))).hpd(level)
+    assert abs(nearby.lo - box.lo) <= 1e-7 * (hi - lo)
+    assert abs(nearby.hi - box.hi) <= 1e-7 * (hi - lo)
 
 
 @pytest.mark.parametrize("theta0, n", _BENCH_RATE_CELLS)
 def test_rate_hpd_takes_at_most_8_newton_steps(monkeypatch, theta0, n):
     # A timing-free guard on the cost of the rate HPD: each Newton step
-    # takes the log density's slope at both ends once, and nothing else
-    # does.  Measured on these cells: 4.0 to 5.5 steps on average, 7 at most.
-    lookups = []
-    dlog_pdf_at = GridPosterior._dlog_pdf_at
+    # takes the residuals of the rows it moves once, and nothing else does.
+    # Measured on these cells: 4.0 to 5.0 steps on average, 6 at most.
+    post = _bench_rows(theta0, n)
+    steps = np.zeros(len(post), dtype=int)
+    newton_step = RatePosterior._newton_step
 
-    def counted(self, x):
-        lookups.append(x)
-        return dlog_pdf_at(self, x)
+    def counted(self, rows, ends, level):
+        steps[rows] += 1
+        return newton_step(self, rows, ends, level)
 
-    monkeypatch.setattr(GridPosterior, "_dlog_pdf_at", counted)
-    fam, prior = ExponentialRate(), BetaPrior(1.5, 1.5)
-    steps = []
-    for j in range(200):
-        stat = sample_suffstat(fam, theta0, n, SeededGenerator(2006, stream_id=j))
-        post = posterior(fam, prior, stat)
-        lookups.clear()
-        post.hpd(0.95)
-        steps.append(len(lookups) // 2)
-    assert max(steps) <= 8
-    assert sum(steps) / len(steps) <= 6.0
+    monkeypatch.setattr(RatePosterior, "_newton_step", counted)
+    post.hpd(0.95)
+    assert steps.max() <= 8
+    assert steps.mean() <= 6.0
+
+
+def _reference_rate(shape, b, s):
+    """Variance and quantile function of the density r^(shape-1)
+    (1-r)^(b-1) exp(-s r) on (0, 1) by scipy quadrature about its mode."""
+    mode, log_k = _reference_log_density(shape, b, s)
+    curv = (shape - 1.0) / mode**2 + ((b - 1.0) / (1.0 - mode) ** 2 if mode < 1.0 else 0.0)
+    sd = 1.0 / math.sqrt(curv) if curv > 0.0 else 1.0
+    lo, hi = max(mode - 60.0 * sd, 0.0), min(mode + 60.0 * sd, 1.0)
+    marks = [x for x in (mode - 3.0 * sd, mode - sd, mode, mode + sd, mode + 3.0 * sd)
+             if lo < x < hi]
+
+    def f(r):
+        return math.exp(log_k(r)) if 0.0 < r < 1.0 else 0.0
+
+    def q(g, a=lo, c=hi):
+        inner = [x for x in marks if a < x < c] or None
+        return integrate.quad(g, a, c, points=inner, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+
+    z = q(f)
+    mean = q(lambda r: r * f(r)) / z
+    variance = q(lambda r: (r - mean) ** 2 * f(r)) / z
+
+    def quantile(p):
+        return optimize.brentq(lambda x: q(f, lo, x) / z - p, lo, hi, xtol=1e-300, rtol=1e-15)
+
+    return variance, quantile
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta0=st.floats(0.05, 1.0), log_n=st.floats(0.0, math.log(1e7)),
+       u=st.floats(0.001, 0.999), b=st.sampled_from([1.0, 1.5]),
+       level=st.floats(0.5, 0.99))
+@example(theta0=1.0, log_n=math.log(1e7), u=0.5, b=1.0, level=0.95)
+@example(theta0=0.05, log_n=0.0, u=0.999, b=1.5, level=0.95)
+@example(theta0=0.25, log_n=math.log(1e6), u=0.5, b=1.5, level=0.95)
+def test_rate_posterior_matches_quadrature_at_every_n(theta0, log_n, u, b, level):
+    # The documented bound, 1e-8 relative, against scipy quadrature of the
+    # closed-form density for the variance, the equal-tail ends and the
+    # HPD ends; 3e-9 was the largest error measured.
+    n = max(int(round(math.exp(log_n))), 1)
+    post = _rate_grid(theta0, n, u, b)
+    variance, quantile = _reference_rate(post.shape, post.b, float(post.s))
+    assert post.variance() == pytest.approx(variance, rel=1e-8)
+    tail = 0.5 * (1.0 - level)
+    for p in (tail, 1.0 - tail):
+        assert post.quantile(p) == pytest.approx(quantile(p), rel=1e-8)
+    box = post.hpd(level)
+    if box.hi < 1.0:
+        lo, hi = _reference_rate_hpd(post.shape, post.b, float(post.s), level)
+    else:  # b = 1 and rate 1 at least as dense as Q(1 - level)
+        lo, hi = quantile(1.0 - level), 1.0
+    assert abs(box.lo - lo) <= 1e-8 * (hi - lo)
+    assert abs(box.hi - hi) <= 1e-8 * (hi - lo)
+
+
+def _edge_reference_cdf(shape, b, s):
+    """The CDF of r^(shape-1) (1-r)^(b-1) exp(-s r) on (0, 1) for b = 1 + 1/q,
+    q an integer, by scipy quadrature in u with r = 1 - u^q, where the
+    density's fractional power at rate 1 becomes smooth."""
+    q = round(1.0 / (b - 1.0))
+    mode, log_k = _reference_log_density(shape, b, s)
+    u_mode = (1.0 - mode) ** (1.0 / q)
+
+    def g(u):  # the rate density at 1 - u^q, times q u^(q - 1)
+        r = 1.0 - u**q
+        return math.exp(log_k(r)) * q * u ** (q - 1) if 0.0 < r < 1.0 else 0.0
+
+    marks = [x * u_mode for x in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0) if x * u_mode < 1.0]
+
+    def tail(u, scale=0.0):  # the mass between rate 1 - u^q and rate 1
+        inner = [x for x in marks if x < u] or None
+        return integrate.quad(g, 0.0, u, points=inner, epsabs=1e-13 * scale, epsrel=1e-11,
+                              limit=200)[0]
+
+    total = tail(1.0)
+    return lambda x: 1.0 - tail((1.0 - x) ** (1.0 / q), total) / total
+
+
+@pytest.mark.parametrize("b, theta0, n, fr", [(1.1, 1.0, 1000, 0.7), (1.25, 1.0, 10**5, 0.7),
+                                              (1.2, 0.9, 3, 1.0), (1.1, 1.0, 10, 1.3)])
+def test_rate_cdf_at_an_edge_with_a_fractional_power(b, theta0, n, fr):
+    # With 1 < b < 1.5 the density at rate 1 falls as a fractional power,
+    # (pi/2 - phi)^(2b - 1), which the rows' nodes reach: the rule adds the
+    # edge's terms back, and the segment at the edge takes the power's shape.
+    # Without that shape the CDF there was off by up to 7e-7.
+    post = RatePosterior(1.5 + n, b, fr * n / theta0)
+    cdf = _edge_reference_cdf(post.shape, post.b, float(post.s))
+    nodes = post.nodes[0]
+    near = np.concatenate((nodes[-6:-1], np.linspace(nodes[-3], nodes[-1], 11)[1:-1]))
+    for x in near.tolist() + [post.quantile(0.5)]:
+        assert post.cdf(x) == pytest.approx(cdf(x), abs=3e-8)
+    box = post.hpd(0.95)
+    assert cdf(box.hi) - cdf(box.lo) == pytest.approx(0.95, abs=1e-9)
+
+
+@pytest.mark.parametrize("theta0, n, b", [(0.25, 10, 1.5), (0.75, 3, 1.0), (1.0, 30, 1.0),
+                                          (0.5, 1, 1.5), (1.0, 1000, 1.25)])
+def test_rate_rows_do_not_depend_on_their_block(theta0, n, b):
+    # Blocks of 1, 7 and 128 rows in two orders give the same floats, and a
+    # batch of one built by posterior() its row's.
+    prior = BetaPrior(1.5, b)
+    totals = np.random.default_rng(3).standard_gamma(n, 150) / theta0
+    functionals = [PosteriorVariance(), CredibleLength(0.05), HpdLower(0.95), HpdUpper(0.95),
+                   HpdWidth(0.95), CenteredIntervalMass(0.1), TailMassAbove(0.5)]
+    runs = []
+    for block in (1, 7, 128):
+        for order in (np.arange(totals.size), np.arange(totals.size)[::-1]):
+            values = np.empty((len(functionals), totals.size))
+            for start in range(0, totals.size, block):
+                rows = order[start:start + block]
+                post = rate_posterior(prior, n, totals[rows])
+                for i, functional in enumerate(functionals):
+                    values[i, rows] = evaluate(functional, post)
+            runs.append([[float.hex(v) for v in row] for row in values.tolist()])
+    assert all(run == runs[0] for run in runs)
+    for k in (0, 77, 149):
+        post = posterior(ExponentialRate(), prior, SufficientStat(n, float(totals[k])))
+        assert [float.hex(evaluate(f, post)) for f in functionals] == [r[k] for r in runs[0]]
+
+
+def test_rate_posterior_refuses_a_row_past_its_error_bound(monkeypatch):
+    # A row whose K-against-K/2 estimate misses the bound names itself.
+    monkeypatch.setattr(models, "RATE_TOLERANCE", 0.0)
+    with pytest.raises(AccuracyError,
+                       match=r"RatePosterior\(shape=11\.5, b=1\.0, s=7\.5\): error estimate"):
+        rate_posterior(BetaPrior(1.5, 1.0), 10, np.array([7.5, 9.0]))
 
 
 def test_gamma_hpd_is_exact():
@@ -1074,19 +1268,19 @@ def test_hpd_on_two_peaks_is_certified_or_unsupported(b, level):
     assert level <= box.mass <= level + 1e-12
     log_density = 30.5 * np.log([box.lo, box.hi]) - 60.0 * np.array([box.lo, box.hi])
     assert abs(log_density[0] - log_density[1]) <= 1e-9
-    x, d = grid.nodes, grid.density
-    ends = np.interp([box.lo, box.hi], x, d)
+    x = np.linspace(1e-6, 1.0 - 1e-9, 200_001)
+    d = 30.5 * np.log(x) - 60.0 * x
     inside = (x >= box.lo) & (x <= box.hi)
-    assert inside.any() and np.all(d[inside] >= ends.min())
-    assert np.all(d[~inside] <= ends.max())
+    assert inside.any() and np.all(d[inside] >= log_density.min() - 1e-9)
+    assert np.all(d[~inside] <= log_density.max() + 1e-9)
 
 
 def test_grid_arrays_are_read_only():
+    # the rows' sums, node tables and kept quantiles are shared, never written
     grid = _beta_grid(3.0, 3.0)
-    with pytest.raises(ValueError):
-        grid.nodes[0] = 0.5
-    with pytest.raises(ValueError):
-        grid.density[0] = 0.5
+    for array in (grid.s, grid._density, grid._slope, grid._node_cdf, grid._quantile_phi(0.5)):
+        with pytest.raises(ValueError):
+            array[...] = 0.5
 
 
 def test_exp_beta_average_hpd_tracks_truth():

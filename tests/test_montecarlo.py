@@ -32,6 +32,7 @@ from bayessize.functionals import (
     evaluate,
 )
 from bayessize.models import (
+    RATE_BLOCK_ROWS,
     Bernoulli,
     BetaPrior,
     ExponentialRate,
@@ -42,6 +43,7 @@ from bayessize.models import (
     Poisson,
     SufficientStat,
     posterior,
+    rate_posterior,
     sample_suffstat,
     suffstat_sampler,
 )
@@ -459,27 +461,33 @@ def test_simulate_many_equals_a_per_replicate_replay(family, prior, theta0, n, m
 def test_posterior_is_built_once_per_distinct_total(monkeypatch, family, prior, theta0, n, m):
     # A timing-free guard: count totals have few distinct values, and each
     # is turned into a statistic and a posterior once; exponential totals
-    # never repeat.
+    # never repeat, and each is one row of one block of rate posteriors,
+    # with no statistic of its own.
     calls, stats = [], []
 
     def counting_posterior(family, prior, stat):
         calls.append(stat.s)
         return posterior(family, prior, stat)
 
+    def counting_rows(prior, n, totals):
+        calls.extend(totals.tolist())
+        return rate_posterior(prior, n, totals)
+
     def counting_stat(n, s):
         stats.append(s)
         return SufficientStat(n, s)
 
     monkeypatch.setattr(montecarlo, "posterior", counting_posterior)
+    monkeypatch.setattr(montecarlo, "rate_posterior", counting_rows)
     monkeypatch.setattr(montecarlo, "SufficientStat", counting_stat)
     simulate_many(family, prior, theta0, n, m, [PosteriorVariance(), HpdWidth(0.9)], seed=12)
     distinct = len(set(_totals(family, theta0, n, m, 12)))
     if isinstance(family, ExponentialRate):
-        assert len(calls) == len(stats) == m
+        assert len(calls) == m and stats == []
     else:
         assert len(calls) == len(stats) == distinct < m // 10
+        assert stats == calls
     assert len(set(calls)) == len(calls)
-    assert stats == calls
 
 
 def test_different_seeds_differ():
@@ -609,13 +617,13 @@ def test_a_child_that_exits_nonzero_has_its_range_redone(monkeypatch, leave):
     serial = simulate_many(family, prior, theta0, n, m, functionals, seed=5)
     parent, built = os.getpid(), []
 
-    def dying_posterior(family, prior, stat):
+    def dying_rows(prior, n, totals):
         if os.getpid() != parent:
             leave()
-        built.append(stat.s)
-        return posterior(family, prior, stat)
+        built.extend(totals.tolist())
+        return rate_posterior(prior, n, totals)
 
-    monkeypatch.setattr(montecarlo, "posterior", dying_posterior)
+    monkeypatch.setattr(montecarlo, "rate_posterior", dying_rows)
     forks = _split_into(monkeypatch, 3)
     split = simulate_many(family, prior, theta0, n, m, functionals, seed=5)
     _assert_no_children()
@@ -736,6 +744,32 @@ def test_replicate_failure_after_shared_evaluations_names_the_first_failure(monk
     assert (exc.index, exc.stream_id, exc.seed) == (first, first, 7)
     assert exc.stat == SufficientStat(5, totals[first])
     assert exc.functional == HpdWidth(0.95)
+
+
+def test_a_failing_rate_row_names_the_first_replicate_that_drew_it(monkeypatch):
+    # Rate totals are evaluated a block of rows at a time; the HPD is refused
+    # here for totals above 86, so the first block holding one fails and
+    # is redone one posterior at a time, and the first replicate to draw
+    # such a total raises with its statistic, in a split run too.
+    def refuse_large_totals(functional, post):
+        if isinstance(functional, HpdWidth) and np.any(post.s > 86.0):
+            raise UnsupportedShapeError(f"{post!r}: refused")
+        return evaluate(functional, post)
+
+    monkeypatch.setattr(montecarlo, "evaluate", refuse_large_totals)
+    family, prior, m = ExponentialRate(), BetaPrior(1.5, 1.5), 600
+    totals = _totals(family, 0.5, 30, m, 9)
+    first = next(j for j, total in enumerate(totals) if total > 86.0)
+    assert first > RATE_BLOCK_ROWS  # past the first block
+    args = (family, prior, 0.5, 30, m, [PosteriorVariance(), HpdWidth(0.95)])
+    serial = _serial_failure(*args, seed=9)
+    assert (serial.index, serial.stream_id) == (first, first)
+    assert serial.stat == SufficientStat(30, totals[first])
+    assert serial.functional == HpdWidth(0.95)
+    assert f"s={totals[first]!r}" in str(serial)
+    _split_into(monkeypatch, 3)
+    _same_failure(_serial_failure(*args, seed=9), serial)
+    _assert_no_children()
 
 
 def test_hpd_of_posteriors_with_a_pole_is_estimated():
