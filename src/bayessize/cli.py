@@ -312,6 +312,8 @@ def _cmd_simulate(settings: argparse.Namespace) -> str:
     n = integer("--n", _require(settings.n, "n"))
     # Refused before any draw, as eval refuses them: a theta0 outside the
     # domain or an n too large for a float, then numpy's sampler limits.
+    # simulate_g reports the same as replicate 0's failure, with the record
+    # that replays it; here it is a usage error, exit 1.
     star = asymptotic_functional(functional, family, theta0, n)
     suffstat_sampler(family, theta0, n)
     estimate = simulate_g(

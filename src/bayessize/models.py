@@ -954,13 +954,13 @@ class RatePosterior:
         g *= (h / total)[:, None]
         dg *= (h * h / total)[:, None]
 
-        for a in (g, dg, cdf):
-            a.setflags(write=False)
         self._phi0, self._phi1, self._step = phi0, phi1, h
         self._density, self._slope, self._node_cdf = g, dg, cdf
         self._mean, self._variance = mean, variance
         with np.errstate(invalid="ignore"):  # a flat density's mode is none
             self._mode = _smaller_root(shape - 1.0, b - 1.0, s)
+        for a in (g, dg, cdf, phi0, phi1, h, mean, variance, self._mode, self.error_estimate):
+            a.setflags(write=False)
         self._quantiles: dict[float, np.ndarray] = {}
         self._hpd_cache: dict[float, HpdInterval] = {}
         bad = ~(self.error_estimate <= RATE_TOLERANCE)  # NaN fails too
@@ -994,13 +994,6 @@ class RatePosterior:
 
     def variance(self):
         return self._out(self._variance)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """The rates at each row's nodes."""
-        phi = self._phi0[:, None] + self._step[:, None] * np.arange(_RATE_SEGMENTS + 1.0)
-        phi[:, -1] = self._phi1
-        return np.sin(phi) ** 2
 
     def _log_pdf(self, x: np.ndarray) -> np.ndarray:
         """``l`` at one rate per row, up to each row's constant; a power
@@ -1148,8 +1141,10 @@ class RatePosterior:
         """Ends ``lo < mode < hi`` of equal log density ``l`` and mass
         ``F(hi) - F(lo) = level``, by Newton steps in ``phi`` in both ends of
         every row at once, from where the node CDF's chords reach the equal
-        tails; a row stops when both its steps are below 1e-10 of its
-        window, and its last step is applied.  A step that leaves the row's
+        tails; a row stops when both its steps are below 1e-8 of its
+        window, and its last step is applied.  The steps aim the mass 8
+        ulps of ``level`` above it, so that the rounding of the two CDF
+        values seldom leaves it short.  A step that leaves the row's
         bracket halves the distance to it instead.  An edge where the
         density is positive, rate 0 with ``shape = 1`` or rate 1 with
         ``b = 1``, is an end instead where it is at least as dense as
@@ -1158,6 +1153,7 @@ class RatePosterior:
         ``phi``, and by doubling pads until the mass reaches ``level``.
         """
         tail = 0.5 * (1.0 - level)
+        aim = level + 8.0 * np.spacing(level)
         ends = np.empty((2, len(self)))
         for end, p in zip(ends, (tail, 1.0 - tail)):
             i, _, t = self._start(p)
@@ -1186,7 +1182,7 @@ class RatePosterior:
             if live.size == 0:
                 break
             old, f, m, t = x[:, live], first[live], mode[live], last[live]
-            step = self._newton_step(rows[live], old, level)
+            step = self._newton_step(rows[live], old, aim)
             new = old + step
             new[0] = np.where((f < new[0]) & (new[0] < m), new[0],
                               0.5 * (old[0] + np.where(new[0] <= f, f, m)))

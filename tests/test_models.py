@@ -319,7 +319,7 @@ def test_exponential_update_returns_grid():
     # a batch of one row, on its own nodes in (0, 1]
     post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(25, 50.0))
     assert isinstance(post, RatePosterior) and len(post) == 1
-    nodes = post.nodes
+    nodes = _nodes(post)
     assert nodes.shape == (1, 257)
     assert 0.0 < nodes[0, 0] and nodes[0, -1] <= 1.0
     assert np.all(np.diff(nodes[0]) > 0.0)
@@ -563,12 +563,24 @@ def test_grid_quantile_inverts_the_trapezoid_cdf(n, s):
         assert post.cdf(post.quantile(p)) == pytest.approx(p, abs=1e-12)
 
 
+def _phi_nodes(grid):
+    # each row's nodes in phi, equal steps from _phi0 that end on _phi1
+    k = grid._node_cdf.shape[1] - 1
+    phi = grid._phi0[:, None] + grid._step[:, None] * np.arange(k + 1.0)
+    phi[:, -1] = grid._phi1
+    return phi
+
+
+def _nodes(grid):
+    # the rates at each row's nodes
+    return np.sin(_phi_nodes(grid)) ** 2
+
+
 def _cdf_by_search(grid, v):
     # RatePosterior.cdf with a binary search for the segment among the
     # row's nodes in phi
     phi0, h, k = grid._phi0[0], grid._step[0], grid._node_cdf.shape[1] - 1
-    nodes = phi0 + h * np.arange(k + 1.0)
-    nodes[-1] = grid._phi1[0]
+    nodes = _phi_nodes(grid)[0]
     phi = math.asin(math.sqrt(min(max(v, 0.0), 1.0)))
     if phi <= nodes[0]:
         return 0.0
@@ -590,7 +602,7 @@ def test_grid_scalar_lookups_match_numpy(grid):
     # binary search over the nodes; on a node either neighbour's quartic
     # gives the node CDF, to a few ulps.  Inside the nodes its slope is the
     # closed-form density.
-    x = grid.nodes[0]
+    x = _nodes(grid)[0]
     on = x[[0, 1, 2, 100, -2, -1]]
     points = np.concatenate((
         on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
@@ -656,19 +668,20 @@ def _bench_rows(theta0, n):
 
 @pytest.mark.parametrize("theta0, n", _BENCH_RATE_CELLS)
 def test_grid_hpd_pad_starts_at_one_ulp(monkeypatch, theta0, n):
-    # Each pad pass costs two CDF calls after the first two; starting at
-    # one ulp of the ends, at most two passes reach the level.
+    # The mass of the ends costs two CDF calls, and each pad pass two more;
+    # starting at one ulp of the ends, at most two passes reach the level.
     calls = []
-    cdf = RatePosterior._cdf
+    cdf_at = RatePosterior._cdf_at
 
-    def counted(self, rows, x):
+    def counted(self, rows, phi):
         calls.append(rows.size)
-        return cdf(self, rows, x)
+        return cdf_at(self, rows, phi)
 
     post = _bench_rows(theta0, n)
-    monkeypatch.setattr(RatePosterior, "_cdf", counted)
+    monkeypatch.setattr(RatePosterior, "_cdf_at", counted)
     box = post.hpd(0.95)
     assert np.all((0.0 <= box.mass - 0.95) & (box.mass - 0.95 <= 1e-14))
+    assert calls[:2] == [len(post)] * 2  # the count reaches every row
     assert len(calls) <= 2 + 2 * 2
 
 
@@ -774,7 +787,7 @@ def test_grid_hpd_at_the_support_edge(n, level):
     for grid in (_rate_grid(0.05, n, 0.999), _rate_grid(1.0, n, 0.001), exponential):
         box = grid.hpd(level)
         assert level <= box.mass <= level + 1e-12
-    assert exponential.hpd(level).lo == exponential.nodes[0, 0] == 0.0
+    assert exponential.hpd(level).lo == _nodes(exponential)[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
@@ -784,7 +797,7 @@ def test_grid_hpd_on_a_flat_density_has_the_level_mass(level):
     grid = _beta_grid(1.0, 1.0)
     box = grid.hpd(level)
     assert level <= box.mass <= level + 1e-12
-    span = grid.nodes[0, -1] - grid.nodes[0, 0]
+    span = _nodes(grid)[0, -1] - _nodes(grid)[0, 0]
     assert span == 1.0
     assert box.hi - box.lo == pytest.approx(level * span, abs=1e-12)
 
@@ -798,7 +811,7 @@ def test_grid_hpd_on_a_flat_density_has_the_level_mass(level):
 def test_grid_hpd_no_wider_than_any_node_anchored_interval(grid, level):
     # hpd() never looks at the nodes; still, no interval with an end on a
     # node and mass `level` may be shorter
-    x, cdf = grid.nodes[0], grid._node_cdf[0]
+    x, cdf = _nodes(grid)[0], grid._node_cdf[0]
     starts, ends = cdf + level <= cdf[-1], cdf >= level
     reach = np.vectorize(lambda p: x[0] if p <= 0.0 else x[-1] if p >= 1.0 else grid.quantile(p))
     widths = np.r_[reach(cdf[starts] + level) - x[starts],
@@ -826,7 +839,7 @@ def test_rate_posterior_grid_matches_a_tabulated_log_density():
     # Beta(1.5 + n, 1.5) times the exponential likelihood's exp(-s r), times
     # dr / dphi = sin(2 phi) on the row's nodes in phi
     post = posterior(ExponentialRate(), BetaPrior(1.5, 1.5), SufficientStat(30, 60.0))
-    r = post.nodes[0]
+    r = _nodes(post)[0]
     assert r[0] > 0.0 and r[-1] <= 1.0 and np.all(np.diff(r) > 0.0)
     phi = np.arcsin(np.sqrt(r))
     assert np.ptp(np.diff(phi)) <= 1e-9 * post._step[0]
@@ -1045,7 +1058,7 @@ def test_rate_cdf_at_an_edge_with_a_fractional_power(b, theta0, n, fr):
     # Without that shape the CDF there was off by up to 7e-7.
     post = RatePosterior(1.5 + n, b, fr * n / theta0)
     cdf = _edge_reference_cdf(post.shape, post.b, float(post.s))
-    nodes = post.nodes[0]
+    nodes = _nodes(post)[0]
     near = np.concatenate((nodes[-6:-1], np.linspace(nodes[-3], nodes[-1], 11)[1:-1]))
     for x in near.tolist() + [post.quantile(0.5)]:
         assert post.cdf(x) == pytest.approx(cdf(x), abs=3e-8)
@@ -1276,9 +1289,14 @@ def test_hpd_on_two_peaks_is_certified_or_unsupported(b, level):
 
 
 def test_grid_arrays_are_read_only():
-    # the rows' sums, node tables and kept quantiles are shared, never written
+    # the rows' sums, windows, node tables, moments and kept quantiles are
+    # shared, never written
     grid = _beta_grid(3.0, 3.0)
-    for array in (grid.s, grid._density, grid._slope, grid._node_cdf, grid._quantile_phi(0.5)):
+    batch = rate_posterior(BetaPrior(1.5, 1.5), 30, np.array([50.0, 60.0, 70.0]))
+    kept = (grid._phi0, grid._phi1, grid._step, grid._mode, grid.error_estimate,
+            batch.mean(), batch.variance())
+    for array in (grid.s, grid._density, grid._slope, grid._node_cdf, grid._quantile_phi(0.5),
+                  *kept):
         with pytest.raises(ValueError):
             array[...] = 0.5
 
