@@ -6,6 +6,11 @@ compares the leading-order value with the exact one at a given n,
 one of the bundled benchmark tables.  Results go to stdout (or ``--out``);
 diagnostics go to stderr.  Exit codes: 0 success, 1 usage or domain
 error, 2 criterion unsatisfiable, 3 numerical-accuracy failure.
+
+``main`` merges the flags with the config file and the defaults
+(``_merge``), then ``_resolve`` checks every input the subcommand uses
+and builds its objects once, before any work; each ``_cmd_*`` only
+computes and formats.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .errors import (
 )
 from .exact import (
     RATE_PRIOR,
+    check_rate_study,
     exact_bernoulli_variance,
     exact_normal,
     exact_poisson_variance,
@@ -186,11 +192,7 @@ def _family(settings: argparse.Namespace) -> LikelihoodFamily:
     model = _require(settings.model, "model")
     if model == "normal":
         return NormalKnownVariance(_require(settings.sigma2, "sigma2"))
-    if model == "poisson":
-        return Poisson()
-    if model == "bernoulli":
-        return Bernoulli()
-    return ExponentialRate()
+    return {"poisson": Poisson, "bernoulli": Bernoulli, "exp": ExponentialRate}[model]()
 
 
 def _prior(settings: argparse.Namespace):
@@ -243,97 +245,92 @@ def _functional_object(settings: argparse.Namespace) -> Functional:
     return TailMassAbove(_require(settings.theta1, "theta1"))
 
 
-def _exact_value(settings: argparse.Namespace, functional: Functional, theta0: float, n: int):
-    """Closed-form or oracle expectation where one exists, else None."""
-    model = settings.model
-    prior = _prior(settings)  # checked even where no exact value follows
-    if model in ("poisson", "bernoulli") and not isinstance(functional, PosteriorVariance):
-        return None  # their closed forms are posterior variances only
+def _exact(settings: argparse.Namespace):
+    """The exact value of the expected functional as a function of no
+    arguments, or None where there is none to print."""
+    model, functional, prior = settings.model, settings.goal, settings.prior
+    cell = (settings.theta0, settings.n)
     if model == "normal":
-        return exact_normal(functional, settings.sigma2, prior.mu0, prior.tau2, theta0, n)
+        return functools.partial(exact_normal, functional, settings.sigma2, prior.mu0,
+                                 prior.tau2, *cell)
+    if model == "exp":  # a simulated rate cell is printed without its quadrature oracle
+        return None if settings.command == "simulate" else functools.partial(
+            expbeta_expected, functional, *cell, prior)
+    # The Poisson and Bernoulli closed forms are posterior variances only,
+    # the latter under the uniform prior.
+    if not isinstance(functional, PosteriorVariance):
+        return None
     if model == "poisson":
-        return exact_poisson_variance(prior.a, prior.b, theta0, n)
-    if model == "exp":
-        return expbeta_expected(functional, theta0, n, prior)
-    if prior.a == 1.0 and prior.b == 1.0:
-        return exact_bernoulli_variance(theta0, n)
+        return functools.partial(exact_poisson_variance, prior.a, prior.b, *cell)
+    if prior == BetaPrior(1.0, 1.0):
+        return functools.partial(exact_bernoulli_variance, *cell)
     return None
 
 
+def _resolve(settings: argparse.Namespace) -> argparse.Namespace:
+    """Check every input the command uses and build, once, what it computes
+    with, as attributes of ``settings``: the ``goal`` (the criterion for
+    ``size``, else the functional) and the ``family``; for ``eval`` and
+    ``simulate`` also the leading-order ``g_star``, whose evaluation checks
+    ``theta0`` against the family's domain and ``n`` against the largest
+    float, the ``prior`` and ``exact`` (see :func:`_exact`).  ``table``
+    leaves its index, ``m`` and seed to ``build_table``."""
+    command = settings.command
+    if command == "table":
+        return settings
+    settings.goal = (_criterion_object if command == "size" else _functional_object)(settings)
+    family = settings.family = _family(settings)
+    if command == "size":
+        return settings
+    theta0 = _require(settings.theta0, "theta0")
+    n = integer("--n", _require(settings.n, "n"))
+    settings.g_star = asymptotic_functional(settings.goal, family, theta0, n)
+    settings.prior = _prior(settings)
+    if settings.model == "exp":
+        check_rate_study(theta0, settings.prior)
+    if command == "simulate":
+        suffstat_sampler(family, theta0, n)
+    settings.exact = _exact(settings)
+    if command == "eval" and settings.format == "csv" and settings.exact is None:
+        raise DomainError("no exact value for this model and functional; a csv row "
+                          "needs one next to g_star, use text output instead")
+    return settings
+
+
+def _csv_row(settings: argparse.Namespace, estimate=None) -> str:
+    """The CSV of an ``eval`` cell, or of a ``simulate`` one with its ``estimate``."""
+    prior = settings.prior
+    params = (f"sigma2={settings.sigma2!r};mu0={prior.mu0!r};tau2={prior.tau2!r}"
+              if settings.model == "normal" else f"a={prior.a!r};b={prior.b!r}")
+    g_hat, g_hat_se = (None, None) if estimate is None else (estimate.mean, estimate.std_err)
+    g_exact = None if settings.exact is None else settings.exact().value
+    return render_csv([TableRow(settings.criterion, settings.model, "", params,
+                                settings.theta0, settings.n, g_hat, g_hat_se, g_exact,
+                                settings.g_star)])
+
+
 def _cmd_size(settings: argparse.Namespace) -> str:
-    result = min_sample_size(_criterion_object(settings), _family(settings))
-    return (
-        f"n_min={result.n_min}\n"
-        f"n_real={result.n_real!r}\n"
-        f"inf_info={result.inf_info!r}\n"
-    )
-
-
-def _params_text(settings: argparse.Namespace) -> str:
-    model = settings.model
-    if model == "normal":
-        return f"sigma2={settings.sigma2!r};mu0={settings.mu0!r};tau2={settings.tau2!r}"
-    prior = _prior(settings)
-    return f"a={prior.a!r};b={prior.b!r}"
+    result = min_sample_size(settings.goal, settings.family)
+    return f"n_min={result.n_min}\nn_real={result.n_real!r}\ninf_info={result.inf_info!r}\n"
 
 
 def _cmd_eval(settings: argparse.Namespace) -> str:
-    functional = _functional_object(settings)
-    family = _family(settings)
-    theta0 = _require(settings.theta0, "theta0")
-    n = integer("--n", _require(settings.n, "n"))
-    star = asymptotic_functional(functional, family, theta0, n)
-    exact = _exact_value(settings, functional, theta0, n)
     if settings.format == "csv":
-        if exact is None:
-            raise DomainError(
-                "no exact value for this model and functional; a csv row "
-                "needs one next to g_star, use text output instead"
-            )
-        row = TableRow(
-            settings.criterion, settings.model, "", _params_text(settings),
-            theta0, n, None, None, exact.value, star,
-        )
-        return render_csv([row])
-    lines = []
-    if exact is not None:
-        lines.append(f"g_exact={exact.value!r}")
-    lines.append(f"g_star={star!r}")
-    if exact is not None:
-        lines.append(f"diff={exact.value - star!r}")
-    return "\n".join(lines) + "\n"
+        return _csv_row(settings)
+    star = settings.g_star
+    if settings.exact is None:
+        return f"g_star={star!r}\n"
+    exact = settings.exact().value
+    return f"g_exact={exact!r}\ng_star={star!r}\ndiff={exact - star!r}\n"
 
 
 def _cmd_simulate(settings: argparse.Namespace) -> str:
-    functional = _functional_object(settings)
-    family = _family(settings)
-    prior = _prior(settings)
-    theta0 = _require(settings.theta0, "theta0")
-    n = integer("--n", _require(settings.n, "n"))
-    # Refused before any draw, as eval refuses them: a theta0 outside the
-    # domain or an n too large for a float, then numpy's sampler limits.
-    # simulate_g reports the same as replicate 0's failure, with the record
-    # that replays it; here it is a usage error, exit 1.
-    star = asymptotic_functional(functional, family, theta0, n)
-    suffstat_sampler(family, theta0, n)
-    estimate = simulate_g(
-        family, prior, theta0, n, settings.m, functional, settings.seed
-    )
+    estimate = simulate_g(settings.family, settings.prior, settings.theta0, settings.n,
+                          settings.m, settings.goal, settings.seed)
     if settings.format == "csv":
-        # a simulated rate cell is printed without its quadrature oracle
-        exact = None if settings.model == "exp" else _exact_value(settings, functional, theta0, n)
-        row = TableRow(
-            settings.criterion, settings.model, "", _params_text(settings), theta0, n,
-            estimate.mean, estimate.std_err,
-            None if exact is None else exact.value, star,
-        )
-        return render_csv([row])
-    return (
-        f"mean={estimate.mean!r}\n"
-        f"std_err={estimate.std_err!r}\n"
-        f"m={estimate.replicates}\n"
-        f"seed={estimate.seed}\n"
-    )
+        return _csv_row(settings, estimate)
+    return (f"mean={estimate.mean!r}\nstd_err={estimate.std_err!r}\n"
+            f"m={estimate.replicates}\nseed={estimate.seed}\n")
 
 
 def _cmd_table(settings: argparse.Namespace) -> str:
@@ -369,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         if argv[i] == "--range" and not argv[i + 1].startswith("--"):
             argv[i : i + 2] = [f"--range={argv[i + 1]}"]
     try:
-        settings = _merge(parser.parse_args(argv))
+        settings = _resolve(_merge(parser.parse_args(argv)))
         text = _COMMANDS[settings.command](settings)
     except _UsageError as exc:
         if exc.usage:

@@ -143,6 +143,23 @@ def _ceil_snap(n_real: float) -> int:
     return max(int(math.ceil(n_real - _CEIL_SLACK)), 1)
 
 
+def _real_size(criterion: Criterion, info: float) -> float:
+    """The real ``n`` at which the leading-order functional meets the
+    criterion's target, given the information infimum ``info``."""
+    if isinstance(criterion, Apvc):
+        return 1.0 / (criterion.eps * info)
+    if isinstance(criterion, EffectSize):
+        z = std_normal_quantile(criterion.alpha)
+        return 2.0 * z * z / info
+    if isinstance(criterion, Acc):
+        z = std_normal_quantile(1.0 - 0.5 * criterion.alpha)
+        return 4.0 * z * z / (criterion.length**2 * info)
+    spread = std_normal_quantile(1.0 - 0.5 * criterion.alpha) - std_normal_quantile(
+        0.5 * criterion.alpha
+    )
+    return spread * spread / (criterion.length**2 * info)
+
+
 def min_sample_size(criterion: Criterion, family: LikelihoodFamily) -> SampleSizeResult:
     """Smallest integer ``n`` meeting ``criterion`` for ``family``.
 
@@ -151,27 +168,16 @@ def min_sample_size(criterion: Criterion, family: LikelihoodFamily) -> SampleSiz
     range; it is kept alongside the ceiled integer so callers can see how
     close the bound is.
     """
-    if isinstance(criterion, Apvc):
-        info = inf_weighted_info(family, criterion.lo, criterion.hi)
-        n_real = 1.0 / (criterion.eps * info)
-    elif isinstance(criterion, Acc):
-        info = inf_weighted_info(family, criterion.lo, criterion.hi)
-        z = std_normal_quantile(1.0 - 0.5 * criterion.alpha)
-        n_real = 4.0 * z * z / (criterion.length**2 * info)
-    elif isinstance(criterion, Alc):
-        info = inf_weighted_info(family, criterion.lo, criterion.hi)
-        spread = std_normal_quantile(1.0 - 0.5 * criterion.alpha) - std_normal_quantile(
-            0.5 * criterion.alpha
-        )
-        n_real = spread * spread / (criterion.length**2 * info)
-    elif isinstance(criterion, EffectSize):
-        info = inf_weighted_info(
-            family, criterion.lo, criterion.hi, theta1=criterion.theta1
-        )
-        z = std_normal_quantile(criterion.alpha)
-        n_real = 2.0 * z * z / info
-    else:
+    if not isinstance(criterion, (Apvc, Acc, Alc, EffectSize)):
         raise DomainError(f"unknown criterion {criterion!r}")
+    theta1 = criterion.theta1 if isinstance(criterion, EffectSize) else None
+    info = inf_weighted_info(family, criterion.lo, criterion.hi, theta1=theta1)
+    try:
+        n_real = _real_size(criterion, info)
+    except ZeroDivisionError:  # the denominator underflowed: the size overflows
+        n_real = math.inf
+    except OverflowError:  # the length's square overflowed: the size underflows
+        n_real = 0.0
     return SampleSizeResult(_ceil_snap(n_real), n_real, info)
 
 

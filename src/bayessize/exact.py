@@ -37,7 +37,7 @@ from .functionals import (
     TailMassAbove,
     evaluate,
 )
-from .models import RATE_BLOCK_ROWS, BetaPrior, rate_posterior
+from .models import RATE_BLOCK_ROWS, BetaPrior, check_rate_prior, rate_posterior
 from .specfun import std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "exact_bernoulli_variance",
     "expbeta_expected",
     "expbeta_expected_many",
+    "check_rate_study",
     "RATE_PRIOR",
 ]
 
@@ -80,6 +81,10 @@ class ExactEval:
     method: str
     error_estimate: float | None = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):  # a closed form's terms left the floats
+            raise DomainError(f"the {self.method} value {self.value!r} is not a finite float")
+
 
 # ---------------------------------------------------------------------------
 # Normal observations, normal prior
@@ -89,7 +94,7 @@ def _normal_setup(sigma2, mu0, tau2, theta0, n):
     sigma2, tau2 = positive("sigma2", sigma2), positive("tau2", tau2)
     mu0, theta0, n = finite("mu0", mu0), finite("theta0", theta0), positive("n", n)
     shrink = sigma2 / (n * tau2)
-    post_var = sigma2 * tau2 / (n * tau2 + sigma2)
+    post_var = positive("posterior variance", sigma2 * tau2 / (n * tau2 + sigma2))
     return sigma2, mu0, tau2, theta0, n, shrink, post_var
 
 
@@ -204,7 +209,10 @@ def exact_poisson_variance(a: float, b: float, theta0: float, n: float) -> Exact
     with rate ``a`` and shape ``b``: ``(b + n theta0) / (a + n)^2``."""
     a, b = positive("a", a), positive("b", b)
     theta0, n = positive("theta0", theta0), positive("n", n)
-    return ExactEval((b + n * theta0) / (a + n) ** 2, "closed_form")
+    try:
+        return ExactEval((b + n * theta0) / (a + n) ** 2, "closed_form")
+    except OverflowError:  # (a + n)^2 exceeds the largest float
+        return ExactEval((b + n * theta0) / (a + n) / (a + n), "closed_form")
 
 
 def exact_bernoulli_variance(theta0: float, n: float) -> ExactEval:
@@ -212,11 +220,29 @@ def exact_bernoulli_variance(theta0: float, n: float) -> ExactEval:
     prior, a rational function of ``n`` and ``theta0``."""
     theta0, n = open_unit("theta0", theta0), positive("n", n)
     numer = n * n * theta0 - n * theta0 - n * (n - 1.0) * theta0 * theta0 + n + 1.0
-    return ExactEval(numer / ((n + 2.0) ** 2 * (n + 3.0)), "closed_form")
+    try:
+        denom = (n + 2.0) ** 2 * (n + 3.0)
+    except OverflowError:
+        denom = math.inf
+    if denom == math.inf:  # past n of about 5e102 it is divided out a factor at a time
+        return ExactEval(numer / (n + 2.0) / (n + 2.0) / (n + 3.0), "closed_form")
+    return ExactEval(numer / denom, "closed_form")
 
 
 # ---------------------------------------------------------------------------
 # Exponential-rate observations, beta prior: quadrature oracle
+
+
+def check_rate_study(theta0: float, prior: BetaPrior) -> float:
+    """``theta0`` as a float, refused unless in (0, 1], and ``prior``,
+    refused unless every rate posterior takes it
+    (:func:`~bayessize.models.check_rate_prior`): the rate study's rules,
+    which the oracle checks first."""
+    theta0 = positive("theta0", theta0)
+    if theta0 > 1.0:
+        raise DomainError(f"theta0 must lie in (0, 1] for the rate study, got {theta0!r}")
+    check_rate_prior(prior)
+    return theta0
 
 
 def expbeta_expected_many(
@@ -242,28 +268,26 @@ def expbeta_expected_many(
     reusing every point, while an estimate is above 1e-5; past ``h = 0.1``
     (points 0.05 apart) it raises ``AccuracyError``.
     """
-    theta0, n = positive("theta0", theta0), integer("n", n)
-    if theta0 > 1.0:
-        raise DomainError(f"theta0 must lie in (0, 1] for the rate study, got {theta0!r}")
-    if not isinstance(prior, BetaPrior):
-        raise ConfigurationError(f"the rate study needs a beta prior, got {prior!r}")
+    theta0, n = check_rate_study(theta0, prior), integer("n", n)
     if not functionals:
         raise DomainError("at least one functional is required")
 
     # Every candidate point z = j * _FINEST_STEP.  Relative to its peak at
-    # z = 0 the log weight is sqrt(n) z - n expm1(z / sqrt(n)), at most
-    # n + sqrt(n) z and, for z > 0, at most -z^2 / 2: the window lies inside
-    # the range below.
-    root = math.sqrt(n)
-    lo = -(_LOG_WEIGHT_WINDOW + n) / root
-    hi = math.sqrt(2.0 * _LOG_WEIGHT_WINDOW)
+    # z = 0 the log weight is -n f(t), f(t) = e^-t - 1 + t at t = -z / sqrt(n).
+    # For z < 0, f(t) >= t - 1 and f(t) >= t^2 / (2 + t), so the window
+    # starts after the larger of the two bounds below, about -sqrt(56) at
+    # large n; for z > 0 the log weight is at most -z^2 / 2.
+    root, w = math.sqrt(n), _LOG_WEIGHT_WINDOW
+    lo = max(-(w + n) / root, -root * (w + math.sqrt(w * w + 8.0 * w * n)) / (2.0 * n))
+    hi = math.sqrt(2.0 * w)
     j = np.arange(math.floor(lo / _FINEST_STEP), math.ceil(hi / _FINEST_STEP) + 1)
     z = j * _FINEST_STEP
     drop = root * z - n * np.expm1(z / root)
-    keep = drop >= -_LOG_WEIGHT_WINDOW
+    keep = drop >= -w
     j, z, drop = j[keep], z[keep], drop[keep]
     peak = n * math.log(n) - n - math.lgamma(n) - 0.5 * math.log(n)
-    weight = np.exp(peak + drop)
+    with np.errstate(over="ignore"):  # a weight past the floats fails the error estimate
+        weight = np.exp(peak + drop)
     s = n * np.exp(z / root) / theta0
 
     fvals = np.empty((len(functionals), j.size))

@@ -87,6 +87,7 @@ __all__ = [
     "suffstat_sampler",
     "posterior",
     "rate_posterior",
+    "check_rate_prior",
 ]
 
 # The node count of the fixed rate grid that ``RatePosterior`` replaced.  No
@@ -157,15 +158,23 @@ def _check_in_domain(family: LikelihoodFamily, name: str, theta: float) -> None:
 
 
 def fisher_info(family: LikelihoodFamily, theta: float) -> float:
-    """Per-observation Fisher information at ``theta``."""
+    """Per-observation Fisher information at ``theta``, refused where it
+    overflows or underflows a float."""
     _check_in_domain(family, "theta", theta)
     if isinstance(family, NormalKnownVariance):
-        return 1.0 / family.sigma2
-    if isinstance(family, Poisson):
-        return 1.0 / theta
-    if isinstance(family, Bernoulli):
-        return 1.0 / (theta * (1.0 - theta))
-    return 1.0 / (theta * theta)
+        scale = family.sigma2
+    elif isinstance(family, Poisson):
+        scale = theta
+    elif isinstance(family, Bernoulli):
+        scale = theta * (1.0 - theta)
+    else:
+        scale = theta * theta  # underflows to 0 below about 2e-162
+    info = 1.0 / scale if scale else math.inf
+    if not 0.0 < info < math.inf:
+        raise DomainError(
+            f"the Fisher information of {family!r} at theta {theta!r} is {info!r} as a float"
+        )
+    return info
 
 
 def _stationary_points(family: LikelihoodFamily, theta1: float | None) -> tuple[float, ...]:
@@ -203,7 +212,8 @@ def inf_weighted_info(
     the family's stationary points inside the range, all in closed form.
 
     Raises ``CriterionUnsatisfiableError`` when the infimum is zero,
-    which happens exactly when ``theta1`` lies inside the planning range.
+    which happens exactly when ``theta1`` lies inside the planning range,
+    and ``DomainError`` when it exceeds the largest float.
     """
     lo, hi = finite("lo", lo), finite("hi", hi)
     if not lo < hi:
@@ -229,7 +239,11 @@ def inf_weighted_info(
 
     inside = [t for t in _stationary_points(family, theta1) if lo < t < hi]
     inf_val, inf_at = min((target(t), t) for t in (lo, hi, *inside))
-    if not math.isfinite(inf_val) or inf_val <= 0.0:
+    if inf_val == math.inf:  # (theta1 - t)^2 overflowed
+        raise DomainError(
+            f"weighted information at theta {inf_at!r} exceeds the largest float"
+        )
+    if not inf_val > 0.0:
         raise CriterionUnsatisfiableError(
             f"information infimum is not positive over [{lo}, {hi}] "
             f"(value {inf_val!r} near theta {inf_at!r})",
@@ -822,6 +836,10 @@ class RatePosterior:
                  "_density", "_slope", "_node_cdf", "_mean", "_variance", "_quantiles",
                  "_hpd_cache", "_powers")
 
+    # Edges and flat densities take logs of 0 and divide by 0, and a row
+    # whose shapes or total leave the floats turns NaN; the error estimate
+    # refuses every row that is not finite.
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def __init__(self, shape: float, b: float, s):
         self.shape, self.b = shape, b
         self.s = np.array(s, dtype=float)
@@ -845,24 +863,23 @@ class RatePosterior:
 
         sn = np.sin(phi)
         cot = np.cos(phi, out=phi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.log(sn)
-            g *= 2.0 * pa
-            tmp = np.log(cot)
-            tmp *= 2.0 * pb
-            g += tmp
-            r = np.multiply(sn, sn, out=tmp)
-            cot /= sn
-            g -= np.multiply(r, col, out=sn)
-            g -= peak[:, None]
-            np.exp(g, out=g)
-            # g' = g (2 pa cot - 2 pb tan - 2 s sin cos), with tan = 1 / cot
-            # and sin cos = r cot: finite at phi = pi / 2, NaN only at phi = 0.
-            dg = np.multiply(r, -2.0 * col, out=sn)
-            dg += 2.0 * pa
-            dg *= cot
-            dg -= np.divide(2.0 * pb, cot, out=cot)
-            dg *= g
+        g = np.log(sn)
+        g *= 2.0 * pa
+        tmp = np.log(cot)
+        tmp *= 2.0 * pb
+        g += tmp
+        r = np.multiply(sn, sn, out=tmp)
+        cot /= sn
+        g -= np.multiply(r, col, out=sn)
+        g -= peak[:, None]
+        np.exp(g, out=g)
+        # g' = g (2 pa cot - 2 pb tan - 2 s sin cos), with tan = 1 / cot
+        # and sin cos = r cot: finite at phi = pi / 2, NaN only at phi = 0.
+        dg = np.multiply(r, -2.0 * col, out=sn)
+        dg += 2.0 * pa
+        dg *= cot
+        dg -= np.divide(2.0 * pb, cot, out=cot)
+        dg *= g
         dg[:, 0] = np.where(at0, 0.0, dg[:, 0])
 
         # What the rule misses at an edge it reaches (Navot 1961): near
@@ -890,7 +907,7 @@ class RatePosterior:
                         for at, top, p, a, log_c in (
                             (at0, False, 2.0 * pa, -(pa / 3.0 + pb + s), -peak),
                             (at1, True, 2.0 * pb, s - pa - pb / 3.0, -s - peak))
-                        if p != round(p) and at.any()]
+                        if at.any() and p != round(p)]
 
         def rule(f, stride):
             """Trapezoid sum of the rows of ``f`` over every ``stride``-th node."""
@@ -917,9 +934,8 @@ class RatePosterior:
         variance, variance2 = second[0], second[1] - (means[1] - mean) ** 2
         # Past the edge terms every error of the rule is O(h^4) or smaller,
         # so the K-node rule's is at most 1/15 of its gap to the K/2 one.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.error_estimate = np.maximum(np.abs(mass[1] / mass[0] - 1.0),
-                                             np.abs(variance2 / variance - 1.0)) / 15.0
+        self.error_estimate = np.maximum(np.abs(mass[1] / mass[0] - 1.0),
+                                         np.abs(variance2 / variance - 1.0)) / 15.0
 
         # Node CDF: each segment's Hermite integral, h/2 (g_i + g_i+1) +
         # h^2/12 (g'_i - g'_i+1), cumulated; at a reached edge the segment
@@ -957,8 +973,7 @@ class RatePosterior:
         self._phi0, self._phi1, self._step = phi0, phi1, h
         self._density, self._slope, self._node_cdf = g, dg, cdf
         self._mean, self._variance = mean, variance
-        with np.errstate(invalid="ignore"):  # a flat density's mode is none
-            self._mode = _smaller_root(shape - 1.0, b - 1.0, s)
+        self._mode = _smaller_root(shape - 1.0, b - 1.0, s)  # a flat density's mode is NaN
         for a in (g, dg, cdf, phi0, phi1, h, mean, variance, self._mode, self.error_estimate):
             a.setflags(write=False)
         self._quantiles: dict[float, np.ndarray] = {}
@@ -1222,10 +1237,9 @@ Posterior = Union[NormalPosterior, GammaPosterior, BetaPosterior, RatePosterior]
 # Conjugate updating
 
 
-def rate_posterior(prior: BetaPrior, n: int, totals) -> RatePosterior:
-    """The exponential-rate posteriors of ``n`` observations with sample
-    sums ``totals`` (a float, or a 1-d array of rows) under the beta
-    ``prior``, rates restricted to (0, 1]."""
+def check_rate_prior(prior) -> None:
+    """Refuse ``prior`` unless it is a beta prior with ``b >= 1``: the rule
+    of every rate posterior, checked by :func:`rate_posterior`."""
     if not isinstance(prior, BetaPrior):
         raise ConfigurationError(f"the rate posterior needs a beta prior, got {prior!r}")
     if prior.b < 1.0:
@@ -1233,6 +1247,13 @@ def rate_posterior(prior: BetaPrior, n: int, totals) -> RatePosterior:
             "rates on (0, 1] with beta prior need b >= 1; the posterior "
             "density is unbounded at 1 otherwise"
         )
+
+
+def rate_posterior(prior: BetaPrior, n: int, totals) -> RatePosterior:
+    """The exponential-rate posteriors of ``n`` observations with sample
+    sums ``totals`` (a float, or a 1-d array of rows) under the beta
+    ``prior``, rates restricted to (0, 1]."""
+    check_rate_prior(prior)
     totals = np.asarray(totals, dtype=float)
     bad = ~(totals > 0.0)  # NaN too
     if bad.any():

@@ -213,10 +213,13 @@ def simulate_many(
     values = values[:, inverse]
 
     out = []
-    for i in range(len(functionals)):
-        row = values[i]
-        mean = float(row.mean())
-        std_err = float(row.std(ddof=1) / math.sqrt(m))
+    for functional, row in zip(functionals, values):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            mean = float(row.mean())
+            std_err = float(row.std(ddof=1) / math.sqrt(m))
+        if not (math.isfinite(mean) and math.isfinite(std_err)):
+            raise DomainError(f"the mean and standard error of {functional!r} over {m} "
+                              f"replicates, {mean!r} and {std_err!r}, are not both finite floats")
         out.append(MonteCarloEstimate(mean, std_err, m, seed))
     return out
 

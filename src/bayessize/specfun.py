@@ -125,8 +125,10 @@ def std_normal_quantile(p: float) -> float:
 
 def _max_terms(shape: float) -> int:
     # Series and continued fractions below need O(sqrt(shape)) terms
-    # (Numerical Recipes, 6.2 and 6.4); the cap leaves a wide margin.
-    return 200 + int(40.0 * math.sqrt(shape))
+    # (Numerical Recipes, 6.2 and 6.4); the cap leaves a wide margin.  Past
+    # a shape of about 6e6 it stays at 1e5 terms, so a shape no expansion
+    # can serve, such as 1e300, fails in a bounded time.
+    return 200 + int(40.0 * math.sqrt(min(shape, 6.25e6)))
 
 
 def gamma_log_norm(a: float) -> float:

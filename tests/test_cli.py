@@ -6,6 +6,8 @@ separation, config-file merging, CSV round-trips, and the printed-table
 golden cells from ``reference_tables``.
 """
 
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -13,13 +15,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bayessize.cli as cli
 from bayessize.cli import main
-from bayessize.errors import AccuracyError, ReplicateError
+from bayessize.errors import AccuracyError, ConfigurationError, ReplicateError
 from bayessize.exact import exact_normal, expbeta_expected
 from bayessize.functionals import CredibleLength, PosteriorVariance
 from bayessize.models import BetaPrior
+from bayessize.montecarlo import simulate_g
 from bayessize.tables import CSV_HEADER, build_table, parse_csv, render_csv
 from reference_tables import TABLE1, TABLE2, printed_match
 
@@ -516,14 +520,38 @@ def test_eval_checks_the_prior_where_no_exact_value_follows(capsys):
 # simulate
 
 
-def test_simulate_refuses_theta0_outside_the_domain_as_eval_does(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "model, theta0, message",
+    [
+        ("bernoulli", "1.5", "theta 1.5 lies outside the domain of Bernoulli()"),
+        ("poisson", "-1", "theta -1.0 lies outside the domain of Poisson()"),
+        ("exp", "1.5", "theta0 must lie in (0, 1] for the rate study, got 1.5"),
+    ],
+    ids=["bernoulli", "poisson", "exp"],
+)
+def test_simulate_refuses_theta0_outside_the_domain_as_eval_does(monkeypatch, capsys, model,
+                                                                  theta0, message):
     # A usage error, exit 1, with eval's message and before any draw.
-    argv = ["--model", "bernoulli", "--criterion", "apvc", "--theta0", "1.5", "--n", "10"]
+    argv = ["--model", model, "--a", "1", "--b", "1", "--criterion", "apvc", "--theta0", theta0,
+            "--n", "10"]
     runs = []
     monkeypatch.setattr(cli, "simulate_g", lambda *args: runs.append(args))
     code, out, err = run(["simulate", *argv, "--m", "4"], capsys)
     assert (code, out, runs) == (1, "", [])
-    assert err == "error: theta 1.5 lies outside the domain of Bernoulli()\n"
+    assert err == f"error: {message}\n"
+    assert run(["eval", *argv], capsys) == (code, out, err)
+
+
+def test_simulate_refuses_a_rate_prior_as_eval_does(monkeypatch, capsys):
+    # b < 1 leaves the rate posterior unbounded at 1: exit 1 before any draw,
+    # not a failed replicate.
+    argv = ["--model", "exp", "--criterion", "apvc", "--b", "0.5", "--theta0", "0.5", "--n", "10"]
+    runs = []
+    monkeypatch.setattr(cli, "simulate_g", lambda *args: runs.append(args))
+    code, out, err = run(["simulate", *argv, "--m", "4"], capsys)
+    assert (code, out, runs) == (1, "", [])
+    assert err == ("error: rates on (0, 1] with beta prior need b >= 1; the posterior density"
+                   " is unbounded at 1 otherwise\n")
     assert run(["eval", *argv], capsys) == (code, out, err)
 
 
@@ -744,3 +772,119 @@ def test_csv_round_trip_restores_rows_exactly(capsys):
         assert got.g_hat_se == want.g_hat_se
         assert got.g_exact == want.g_exact
         assert got.g_star == want.g_star
+
+
+# ---------------------------------------------------------------------------
+# Sweep: every argv ends in an answer or a named refusal
+
+
+# Values each option takes, and the wild ones it may be refused or stretched by.
+_TAKEN = {
+    "sigma2": ("0.2", "2.5"), "mu0": ("0.25", "-1"), "tau2": ("0.3", "2"),
+    "a": ("0.5", "1.5", "8"), "b": ("0.5", "1", "7.5"), "eps": ("0.002", "0.01"),
+    "len": ("0.1", "0.5"), "alpha": ("0.05", "0.1"), "theta1": ("0.3", "0.95", "2"),
+    "theta0": ("0.25", "0.5", "1", "1.6"),
+    "range": ("0.1:0.9", "0.4:0.6", "-0.55:-0.26", "0.2:2"),
+    "n": ("1", "10", "300", "10000000"),
+    "m": ("2", "8"),  # at most 8 replicates, so no run forks
+    "seed": ("1", "20060301"),
+}
+_WILD_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "1e308",
+                str(10**400))
+_WILD = {
+    "range": ("0.5:0.1", "0:1", "1e-300:0.5", "nan:1", "0.1:inf", "a:b", "0.1"),
+    "n": ("0", "-1", "1e3", str(2**64), str(10**300), str(10**400)),
+    "m": ("0", "1", "-1"),
+    "seed": ("-1", str(2**64)),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """``size``, ``eval`` or ``simulate`` with each option of ``cli._OPTIONS``
+    taken from its choices or ``_TAKEN``, or one time in ten missing and
+    one in ten a ``_WILD`` value (``_WILD_FLOATS`` for a float)."""
+    argv = [draw(st.sampled_from(("size", "eval", "simulate")))]
+    for key, spec in cli._OPTIONS.items():
+        if key in ("out", "fresh-seed"):
+            continue
+        values = spec.get("choices") or _TAKEN[key]
+        roll = draw(st.integers(0, 9))
+        if roll == 9 and key != "m":  # the default of 1000 replicates would fork
+            continue
+        if roll == 8 and "choices" not in spec:
+            values = _WILD.get(key, _WILD_FLOATS)
+        argv += [f"--{key}={draw(st.sampled_from(values))}"]
+    return argv
+
+
+def _check_run(argv, failures):
+    """Run ``argv`` in process: it must not raise, and it ends with exit 0
+    and finite numbers on stdout, or one ``error:`` line on stderr with
+    exit 1, or exit 2 or 3 for the reasons README gives."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    lines = err.splitlines()
+    if code == 0:
+        assert err == ""
+        values = [line.partition("=")[2] for line in out.splitlines()]
+        if "--format=csv" in argv and argv[0] != "size":
+            [row] = parse_csv(out)
+            values = [row.theta0, row.g_hat, row.g_hat_se, row.g_exact, row.g_star]
+        assert all(v is None or math.isfinite(float(v)) for v in values), out
+        return
+    assert out == "" and lines and lines[-1].startswith("error: "), err
+    assert sum(line.startswith("error:") for line in lines) == 1, err
+    command = argv[0]
+    if code == 2:  # an effect-size plan that no n meets
+        assert command == "size" and "--criterion=es" in argv, err
+        assert lines[-1].startswith("error: criterion unsatisfiable: "), err
+    elif code == 3:  # a numerical failure: the rate oracle, or a replicate's posterior
+        assert command == "simulate" or (command == "eval" and "--model=exp" in argv), err
+        for exc in failures:  # each failed on a drawn statistic, not on an input
+            assert exc.stat is not None and not isinstance(exc.cause, ConfigurationError), err
+    else:
+        assert code == 1, (code, err)
+
+
+@example(["simulate", "--model=exp", "--criterion=apvc", "--b=0.5", "--theta0=0.5", "--n=10",
+          "--m=4"])
+@example(["simulate", "--model=exp", "--criterion=alc", "--theta0=1.5", "--n=10", "--m=4"])
+@example(["eval", "--model=exp", "--criterion=apvc", "--theta0=1e-300", "--n=3"])
+@example(["size", "--model=exp", "--criterion=apvc", "--eps=0.01", "--range=1e-300:0.5"])
+@example(["size", "--model=poisson", "--criterion=alc", "--len=1e-300", "--range=0.05:0.5"])
+@example(["size", "--model=bernoulli", "--criterion=alc", "--len=1e308", "--range=0.1:0.5"])
+@example(["eval", "--model=exp", "--criterion=alc", "--b=1e308", "--theta0=0.5", "--n=3"])
+@example(["simulate", "--model=exp", "--criterion=alc", "--b=1e308", "--theta0=0.5", "--n=3",
+          "--m=4"])
+# Found by this sweep: an oracle window of O(sqrt(n)) points, a posterior
+# variance past the floats, a shape no expansion serves, an alternative
+# whose squared gap overflows, a Monte Carlo mean past the floats.
+@example(["eval", "--model=exp", "--criterion=alc", "--theta0=0.5", f"--n={2**64}", "--m=2"])
+@example(["eval", "--model=normal", "--sigma2=2.5", "--mu0=0", "--tau2=1e308",
+          "--criterion=apvc", "--theta0=0.3", "--n=1", "--m=2"])
+@example(["eval", "--model=normal", "--sigma2=1e-300", "--mu0=0.25", "--tau2=1e-300",
+          "--criterion=acc", "--len=0.1", "--theta0=1.6", "--n=10", "--m=2"])
+@example(["simulate", "--model=bernoulli", "--a=1e300", "--b=0.5", "--len=0.5", "--theta0=0.25",
+          "--criterion=acc", "--n=1", "--m=8"])
+@example(["size", "--model=normal", "--sigma2=0.2", "--criterion=es", "--theta1=1e300",
+          "--range=0.1:0.9", "--m=2"])
+@example(["simulate", "--model=normal", "--sigma2=0.2", "--mu0=-1", "--tau2=1e300",
+          "--theta0=1e308", "--criterion=alc-quantile", "--n=1", "--m=2"])
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_every_argv_ends_in_an_answer_or_a_named_refusal(monkeypatch, argv):
+    failures = []
+
+    def recorded(*args):
+        try:
+            return simulate_g(*args)
+        except ReplicateError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "simulate_g", recorded)
+    _check_run(argv, failures)

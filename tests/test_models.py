@@ -7,6 +7,7 @@ package itself never imports it for these paths.
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from bayessize.functionals import (
     HpdLower,
     HpdUpper,
     HpdWidth,
+    PosteriorQuantile,
     PosteriorVariance,
     TailMassAbove,
     evaluate,
@@ -1431,3 +1433,69 @@ def test_posterior_variance_vanishes_with_sample_size():
     variances(
         lambda n: SufficientStat(n, n / 0.5), ExponentialRate(), BetaPrior(1.5, 1.5)
     )
+
+
+# ---------------------------------------------------------------------------
+# Sweep: every conjugate posterior gives a finite value or a named refusal
+
+_SHAPES = st.floats(0.01, 30.0)
+_PROBABILITIES = st.floats(0.001, 0.999)
+_FUNCTIONALS = st.one_of(
+    st.just(PosteriorVariance()),
+    st.builds(PosteriorQuantile, _PROBABILITIES),
+    st.builds(CredibleLength, _PROBABILITIES),
+    st.builds(HpdLower, _PROBABILITIES),
+    st.builds(HpdUpper, _PROBABILITIES),
+    st.builds(HpdWidth, _PROBABILITIES),
+    st.builds(CenteredIntervalMass, st.floats(1e-3, 30.0)),
+    st.builds(TailMassAbove, st.floats(-30.0, 30.0)),
+)
+
+
+@st.composite
+def _conjugate_cases(draw):
+    """A family, its conjugate prior and a statistic of n from 1 to 1e7
+    observations: an integer total of 0, n or between for the counts, a
+    positive sum (or 0) for the rates, and a sample mean for the normal."""
+    n = draw(st.integers(1, 10) | st.integers(1, 10**7))
+    kind = draw(st.sampled_from(("normal", "poisson", "bernoulli", "exp")))
+    a, b = draw(_SHAPES), draw(_SHAPES)
+    if kind == "normal":
+        family, prior = NormalKnownVariance(a), NormalPrior(draw(st.floats(-30.0, 30.0)), b)
+        s = draw(st.floats(-30.0, 30.0))
+    elif kind == "poisson":
+        family, prior = Poisson(), GammaPrior(a, b)
+        s = draw(st.sampled_from((0, n)) | st.integers(0, 30 * n))
+    elif kind == "bernoulli":
+        family, prior = Bernoulli(), BetaPrior(a, b)
+        s = draw(st.sampled_from((0, n)) | st.integers(0, n))
+    else:
+        family, prior = ExponentialRate(), BetaPrior(a, b)
+        s = draw(st.sampled_from((0.0, float(n))) | st.floats(0.03, 30.0).map(lambda r: n * r))
+    return family, prior, SufficientStat(n, float(s)), draw(_FUNCTIONALS)
+
+
+# A rate prior refused by rule (b < 1), a rate posterior at n = 1e7, a rate
+# HPD at level 0.001 whose Newton does not converge (refused), shapes of 0.01
+# at a zero count, and a zero Poisson count at n = 1e7.
+@example((ExponentialRate(), BetaPrior(1.5, 0.5), SufficientStat(10, 5.0), PosteriorVariance()))
+@example((ExponentialRate(), BetaPrior(0.01, 1.0), SufficientStat(10**7, 3e8), HpdWidth(0.95)))
+@example((ExponentialRate(), BetaPrior(0.01, 17.58), SufficientStat(524289, 9217326.5),
+          HpdWidth(0.001)))
+@example((Bernoulli(), BetaPrior(0.01, 0.01), SufficientStat(1, 0.0), HpdLower(0.999)))
+@example((Poisson(), GammaPrior(30.0, 0.01), SufficientStat(10**7, 0.0), HpdUpper(0.5)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_conjugate_cases())
+def test_every_conjugate_case_gives_a_finite_value_or_a_named_refusal(case):
+    family, prior, stat, functional = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = evaluate(functional, posterior(family, prior, stat))
+        except (UnsupportedShapeError, AccuracyError):
+            return
+        except (DomainError, ConfigurationError):
+            # only the rate posterior's rules refuse: a positive sum and b >= 1
+            assert isinstance(family, ExponentialRate) and (stat.s == 0.0 or prior.b < 1.0), case
+            return
+    assert math.isfinite(value), case
