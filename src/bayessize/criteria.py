@@ -176,8 +176,10 @@ def min_sample_size(criterion: Criterion, family: LikelihoodFamily) -> SampleSiz
         n_real = _real_size(criterion, info)
     except ZeroDivisionError:  # the denominator underflowed: the size overflows
         n_real = math.inf
-    except OverflowError:  # the length's square overflowed: the size underflows
-        n_real = 0.0
+    except OverflowError:  # the length's square left the floats
+        raise DomainError(
+            f"interval length {criterion.length!r} squared exceeds the largest float"
+        ) from None
     return SampleSizeResult(_ceil_snap(n_real), n_real, info)
 
 

@@ -38,6 +38,7 @@ _STD_NORMAL = NormalDist()
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300  # Lentz's guard against a zero denominator
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_SHAPE_LIMIT = 2.0**53  # the least float shape for which shape + 1 == shape
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,16 @@ def std_normal_quantile(p: float) -> float:
 
 def _max_terms(shape: float) -> int:
     # Series and continued fractions below need O(sqrt(shape)) terms
-    # (Numerical Recipes, 6.2 and 6.4); the cap leaves a wide margin.  Past
-    # a shape of about 6e6 it stays at 1e5 terms, so a shape no expansion
-    # can serve, such as 1e300, fails in a bounded time.
-    return 200 + int(40.0 * math.sqrt(min(shape, 6.25e6)))
+    # (Numerical Recipes, 6.2 and 6.4); the cap leaves a wide margin.  From
+    # 2^53 on, shape + 1 rounds to shape, so the terms' denominators stop
+    # stepping; such a shape is refused before any loop, which at 1e300
+    # would run for 4e151 terms.
+    if shape >= _SHAPE_LIMIT:
+        raise AccuracyError(
+            f"shape {shape!r} is 2**53 or more, where shape + 1 rounds to shape; "
+            "the incomplete gamma and beta expansions cannot serve it"
+        )
+    return 200 + int(40.0 * math.sqrt(shape))
 
 
 def gamma_log_norm(a: float) -> float:

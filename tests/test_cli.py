@@ -521,37 +521,31 @@ def test_eval_checks_the_prior_where_no_exact_value_follows(capsys):
 
 
 @pytest.mark.parametrize(
-    "model, theta0, message",
+    "argv, message",
     [
-        ("bernoulli", "1.5", "theta 1.5 lies outside the domain of Bernoulli()"),
-        ("poisson", "-1", "theta -1.0 lies outside the domain of Poisson()"),
-        ("exp", "1.5", "theta0 must lie in (0, 1] for the rate study, got 1.5"),
+        (["--model", "bernoulli", "--a", "1", "--b", "1", "--theta0", "1.5"],
+         "theta 1.5 lies outside the domain of Bernoulli()"),
+        (["--model", "poisson", "--a", "1", "--b", "1", "--theta0", "-1"],
+         "theta -1.0 lies outside the domain of Poisson()"),
+        (["--model", "exp", "--a", "1", "--b", "1", "--theta0", "1.5"],
+         "theta0 must lie in (0, 1] for the rate study, got 1.5"),
+        # b < 1 leaves the rate posterior unbounded at 1: not a failed replicate.
+        (["--model", "exp", "--b", "0.5", "--theta0", "0.5"],
+         "rates on (0, 1] with beta prior need b >= 1; the posterior density is unbounded at 1"
+         " otherwise"),
     ],
-    ids=["bernoulli", "poisson", "exp"],
+    ids=["bernoulli", "poisson", "exp", "exp-prior"],
 )
-def test_simulate_refuses_theta0_outside_the_domain_as_eval_does(monkeypatch, capsys, model,
-                                                                  theta0, message):
-    # A usage error, exit 1, with eval's message and before any draw.
-    argv = ["--model", model, "--a", "1", "--b", "1", "--criterion", "apvc", "--theta0", theta0,
-            "--n", "10"]
+def test_simulate_refuses_theta0_outside_the_domain_as_eval_does(monkeypatch, capsys, argv,
+                                                                  message):
+    # An input eval refuses is a usage error in simulate too: exit 1, with
+    # eval's message and before any draw.
+    argv = [*argv, "--criterion", "apvc", "--n", "10"]
     runs = []
     monkeypatch.setattr(cli, "simulate_g", lambda *args: runs.append(args))
     code, out, err = run(["simulate", *argv, "--m", "4"], capsys)
     assert (code, out, runs) == (1, "", [])
     assert err == f"error: {message}\n"
-    assert run(["eval", *argv], capsys) == (code, out, err)
-
-
-def test_simulate_refuses_a_rate_prior_as_eval_does(monkeypatch, capsys):
-    # b < 1 leaves the rate posterior unbounded at 1: exit 1 before any draw,
-    # not a failed replicate.
-    argv = ["--model", "exp", "--criterion", "apvc", "--b", "0.5", "--theta0", "0.5", "--n", "10"]
-    runs = []
-    monkeypatch.setattr(cli, "simulate_g", lambda *args: runs.append(args))
-    code, out, err = run(["simulate", *argv, "--m", "4"], capsys)
-    assert (code, out, runs) == (1, "", [])
-    assert err == ("error: rates on (0, 1] with beta prior need b >= 1; the posterior density"
-                   " is unbounded at 1 otherwise\n")
     assert run(["eval", *argv], capsys) == (code, out, err)
 
 

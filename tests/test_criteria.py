@@ -140,6 +140,16 @@ def test_criterion_constructors_reject_bad_fields(bad):
         bad()
 
 
+@pytest.mark.parametrize("kind", [Acc, Alc])
+def test_a_length_whose_square_leaves_the_floats_is_refused_by_name(kind):
+    # Up to a length of about 1.3e154 the size is a tiny real and n_min is
+    # 1; past it length**2 raises, and the length is named.
+    res = min_sample_size(kind(length=1e150, alpha=0.05, lo=0.1, hi=0.5), Bernoulli())
+    assert res.n_min == 1 and 0.0 < res.n_real < 1e-298
+    with pytest.raises(DomainError, match=r"^interval length 1e\+308 squared exceeds the largest float$"):
+        min_sample_size(kind(length=1e308, alpha=0.05, lo=0.1, hi=0.5), Bernoulli())
+
+
 def test_min_sample_size_rejects_unknown_criterion():
     with pytest.raises(DomainError):
         min_sample_size("not a criterion", NormalKnownVariance(0.2))
