@@ -62,6 +62,7 @@ from .models import (
     NormalKnownVariance,
     NormalPrior,
     Poisson,
+    normal_posterior_variance,
     suffstat_sampler,
 )
 from .montecarlo import simulate_g
@@ -288,6 +289,8 @@ def _resolve(settings: argparse.Namespace) -> argparse.Namespace:
     settings.prior = _prior(settings)
     if settings.model == "exp":
         check_rate_study(theta0, settings.prior)
+    elif settings.model == "normal":
+        normal_posterior_variance(family.sigma2, settings.prior.tau2, n)
     if command == "simulate":
         suffstat_sampler(family, theta0, n)
     settings.exact = _exact(settings)

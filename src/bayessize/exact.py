@@ -37,7 +37,13 @@ from .functionals import (
     TailMassAbove,
     evaluate,
 )
-from .models import RATE_BLOCK_ROWS, BetaPrior, check_rate_prior, rate_posterior
+from .models import (
+    RATE_BLOCK_ROWS,
+    BetaPrior,
+    check_rate_prior,
+    normal_posterior_variance,
+    rate_posterior,
+)
 from .specfun import std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -94,8 +100,7 @@ def _normal_setup(sigma2, mu0, tau2, theta0, n):
     sigma2, tau2 = positive("sigma2", sigma2), positive("tau2", tau2)
     mu0, theta0, n = finite("mu0", mu0), finite("theta0", theta0), positive("n", n)
     shrink = sigma2 / (n * tau2)
-    post_var = positive("posterior variance", sigma2 * tau2 / (n * tau2 + sigma2))
-    return sigma2, mu0, tau2, theta0, n, shrink, post_var
+    return sigma2, mu0, tau2, theta0, n, shrink, normal_posterior_variance(sigma2, tau2, n)
 
 
 def exact_normal(

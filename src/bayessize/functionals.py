@@ -119,5 +119,5 @@ def evaluate(functional: Functional, post) -> float:
         half = 0.5 * functional.length
         return post.interval_mass(mid - half, mid + half)
     if isinstance(functional, TailMassAbove):
-        return post.prob_above(functional.theta1)
+        return 1.0 - post.cdf(functional.theta1)
     raise DomainError(f"unknown functional {functional!r}")

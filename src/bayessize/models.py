@@ -88,6 +88,7 @@ __all__ = [
     "posterior",
     "rate_posterior",
     "check_rate_prior",
+    "normal_posterior_variance",
 ]
 
 # The node count of the fixed rate grid that ``RatePosterior`` replaced.  No
@@ -427,10 +428,6 @@ class NormalPosterior:
         half = self.sd * std_normal_quantile(0.5 * (1.0 + level))
         return HpdInterval(self.mean_value - half, self.mean_value + half, level)
 
-    def prob_above(self, theta1: float) -> float:
-        theta1 = finite("theta1", theta1)
-        return 1.0 - std_normal_cdf((theta1 - self.mean_value) / self.sd)
-
 
 class _NumericPosterior:
     """Quantiles, interval masses and highest-density intervals computed
@@ -490,9 +487,6 @@ class _NumericPosterior:
         if not lo <= hi:
             raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
         return max(self.cdf(hi) - self.cdf(lo), 0.0)
-
-    def prob_above(self, theta1: float) -> float:
-        return 1.0 - self.cdf(finite("theta1", theta1))
 
     @cached_property
     def _hpd_cache(self) -> dict[float, HpdInterval]:
@@ -833,7 +827,7 @@ class RatePosterior:
     """
 
     __slots__ = ("shape", "b", "s", "error_estimate", "_mode", "_phi0", "_phi1", "_step",
-                 "_density", "_slope", "_node_cdf", "_mean", "_variance", "_quantiles",
+                 "_density", "_slope", "_node_cdf", "_mean", "_variance",
                  "_hpd_cache", "_powers")
 
     # Edges and flat densities take logs of 0 and divide by 0, and a row
@@ -976,7 +970,6 @@ class RatePosterior:
         self._mode = _smaller_root(shape - 1.0, b - 1.0, s)  # a flat density's mode is NaN
         for a in (g, dg, cdf, phi0, phi1, h, mean, variance, self._mode, self.error_estimate):
             a.setflags(write=False)
-        self._quantiles: dict[float, np.ndarray] = {}
         self._hpd_cache: dict[float, HpdInterval] = {}
         bad = ~(self.error_estimate <= RATE_TOLERANCE)  # NaN fails too
         if bad.any():
@@ -1088,9 +1081,6 @@ class RatePosterior:
             raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
         return self._out(np.maximum(self._cdf(hi) - self._cdf(lo), 0.0))
 
-    def prob_above(self, theta1: float):
-        return self._out(1.0 - self._cdf(self._rows(finite("theta1", theta1))))
-
     def _start(self, p: float):
         """Each row's segment whose node CDF brackets ``p``, its quartic, and
         the fraction of it where the node CDF's chord reaches ``p``."""
@@ -1101,10 +1091,7 @@ class RatePosterior:
     def _quantile_phi(self, p: float) -> np.ndarray:
         """Each row's point in ``phi`` where the CDF reaches ``p``: Newton
         steps in its segment from the chord, kept inside it, until a step is
-        below 1e-13 of it (that last step applied).  Kept per ``p``."""
-        q = self._quantiles.get(p)
-        if q is not None:
-            return q
+        below 1e-13 of it (that last step applied)."""
         i, coef, t = self._start(p)
         live = np.arange(t.size)
         for _ in range(100):
@@ -1117,16 +1104,10 @@ class RatePosterior:
                 break
         else:
             raise AccuracyError(f"{self._row(int(live[0]))}: quantile did not converge at p={p!r}")
-        q = self._phi0 + (i + t) * self._step
-        q.setflags(write=False)
-        self._quantiles[p] = q
-        return q
-
-    def _quantile(self, p: float) -> np.ndarray:
-        return np.sin(self._quantile_phi(p)) ** 2
+        return self._phi0 + (i + t) * self._step
 
     def quantile(self, alpha: float):
-        return self._out(self._quantile(open_unit("alpha", alpha)))
+        return self._out(np.sin(self._quantile_phi(open_unit("alpha", alpha))) ** 2)
 
     def hpd(self, level: float) -> HpdInterval:
         """Highest-density interval of each row, found once per level."""
@@ -1261,6 +1242,13 @@ def rate_posterior(prior: BetaPrior, n: int, totals) -> RatePosterior:
     return RatePosterior(prior.a + n, prior.b, totals)
 
 
+def normal_posterior_variance(sigma2: float, tau2: float, n: float) -> float:
+    """Posterior variance of a normal mean after ``n`` draws of variance
+    ``sigma2`` under a prior of variance ``tau2``, refused unless a positive
+    float (inf, NaN or 0 where ``n * tau2`` overflows)."""
+    return positive("posterior variance", sigma2 * tau2 / (n * tau2 + sigma2))
+
+
 def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterior:
     """Posterior for ``family`` under ``prior`` given a sufficient statistic.
 
@@ -1272,8 +1260,7 @@ def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterio
     if isinstance(family, NormalKnownVariance) and isinstance(prior, NormalPrior):
         c = family.sigma2 / (stat.n * prior.tau2)
         mean = (stat.s + c * prior.mu0) / (1.0 + c)
-        var = family.sigma2 * prior.tau2 / (stat.n * prior.tau2 + family.sigma2)
-        return NormalPosterior(mean, var)
+        return NormalPosterior(mean, normal_posterior_variance(family.sigma2, prior.tau2, stat.n))
 
     if isinstance(family, Poisson) and isinstance(prior, GammaPrior):
         if stat.s < 0.0 or stat.s != math.floor(stat.s):

@@ -1,6 +1,7 @@
-"""Scalar special functions and polynomial kernels.
+"""Scalar special functions and the Hermite-type kernels of the expansions.
 
-Everything here is pure: plain floats in, plain floats out, no state.
+Everything here is pure and keeps no state: plain floats in and out, or
+numpy polynomials for the Hermite kernels.
 The rest of the package builds on these primitives, so their accuracy
 targets are the tightest in the tree: the normal quantile is good to
 about 1e-16 relative, and the regularized incomplete gamma and beta
@@ -12,13 +13,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from statistics import NormalDist
 
 from .errors import AccuracyError, DomainError, finite, integer, open_unit, positive
 
 __all__ = [
-    "Polynomial",
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
@@ -33,7 +32,6 @@ __all__ = [
     "gaussian_product_expectation",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STD_NORMAL = NormalDist()
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300  # Lentz's guard against a zero denominator
@@ -41,72 +39,9 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _SHAPE_LIMIT = 2.0**53  # the least float shape for which shape + 1 == shape
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """A real polynomial stored densely by ascending power.
-
-    The representation is canonical: trailing zero coefficients are
-    stripped on construction and the zero polynomial has an empty
-    coefficient tuple (degree 0 by convention).
-    """
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(finite("polynomial coefficient", c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @staticmethod
-    def of(*coefficients: float) -> "Polynomial":
-        return Polynomial(tuple(coefficients))
-
-    @property
-    def degree(self) -> int:
-        return max(len(self.coefficients) - 1, 0)
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coefficients) if k > 0))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return Polynomial(())
-        out = [0.0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Polynomial(tuple(out))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, bj in enumerate(b):
-            out[j] += bj
-        return Polynomial(tuple(out))
-
-    def scale(self, factor: float) -> "Polynomial":
-        factor = finite("scale factor", factor)
-        return Polynomial(tuple(factor * c for c in self.coefficients))
-
-
 def std_normal_pdf(x: float) -> float:
     """Standard normal density at ``x``."""
-    x = finite("x", x)
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+    return _STD_NORMAL.pdf(finite("x", x))
 
 
 def std_normal_cdf(x: float) -> float:
@@ -277,35 +212,42 @@ def normal_abs_moment(order: float) -> float:
     return math.exp(log_moment)
 
 
-def hermite_poly(order: int, info: float) -> Polynomial:
+def hermite_poly(order: int, info: float):
     """Hermite-type polynomial from the signed recursion used in the
-    posterior expansion machinery.
+    posterior expansion machinery, as a ``numpy.polynomial.Polynomial``.
 
     The sequence starts at the constant 1 and steps by
     ``H_{i+1}(v) = H_i'(v) - info * v * H_i(v)``, so for ``info = 1`` the
-    first few are 1, -v, v^2 - 1, ...
+    first few are 1, -v, v^2 - 1, ...  A coefficient that leaves the floats
+    raises ``DomainError``.
     """
+    import numpy as np
+    from numpy.polynomial import Polynomial  # only the expansions need it
+
     order = integer("order", order, least=0)
     info = positive("info", info)
-    minus_iv = Polynomial.of(0.0, -info)
-    h = Polynomial.of(1.0)
-    for _ in range(order):
-        h = h.derivative() + minus_iv * h
+    minus_iv = Polynomial([0.0, -info])
+    h = Polynomial([1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(order):
+            h = h.deriv() + minus_iv * h
+            for c in h.coef.tolist():
+                finite("polynomial coefficient", c)
     return h
 
 
-def expect_half_variance(poly: Polynomial) -> float:
+def expect_half_variance(poly) -> float:
     """E[p(V)] for V normal with mean zero and variance one half.
 
     Each monomial picks up the usual moment scaled by ``2^(-k/2)``.
     """
     return sum(
         c * normal_moment(k) / math.pow(2.0, 0.5 * k)
-        for k, c in enumerate(poly.coefficients)
+        for k, c in enumerate(poly.coef.tolist())
     )
 
 
-def gaussian_product_expectation(poly: Polynomial) -> float:
+def gaussian_product_expectation(poly) -> float:
     """Integral of ``p(v) * pdf(v)^2`` over the real line.
 
     The squared standard normal density integrates like a normal with

@@ -33,13 +33,14 @@ DEFAULT_SEED = 20060301
 def test_importing_the_cli_loads_no_scipy():
     # scipy is a test oracle only; importing it would double the CLI's start-up.
     # numpy imports numpy.random lazily and only a simulation needs it, so
-    # sizing and closed-form runs never pay for loading it.  A simulation
+    # sizing and closed-form runs never pay for loading it; numpy.polynomial
+    # serves only the expansions' Hermite kernels.  A simulation
     # split across processes forks them itself and loads no process pool.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import os, sys, bayessize.cli, bayessize.montecarlo as mc\n"
         "print([m for m in sys.modules"
-        " if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')])\n"
+        " if m.split('.')[0] == 'scipy' or m.startswith(('numpy.random', 'numpy.polynomial'))])\n"
         "mc._MIN_PER_PROCESS, forks, fork = 2, [], os.fork\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "os.fork = lambda: forks.append(0) or fork()\n"
@@ -533,14 +534,20 @@ def test_eval_checks_the_prior_where_no_exact_value_follows(capsys):
         (["--model", "exp", "--b", "0.5", "--theta0", "0.5"],
          "rates on (0, 1] with beta prior need b >= 1; the posterior density is unbounded at 1"
          " otherwise"),
+        # n * tau2 overflows, so sigma2 tau2 / (n tau2 + sigma2) is inf, NaN or
+        # 0: a prior too wide for the update, not a failed replicate.
+        *((["--model", "normal", "--sigma2", sigma2, "--mu0", "0.25", "--tau2", "1e308",
+            "--theta0", "0.25", "--n", n],
+           f"posterior variance must be positive and finite, got {value}")
+          for sigma2, n, value in (("2.5", "1", "inf"), ("2.5", "2", "nan"), ("1", "2", "0.0"))),
     ],
-    ids=["bernoulli", "poisson", "exp", "exp-prior"],
+    ids=["bernoulli", "poisson", "exp", "exp-prior", "normal-inf", "normal-nan", "normal-zero"],
 )
 def test_simulate_refuses_theta0_outside_the_domain_as_eval_does(monkeypatch, capsys, argv,
                                                                   message):
     # An input eval refuses is a usage error in simulate too: exit 1, with
     # eval's message and before any draw.
-    argv = [*argv, "--criterion", "apvc", "--n", "10"]
+    argv = ["--criterion", "apvc", "--n", "10", *argv]
     runs = []
     monkeypatch.setattr(cli, "simulate_g", lambda *args: runs.append(args))
     code, out, err = run(["simulate", *argv, "--m", "4"], capsys)

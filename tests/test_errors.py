@@ -58,7 +58,7 @@ from bayessize.models import (
 )
 from bayessize.montecarlo import simulate_many
 from bayessize.randomness import SeededGenerator
-from bayessize.specfun import hermite_poly, normal_abs_moment, normal_moment
+from bayessize.specfun import hermite_poly, normal_abs_moment, normal_moment, std_normal_pdf
 
 _FINITE = (math.nan, math.inf, -math.inf)
 _POSITIVE = _FINITE + (0.0, -2.5)
@@ -85,7 +85,7 @@ _REFUSALS = [
     (lambda v: BetaPosterior(1.0, v), "b", _POSITIVE),
     (lambda v: GammaPosterior(2.0, 3.0).quantile(v), "alpha", _OPEN_UNIT),
     (lambda v: BetaPosterior(2.0, 3.0).hpd(v), "level", _OPEN_UNIT),
-    (lambda v: NormalPosterior(0.0, 1.0).prob_above(v), "theta1", _FINITE),
+    (lambda v: std_normal_pdf(v), "x", _FINITE),
     (lambda v: Apvc(v, 0.2, 0.8), "eps", _POSITIVE),
     (lambda v: Apvc(0.01, v, 0.8), "lo", _FINITE),
     (lambda v: Apvc(0.01, 0.2, v), "hi", _FINITE),

@@ -356,7 +356,7 @@ def test_normal_posterior_summaries():
     assert post.mean() == 0.5
     assert post.variance() == 0.002
     assert post.quantile(0.5) == pytest.approx(0.5, abs=1e-12)
-    assert post.prob_above(0.5) == pytest.approx(0.5, abs=1e-12)
+    assert 1.0 - post.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_normal_posterior_quantile_example():
@@ -388,7 +388,7 @@ def test_gamma_posterior_benchmark_object():
     post = GammaPosterior(12.5, 8.5)
     assert post.mean() == pytest.approx(1.470588, abs=1e-6)
     assert post.variance() == pytest.approx(0.173010, abs=1e-6)
-    above = post.prob_above(post.mean())
+    above = 1.0 - post.cdf(post.mean())
     assert 0.45 < above < 0.5
     ref = 1.0 - stats.gamma.cdf(post.mean(), a=12.5, scale=1.0 / 8.5)
     assert above == pytest.approx(ref, abs=1e-8)
@@ -1291,14 +1291,13 @@ def test_hpd_on_two_peaks_is_certified_or_unsupported(b, level):
 
 
 def test_grid_arrays_are_read_only():
-    # the rows' sums, windows, node tables, moments and kept quantiles are
-    # shared, never written
+    # the rows' sums, windows, node tables and moments are shared, never
+    # written
     grid = _beta_grid(3.0, 3.0)
     batch = rate_posterior(BetaPrior(1.5, 1.5), 30, np.array([50.0, 60.0, 70.0]))
     kept = (grid._phi0, grid._phi1, grid._step, grid._mode, grid.error_estimate,
             batch.mean(), batch.variance())
-    for array in (grid.s, grid._density, grid._slope, grid._node_cdf, grid._quantile_phi(0.5),
-                  *kept):
+    for array in (grid.s, grid._density, grid._slope, grid._node_cdf, *kept):
         with pytest.raises(ValueError):
             array[...] = 0.5
 
@@ -1365,8 +1364,8 @@ def test_lower_tail_mass_is_the_quantile_level():
 
 
 def test_prob_above_below_support_is_one():
-    assert GammaPosterior(3.0, 1.0).prob_above(-1.0) == pytest.approx(1.0, abs=1e-12)
-    assert BetaPosterior(2.0, 2.0).prob_above(-0.5) == pytest.approx(1.0, abs=1e-12)
+    assert 1.0 - GammaPosterior(3.0, 1.0).cdf(-1.0) == pytest.approx(1.0, abs=1e-12)
+    assert 1.0 - BetaPosterior(2.0, 2.0).cdf(-0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 # NormalPosterior needs a cdf spelling for the roundtrip test above
