@@ -282,6 +282,9 @@ def _resolve(settings: argparse.Namespace) -> argparse.Namespace:
     settings.goal = (_criterion_object if command == "size" else _functional_object)(settings)
     family = settings.family = _family(settings)
     if command == "size":
+        if settings.format == "csv":
+            raise DomainError("a sample size has no csv row; --format csv serves eval, "
+                              "simulate and table, use text output for size")
         return settings
     theta0 = _require(settings.theta0, "theta0")
     n = integer("--n", _require(settings.n, "n"))

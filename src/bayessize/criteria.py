@@ -7,9 +7,10 @@ normal approximation every one of them reduces to a closed form in the
 infimum of (weighted) Fisher information over that range, which is what
 :func:`min_sample_size` inverts.  The infimum is exact too: the least
 value at the range's ends and at the family's stationary point inside
-it, if any (:func:`~bayessize.models.inf_weighted_info`).  The
-``asymptotic_*`` evaluators expose the same approximations as functions
-of ``n`` so callers can compare them with exact or simulated values.
+it, if any (:func:`~bayessize.models.inf_weighted_info`).
+:func:`asymptotic_functional` gives the same approximation as a function
+of ``n``: the functional of the normal posterior N(theta0, 1/(n I(theta0))),
+to compare with exact or simulated values.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .functionals import (
     PosteriorVariance,
     TailMassAbove,
 )
-from .models import HpdInterval, LikelihoodFamily, fisher_info, inf_weighted_info
+from .models import LikelihoodFamily, fisher_info, inf_weighted_info
 from .specfun import std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -41,13 +42,6 @@ __all__ = [
     "Criterion",
     "SampleSizeResult",
     "min_sample_size",
-    "criterion_value",
-    "asymptotic_expected_variance",
-    "asymptotic_centered_mass",
-    "asymptotic_credible_length",
-    "asymptotic_expected_quantile",
-    "asymptotic_tail_mass",
-    "asymptotic_hpd",
     "asymptotic_functional",
 ]
 
@@ -143,6 +137,11 @@ def _ceil_snap(n_real: float) -> int:
     return max(int(math.ceil(n_real - _CEIL_SLACK)), 1)
 
 
+def _spread(alpha: float) -> float:
+    """Width of the central ``1 - alpha`` interval of the standard normal."""
+    return std_normal_quantile(1.0 - 0.5 * alpha) - std_normal_quantile(0.5 * alpha)
+
+
 def _real_size(criterion: Criterion, info: float) -> float:
     """The real ``n`` at which the leading-order functional meets the
     criterion's target, given the information infimum ``info``."""
@@ -154,9 +153,7 @@ def _real_size(criterion: Criterion, info: float) -> float:
     if isinstance(criterion, Acc):
         z = std_normal_quantile(1.0 - 0.5 * criterion.alpha)
         return 4.0 * z * z / (criterion.length**2 * info)
-    spread = std_normal_quantile(1.0 - 0.5 * criterion.alpha) - std_normal_quantile(
-        0.5 * criterion.alpha
-    )
+    spread = _spread(criterion.alpha)
     return spread * spread / (criterion.length**2 * info)
 
 
@@ -183,99 +180,27 @@ def min_sample_size(criterion: Criterion, family: LikelihoodFamily) -> SampleSiz
     return SampleSizeResult(_ceil_snap(n_real), n_real, info)
 
 
-def _scaled_info(family: LikelihoodFamily, theta0: float, n: float) -> float:
-    return fisher_info(family, theta0) * positive("sample size", n)
-
-
-def asymptotic_expected_variance(
-    family: LikelihoodFamily, theta0: float, n: float
-) -> float:
-    """Leading-order expected posterior variance, ``1 / (n I(theta0))``."""
-    return 1.0 / _scaled_info(family, theta0, n)
-
-
-def asymptotic_centered_mass(
-    family: LikelihoodFamily, theta0: float, n: float, length: float
-) -> float:
-    """Leading-order expected mass of the centred interval of ``length``."""
-    length = positive("length", length)
-    ni = _scaled_info(family, theta0, n)
-    return 2.0 * std_normal_cdf(0.5 * length * math.sqrt(ni)) - 1.0
-
-
-def asymptotic_credible_length(
-    family: LikelihoodFamily, theta0: float, n: float, alpha: float
-) -> float:
-    """Leading-order expected length of the central ``1 - alpha`` interval."""
-    alpha = open_unit("alpha", alpha)
-    ni = _scaled_info(family, theta0, n)
-    spread = std_normal_quantile(1.0 - 0.5 * alpha) - std_normal_quantile(0.5 * alpha)
-    return spread / math.sqrt(ni)
-
-
-def asymptotic_expected_quantile(
-    family: LikelihoodFamily, theta0: float, n: float, alpha: float
-) -> float:
-    """Leading-order expected posterior ``alpha`` quantile."""
-    alpha = open_unit("alpha", alpha)
-    ni = _scaled_info(family, theta0, n)
-    return theta0 + std_normal_quantile(alpha) / math.sqrt(ni)
-
-
-def asymptotic_tail_mass(
-    family: LikelihoodFamily, theta0: float, n: float, theta1: float
-) -> float:
-    """Leading-order expected posterior mass above ``theta1``."""
-    theta1 = finite("theta1", theta1)
-    ni = _scaled_info(family, theta0, n)
-    return 1.0 - std_normal_cdf(math.sqrt(0.5 * ni) * (theta1 - theta0))
-
-
-def asymptotic_hpd(
-    family: LikelihoodFamily, theta0: float, n: float, level: float
-) -> HpdInterval:
-    """Leading-order highest-density interval, centred at ``theta0``."""
-    level = open_unit("level", level)
-    ni = _scaled_info(family, theta0, n)
-    half = std_normal_quantile(0.5 * (1.0 + level)) / math.sqrt(ni)
-    return HpdInterval(theta0 - half, theta0 + half, level)
-
-
-def criterion_value(
-    criterion: Criterion, family: LikelihoodFamily, theta0: float, n: float
-) -> float:
-    """The criterion's expected functional under the leading-order
-    approximation, evaluated at ``theta0`` and ``n``."""
-    if isinstance(criterion, Apvc):
-        return asymptotic_expected_variance(family, theta0, n)
-    if isinstance(criterion, Acc):
-        return asymptotic_centered_mass(family, theta0, n, criterion.length)
-    if isinstance(criterion, Alc):
-        return asymptotic_credible_length(family, theta0, n, criterion.alpha)
-    if isinstance(criterion, EffectSize):
-        return asymptotic_tail_mass(family, theta0, n, criterion.theta1)
-    raise DomainError(f"unknown criterion {criterion!r}")
-
-
 def asymptotic_functional(
     functional: Functional, family: LikelihoodFamily, theta0: float, n: float
 ) -> float:
-    """Leading-order expected value of ``functional`` at ``theta0``."""
+    """Leading-order expected value of ``functional`` at ``theta0``: the
+    functional of the normal posterior N(theta0, 1 / (n I(theta0)))."""
+    ni = fisher_info(family, theta0) * positive("sample size", n)
     if isinstance(functional, PosteriorVariance):
-        return asymptotic_expected_variance(family, theta0, n)
+        return 1.0 / ni
     if isinstance(functional, PosteriorQuantile):
-        return asymptotic_expected_quantile(family, theta0, n, functional.alpha)
+        return theta0 + std_normal_quantile(functional.alpha) / math.sqrt(ni)
     if isinstance(functional, CredibleLength):
-        return asymptotic_credible_length(family, theta0, n, functional.alpha)
-    if isinstance(functional, HpdLower):
-        return asymptotic_hpd(family, theta0, n, functional.level).lo
-    if isinstance(functional, HpdUpper):
-        return asymptotic_hpd(family, theta0, n, functional.level).hi
-    if isinstance(functional, HpdWidth):
-        interval = asymptotic_hpd(family, theta0, n, functional.level)
-        return interval.hi - interval.lo
+        return _spread(functional.alpha) / math.sqrt(ni)
+    if isinstance(functional, (HpdLower, HpdUpper, HpdWidth)):
+        half = std_normal_quantile(0.5 * (1.0 + functional.level)) / math.sqrt(ni)
+        lo, hi = theta0 - half, theta0 + half
+        if isinstance(functional, HpdWidth):
+            return hi - lo
+        return lo if isinstance(functional, HpdLower) else hi
     if isinstance(functional, CenteredIntervalMass):
-        return asymptotic_centered_mass(family, theta0, n, functional.length)
+        return 2.0 * std_normal_cdf(0.5 * functional.length * math.sqrt(ni)) - 1.0
     if isinstance(functional, TailMassAbove):
-        return asymptotic_tail_mass(family, theta0, n, functional.theta1)
+        # Averaging over the posterior mean doubles the variance.
+        return 1.0 - std_normal_cdf(math.sqrt(0.5 * ni) * (functional.theta1 - theta0))
     raise DomainError(f"unknown functional {functional!r}")

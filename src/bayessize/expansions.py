@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .criteria import asymptotic_expected_quantile
+from .criteria import asymptotic_functional
 from .errors import integer, positive
+from .functionals import PosteriorQuantile
 from .models import LikelihoodFamily, fisher_info
 from .specfun import (
     expect_half_variance,
@@ -74,11 +75,8 @@ def posterior_moment_term(
 def expected_posterior_quantile(
     family: LikelihoodFamily, theta0: float, n: float, alpha: float
 ) -> float:
-    """Leading term of the expected posterior ``alpha`` quantile.
-
-    Delegates to the criterion-level evaluator; both views must agree.
-    """
-    return asymptotic_expected_quantile(family, theta0, n, alpha)
+    """Leading term of the expected posterior ``alpha`` quantile."""
+    return asymptotic_functional(PosteriorQuantile(alpha), family, theta0, n)
 
 
 def expected_density_at_truth(

@@ -133,6 +133,21 @@ def test_size_flags_override_config(tmp_path, capsys):
     assert kv(out)["n_min"] == "400"
 
 
+def test_size_refuses_csv_from_a_flag_or_the_config_file(tmp_path, capsys):
+    # the CSV header has no column for a sample size, so size prints text only
+    argv = ["size", "--model", "poisson", "--criterion", "apvc", "--eps", "0.01",
+            "--range", "0.5:2"]
+    path = tmp_path / "study.cfg"
+    path.write_text("format = csv\n", encoding="utf-8")
+    for extra in (["--format", "csv"], ["--config", str(path)]):
+        code, out, err = run(argv + extra, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--format csv" in err
+    code, out, _ = run(argv + ["--config", str(path), "--format", "text"], capsys)
+    assert code == 0 and kv(out)["n_min"] == "200"
+
+
 def _option_values(key):
     """Two (config text, parsed value) pairs option ``key`` accepts; the
     second is also given as a flag."""
@@ -831,7 +846,7 @@ def _check_run(argv, failures):
     if code == 0:
         assert err == ""
         values = [line.partition("=")[2] for line in out.splitlines()]
-        if "--format=csv" in argv and argv[0] != "size":
+        if "--format=csv" in argv:
             [row] = parse_csv(out)
             values = [row.theta0, row.g_hat, row.g_hat_se, row.g_exact, row.g_star]
         assert all(v is None or math.isfinite(float(v)) for v in values), out

@@ -15,18 +15,12 @@ from bayessize.criteria import (
     Alc,
     Apvc,
     EffectSize,
-    asymptotic_centered_mass,
-    asymptotic_credible_length,
-    asymptotic_expected_quantile,
-    asymptotic_expected_variance,
     asymptotic_functional,
-    asymptotic_hpd,
-    asymptotic_tail_mass,
-    criterion_value,
     min_sample_size,
 )
 from bayessize.errors import CriterionUnsatisfiableError, DomainError
 from bayessize.exact import exact_normal
+from bayessize.expansions import expected_posterior_quantile
 from bayessize.functionals import (
     CenteredIntervalMass,
     CredibleLength,
@@ -36,12 +30,15 @@ from bayessize.functionals import (
     PosteriorQuantile,
     PosteriorVariance,
     TailMassAbove,
+    evaluate,
 )
 from bayessize.models import (
     Bernoulli,
     ExponentialRate,
     NormalKnownVariance,
+    NormalPosterior,
     Poisson,
+    fisher_info,
 )
 from bayessize.specfun import std_normal_cdf, std_normal_quantile
 
@@ -165,58 +162,60 @@ def test_range_outside_family_domain_rejected():
 
 
 def test_expected_variance_example():
-    val = asymptotic_expected_variance(NormalKnownVariance(0.2), 0.5, 100)
+    val = asymptotic_functional(PosteriorVariance(), NormalKnownVariance(0.2), 0.5, 100)
     assert val == pytest.approx(0.0020, rel=1e-12)
 
 
 def test_centered_mass_example():
-    val = asymptotic_centered_mass(NormalKnownVariance(0.2), 0.5, 10, 0.05)
+    val = asymptotic_functional(CenteredIntervalMass(0.05), NormalKnownVariance(0.2), 0.5, 10)
     assert val == pytest.approx(0.14031620480133382, rel=1e-12)
     assert val == pytest.approx(0.1403, abs=1e-4)
 
 
 def test_expected_quantile_example():
-    val = asymptotic_expected_quantile(NormalKnownVariance(2.5), 5.0, 30, 0.05)
+    val = asymptotic_functional(PosteriorQuantile(0.05), NormalKnownVariance(2.5), 5.0, 30)
     assert val == pytest.approx(4.5251716578510175, rel=1e-12)
     assert val == pytest.approx(4.5252, abs=1e-4)
 
 
 def test_credible_length_example():
-    val = asymptotic_credible_length(ExponentialRate(), 0.25, 50, 0.05)
+    val = asymptotic_functional(CredibleLength(0.05), ExponentialRate(), 0.25, 50)
     assert val == pytest.approx(0.13859038243496779, rel=1e-12)
     assert val == pytest.approx(0.1386, abs=1e-4)
 
 
 def test_tail_mass_at_the_null_is_half():
-    assert asymptotic_tail_mass(NormalKnownVariance(0.2), 0.5, 25, 0.5) == 0.5
+    assert asymptotic_functional(TailMassAbove(0.5), NormalKnownVariance(0.2), 0.5, 25) == 0.5
 
 
 def test_expected_variance_scales_inversely_with_n():
     fam = Poisson()
-    v10 = asymptotic_expected_variance(fam, 1.6, 10)
-    v40 = asymptotic_expected_variance(fam, 1.6, 40)
+    v10 = asymptotic_functional(PosteriorVariance(), fam, 1.6, 10)
+    v40 = asymptotic_functional(PosteriorVariance(), fam, 1.6, 40)
     assert v10 == pytest.approx(4.0 * v40, rel=1e-12)
 
 
 def test_hpd_interval_is_symmetric_with_frozen_half_width():
-    box = asymptotic_hpd(NormalKnownVariance(0.2), 0.5, 100, 0.95)
+    fam = NormalKnownVariance(0.2)
+    lo = asymptotic_functional(HpdLower(0.95), fam, 0.5, 100)
+    hi = asymptotic_functional(HpdUpper(0.95), fam, 0.5, 100)
     half = 0.087652254057658163
-    assert box.lo == pytest.approx(0.5 - half, rel=1e-12)
-    assert box.hi == pytest.approx(0.5 + half, rel=1e-12)
-    assert box.mass == 0.95
+    assert lo == pytest.approx(0.5 - half, rel=1e-12)
+    assert hi == pytest.approx(0.5 + half, rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: asymptotic_expected_variance(NormalKnownVariance(0.2), 0.5, 0),
-        lambda: asymptotic_expected_variance(NormalKnownVariance(0.2), 0.5, -3),
-        lambda: asymptotic_expected_variance(Poisson(), -1.0, 10),
-        lambda: asymptotic_centered_mass(NormalKnownVariance(0.2), 0.5, 10, 0.0),
-        lambda: asymptotic_credible_length(NormalKnownVariance(0.2), 0.5, 10, 1.5),
-        lambda: asymptotic_expected_quantile(NormalKnownVariance(0.2), 0.5, 10, 0.0),
-        lambda: asymptotic_tail_mass(NormalKnownVariance(0.2), 0.5, 10, math.inf),
-        lambda: asymptotic_hpd(NormalKnownVariance(0.2), 0.5, 10, 1.0),
+        lambda: asymptotic_functional(PosteriorVariance(), NormalKnownVariance(0.2), 0.5, 0),
+        lambda: asymptotic_functional(PosteriorVariance(), NormalKnownVariance(0.2), 0.5, -3),
+        lambda: asymptotic_functional(PosteriorVariance(), Poisson(), -1.0, 10),
+        # a functional's own field is refused by its constructor, before this call
+        lambda: asymptotic_functional(object(), NormalKnownVariance(0.2), 0.5, 10),
+        lambda: asymptotic_functional(HpdWidth(0.95), Bernoulli(), 1.0, 10),
+        lambda: asymptotic_functional(CredibleLength(0.05), ExponentialRate(), 0.0, 10),
+        lambda: asymptotic_functional(TailMassAbove(0.3), Poisson(), 0.5, math.nan),
+        lambda: expected_posterior_quantile(NormalKnownVariance(0.2), 0.5, 10, 0.0),
     ],
 )
 def test_evaluators_reject_bad_arguments(call):
@@ -225,45 +224,47 @@ def test_evaluators_reject_bad_arguments(call):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the leading order is the functional of the limiting normal
 
 
-def test_criterion_value_routes_to_matching_evaluator():
-    fam = NormalKnownVariance(0.2)
-    assert criterion_value(Apvc(0.01, 0.1, 0.9), fam, 0.5, 30) == (
-        asymptotic_expected_variance(fam, 0.5, 30)
-    )
-    assert criterion_value(Acc(0.05, 0.05, 0.1, 0.9), fam, 0.5, 30) == (
-        asymptotic_centered_mass(fam, 0.5, 30, 0.05)
-    )
-    assert criterion_value(Alc(0.05, 0.05, 0.1, 0.9), fam, 0.5, 30) == (
-        asymptotic_credible_length(fam, 0.5, 30, 0.05)
-    )
-    assert criterion_value(EffectSize(0.3, 0.05, 0.4, 0.6), fam, 0.5, 30) == (
-        asymptotic_tail_mass(fam, 0.5, 30, 0.3)
-    )
-    with pytest.raises(DomainError):
-        criterion_value(object(), fam, 0.5, 30)
+# Every family setting of the grid, with the thetas it is evaluated at.
+_LIMIT_GRID = [
+    (NormalKnownVariance(0.2), (-3.0, 0.0, 0.5, 1.6, 1e3)),
+    (NormalKnownVariance(18.0), (-3.0, 0.0, 0.5, 5.0, 1e3)),
+    (Poisson(), (0.01, 0.5, 2.0, 30.0)),
+    (Bernoulli(), (0.001, 0.2, 0.5, 0.9)),
+    (ExponentialRate(), (0.01, 0.25, 0.75, 1.0)),
+]
 
 
-def test_asymptotic_functional_routes_to_matching_evaluator():
-    fam = NormalKnownVariance(2.5)
-    theta0, n = 5.0, 30
-    box = asymptotic_hpd(fam, theta0, n, 0.95)
-    cases = [
-        (PosteriorVariance(), asymptotic_expected_variance(fam, theta0, n)),
-        (PosteriorQuantile(0.05), asymptotic_expected_quantile(fam, theta0, n, 0.05)),
-        (CredibleLength(0.05), asymptotic_credible_length(fam, theta0, n, 0.05)),
-        (CenteredIntervalMass(0.5), asymptotic_centered_mass(fam, theta0, n, 0.5)),
-        (TailMassAbove(4.0), asymptotic_tail_mass(fam, theta0, n, 4.0)),
-        (HpdLower(0.95), box.lo),
-        (HpdUpper(0.95), box.hi),
-        (HpdWidth(0.95), box.hi - box.lo),
-    ]
-    for functional, expected in cases:
-        assert asymptotic_functional(functional, fam, theta0, n) == expected
-    with pytest.raises(DomainError):
-        asymptotic_functional(object(), fam, theta0, n)
+def test_leading_order_is_the_functional_of_the_limiting_normal():
+    # To leading order the expected functional is that functional of
+    # N(theta0, 1/(n I)); the tail mass also averages over the posterior
+    # mean's own N(theta0, 1/(n I)), which doubles the variance.
+    for fam, thetas in _LIMIT_GRID:
+        for theta0 in thetas:
+            for n in (1, 3, 10, 100, 10**4, 10**6):
+                ni = fisher_info(fam, theta0) * n
+                sd = 1.0 / math.sqrt(ni)
+                limit = NormalPosterior(theta0, 1.0 / ni)
+                place = 1e-14 * (abs(theta0) + sd)
+                mass = 1e-14 * (1.0 + abs(theta0) / sd)
+                cases = [(PosteriorVariance(), 1e-14 / ni)]
+                cases += [(PosteriorQuantile(a), place) for a in (0.01, 0.05, 0.5, 0.9)]
+                cases += [(CredibleLength(a), place) for a in (0.05, 0.2)]
+                cases += [(kind(level), place) for kind in (HpdLower, HpdUpper, HpdWidth)
+                          for level in (0.5, 0.95)]
+                cases += [(CenteredIntervalMass(k * sd), mass) for k in (0.1, 1.0, 5.0)]
+                for functional, tol in cases:
+                    got = asymptotic_functional(functional, fam, theta0, n)
+                    want = evaluate(functional, limit)
+                    assert abs(got - want) <= tol, (fam, theta0, n, functional, got, want)
+                doubled = NormalPosterior(theta0, 2.0 / ni)
+                for k in (-2.0, 0.0, 0.3, 3.0):
+                    theta1 = theta0 + k * sd
+                    got = asymptotic_functional(TailMassAbove(theta1), fam, theta0, n)
+                    want = 1.0 - doubled.cdf(theta1)
+                    assert abs(got - want) <= mass, (fam, theta0, n, theta1, got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +424,22 @@ def test_apvc_target_met_at_solved_size():
     # Poisson information 1/theta decreases, so the infimum sits at hi
     criterion = Apvc(0.01, 0.5, 2.0)
     res = min_sample_size(criterion, Poisson())
-    assert criterion_value(criterion, Poisson(), 2.0, res.n_min) <= criterion.eps + 1e-12
+    variance = asymptotic_functional(PosteriorVariance(), Poisson(), 2.0, res.n_min)
+    assert variance <= criterion.eps + 1e-12
 
 
 def test_acc_target_met_at_solved_size():
     criterion = Acc(0.1, 0.05, 0.3, 0.4)
     res = min_sample_size(criterion, Bernoulli())
     # Bernoulli information decreases toward theta = 1/2, so hi is worst here
-    coverage = criterion_value(criterion, Bernoulli(), 0.4, res.n_min)
+    coverage = asymptotic_functional(CenteredIntervalMass(0.1), Bernoulli(), 0.4, res.n_min)
     assert coverage >= 1.0 - criterion.alpha - 1e-12
 
 
 def test_alc_target_met_at_solved_size():
     criterion = Alc(0.2, 0.05, 0.25, 0.75)
     res = min_sample_size(criterion, ExponentialRate())
-    length = criterion_value(criterion, ExponentialRate(), 0.75, res.n_min)
+    length = asymptotic_functional(CredibleLength(0.05), ExponentialRate(), 0.75, res.n_min)
     assert length <= criterion.length + 1e-12
 
 
@@ -445,9 +447,10 @@ def test_effect_size_target_met_at_solved_size():
     criterion = EffectSize(0.3, 0.05, 0.4, 0.6)
     res = min_sample_size(criterion, NormalKnownVariance(0.2))
     # weighted information grows with distance from theta1, so lo is worst
-    mass = criterion_value(criterion, NormalKnownVariance(0.2), 0.4, res.n_min)
+    fam, tail = NormalKnownVariance(0.2), TailMassAbove(0.3)
+    mass = asymptotic_functional(tail, fam, 0.4, res.n_min)
     assert mass >= 1.0 - criterion.alpha - 1e-9
-    below = criterion_value(criterion, NormalKnownVariance(0.2), 0.4, res.n_min - 1)
+    below = asymptotic_functional(tail, fam, 0.4, res.n_min - 1)
     assert below < 1.0 - criterion.alpha
 
 
@@ -458,9 +461,11 @@ def test_effect_size_target_met_at_solved_size():
 def test_coverage_and_separation_approach_one_monotonically():
     ns = (10, 100, 1_000, 10_000)
     acc = [
-        asymptotic_centered_mass(NormalKnownVariance(0.2), 0.5, n, 0.05) for n in ns
+        asymptotic_functional(CenteredIntervalMass(0.05), NormalKnownVariance(0.2), 0.5, n)
+        for n in ns
     ]
-    es = [asymptotic_tail_mass(NormalKnownVariance(25.0), 0.5, n, 0.3) for n in ns]
+    es = [asymptotic_functional(TailMassAbove(0.3), NormalKnownVariance(25.0), 0.5, n)
+          for n in ns]
     for seq in (acc, es):
         assert all(b > a for a, b in zip(seq, seq[1:]))
         assert seq[-1] < 1.0

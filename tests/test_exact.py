@@ -14,11 +14,7 @@ from scipy import integrate, stats
 
 import bayessize.exact as exact
 import bayessize.tables as tables
-from bayessize.criteria import (
-    asymptotic_centered_mass,
-    asymptotic_expected_quantile,
-    asymptotic_expected_variance,
-)
+from bayessize.criteria import asymptotic_functional
 from bayessize.errors import AccuracyError, ConfigurationError, DomainError
 from bayessize.exact import (
     exact_bernoulli_variance,
@@ -226,17 +222,17 @@ def test_normal_exact_near_asymptotic_at_n100(theta0, mu0, sigma2, tau2):
     pairs = [
         (
             exact_normal(PosteriorVariance(), sigma2, mu0, tau2, theta0, 100).value,
-            asymptotic_expected_variance(fam, theta0, 100),
+            asymptotic_functional(PosteriorVariance(), fam, theta0, 100),
         ),
         (
             exact_normal(PosteriorQuantile(0.05), sigma2, mu0, tau2, theta0, 100).value,
-            asymptotic_expected_quantile(fam, theta0, 100, 0.05),
+            asymptotic_functional(PosteriorQuantile(0.05), fam, theta0, 100),
         ),
         (
             exact_normal(
                 CenteredIntervalMass(theta0 / 10), sigma2, mu0, tau2, theta0, 100
             ).value,
-            asymptotic_centered_mass(fam, theta0, 100, theta0 / 10),
+            asymptotic_functional(CenteredIntervalMass(theta0 / 10), fam, theta0, 100),
         ),
     ]
     for exact_val, approx_val in pairs:
@@ -246,7 +242,7 @@ def test_normal_exact_near_asymptotic_at_n100(theta0, mu0, sigma2, tau2):
 @pytest.mark.parametrize("a,b,theta0", POISSON_CONFIGS)
 def test_poisson_exact_near_asymptotic_at_n100(a, b, theta0):
     exact_val = exact_poisson_variance(a, b, theta0, 100).value
-    approx_val = asymptotic_expected_variance(Poisson(), theta0, 100)
+    approx_val = asymptotic_functional(PosteriorVariance(), Poisson(), theta0, 100)
     # the two heavier-prior configurations sit just above a tenth at this
     # n (worst 0.1075), so the cap carries a little headroom
     assert abs(exact_val - approx_val) / approx_val <= 0.11
@@ -255,7 +251,7 @@ def test_poisson_exact_near_asymptotic_at_n100(a, b, theta0):
 @pytest.mark.parametrize("theta0", BERNOULLI_THETAS)
 def test_bernoulli_exact_near_asymptotic_at_n100(theta0):
     exact_val = exact_bernoulli_variance(theta0, 100).value
-    approx_val = asymptotic_expected_variance(Bernoulli(), theta0, 100)
+    approx_val = asymptotic_functional(PosteriorVariance(), Bernoulli(), theta0, 100)
     assert abs(exact_val - approx_val) / approx_val <= 0.1
 
 
@@ -266,7 +262,7 @@ def test_poisson_gap_has_second_order_limit(a, b, theta0):
     scaled = [
         n * n * (
             exact_poisson_variance(a, b, theta0, n).value
-            - asymptotic_expected_variance(Poisson(), theta0, n)
+            - asymptotic_functional(PosteriorVariance(), Poisson(), theta0, n)
         )
         for n in (1_000, 100_000)
     ]
@@ -279,8 +275,8 @@ def test_scaled_gaps_settle_for_normal_quantile():
     diffs = []
     for n in (100, 1_000, 10_000):
         exact_val = exact_normal(PosteriorQuantile(0.05), 0.2, 0.25, 0.3, 0.5, n).value
-        approx_val = asymptotic_expected_quantile(
-            NormalKnownVariance(0.2), 0.5, n, 0.05
+        approx_val = asymptotic_functional(
+            PosteriorQuantile(0.05), NormalKnownVariance(0.2), 0.5, n
         )
         diffs.append(n * (exact_val - approx_val))
     assert abs(diffs[2] - diffs[1]) < abs(diffs[1] - diffs[0])

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from bayessize.criteria import asymptotic_expected_quantile, asymptotic_expected_variance
+from bayessize.criteria import asymptotic_functional
 from bayessize.errors import DomainError
 from bayessize.exact import (
     exact_normal,
@@ -25,7 +25,7 @@ from bayessize.expansions import (
     expected_posterior_quantile,
     posterior_moment_term,
 )
-from bayessize.functionals import PosteriorQuantile
+from bayessize.functionals import PosteriorQuantile, PosteriorVariance
 from bayessize.models import ExponentialRate, NormalKnownVariance, Poisson
 
 NORMAL_CONFIGS = [
@@ -48,7 +48,7 @@ def test_second_moment_equals_variance_evaluator_exactly():
     ]
     for fam, theta0, n in cases:
         assert expected_posterior_moment(fam, theta0, n, 2) == (
-            asymptotic_expected_variance(fam, theta0, n)
+            asymptotic_functional(PosteriorVariance(), fam, theta0, n)
         )
 
 
@@ -113,7 +113,7 @@ def test_quantile_examples():
 def test_quantile_delegates_to_criterion_evaluator():
     fam = NormalKnownVariance(2.5)
     assert expected_posterior_quantile(fam, 5.0, 30, 0.05) == (
-        asymptotic_expected_quantile(fam, 5.0, 30, 0.05)
+        asymptotic_functional(PosteriorQuantile(0.05), fam, 5.0, 30)
     )
 
 
