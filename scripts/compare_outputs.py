@@ -8,12 +8,15 @@ Each tree runs in its own subprocess, with ``PYTHONPATH`` set to that
 tree's ``src`` directory, calling ``bayessize.cli.main`` once per argv.
 The list covers ``table 1|2|3``, ``size`` for every model and criterion,
 and ``eval`` and ``simulate`` for every model and functional, in text and
-CSV.  Exits 1 if any command differs, else 0.
+CSV.  For a command whose output differs, it also prints the largest
+relative gap between corresponding numbers of the two outputs, when both
+hold the same count of numbers.  Exits 1 if any command differs, else 0.
 """
 
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -62,6 +65,20 @@ def argvs() -> list[list[str]]:
     return runs
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_gap(old: str, new: str) -> str:
+    """The largest relative gap ``|a - b| / max(|a|, |b|)`` between the
+    numbers of ``old`` and ``new`` taken in order, or why there is none."""
+    a, b = (_NUMBER.findall(text) for text in (old, new))
+    if len(a) != len(b):
+        return f"{len(a)} numbers against {len(b)}"
+    gaps = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(map(float, a), map(float, b))
+            if x != y]
+    return f"largest relative gap {max(gaps, default=0.0):.3g} over {len(a)} numbers"
+
+
 def run_tree(src: str, runs: list[list[str]]) -> list[list]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(runs),
@@ -83,8 +100,8 @@ def main(argv=None) -> int:
             continue
         differ += 1
         parts = [f"exit {old[0]} -> {new[0]}"] if old[0] != new[0] else []
-        parts += [f"{name} differs" for name, k in (("stdout", 1), ("stderr", 2))
-                  if old[k] != new[k]]
+        parts += [f"{name} differs ({largest_gap(old[k], new[k])})"
+                  for name, k in (("stdout", 1), ("stderr", 2)) if old[k] != new[k]]
         print(f"bayessize {' '.join(argv)}: {'; '.join(parts)}")
     print(f"{len(runs)} commands compared, {differ} differ")
     return 1 if differ else 0

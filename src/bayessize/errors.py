@@ -133,3 +133,17 @@ def check_fields(obj, **rules) -> None:
     checked under its rule, e.g. ``check_fields(self, a=positive)``."""
     for name, rule in rules.items():
         object.__setattr__(obj, name, rule(name, getattr(obj, name)))
+
+
+def positive_rows(name: str, value):
+    """``value`` as by :func:`positive` if a float; if an array, as a float
+    array whose first element that is not positive and finite is refused
+    by name as :func:`positive` refuses it."""
+    import numpy as np  # only blocks of rows need it
+
+    if np.ndim(value) == 0:
+        return positive(name, value)
+    values = np.asarray(value, dtype=float)
+    if values.size and not (values.min() > 0.0 and values.max() < math.inf):  # NaN fails too
+        positive(name, values[~((values > 0.0) & (values < math.inf))][0].item())
+    return values

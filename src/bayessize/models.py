@@ -13,16 +13,16 @@ samples in O(1) at any ``n``: a normal mean, or a Poisson, binomial or
 gamma total.  :func:`suffstat_sampler` draws a run's statistics with one
 generator call, and :func:`sample_suffstat` replays one of them.
 
-The gamma and beta posterior CDFs are closed forms, the regularized
-incomplete gamma and beta functions of :mod:`bayessize.specfun`, and
-their quantiles invert them by a bracketed Newton iteration.  The
-exponential-rate posterior's CDF and quantiles come from the trapezoid
-rule on its nodes, certified to 1e-8, but its log density is closed
-form.  Where bounded, all three densities are unimodal, and each
-highest-density interval is one Newton root in both ends: equal
-closed-form densities and mass ``level`` under the posterior's own CDF.
-A density unbounded at one edge is monotone, and its interval ends at
-that edge: ``[0, Q(level)]`` or ``[Q(1 - level), 1]``.
+The gamma and beta posteriors, like the exponential-rate one, are blocks
+of rows, one per shape.  Their CDFs are the regularized incomplete gamma
+and beta functions of :mod:`bayessize.specfun`, and their quantiles one
+Newton iteration over every row.  The exponential-rate posterior's CDF
+and quantiles come from the trapezoid rule on its nodes, certified to
+1e-8, but its log density is closed form.  Where bounded, all three
+densities are unimodal, and each highest-density interval is one Newton
+root in both ends: equal densities and mass ``level`` under the
+posterior's own CDF.  A density unbounded at one edge is monotone, and
+its interval ends at that edge: ``[0, Q(level)]`` or ``[Q(1 - level), 1]``.
 
 Posterior objects are immutable once constructed and safe to share
 across threads.  All numeric posterior summaries (quantiles, interval
@@ -51,12 +51,15 @@ from .errors import (
     integer,
     open_unit,
     positive,
+    positive_rows,
 )
 from .specfun import (
-    beta_i,
+    beta_i_rows,
     beta_log_norm,
+    beta_log_prefactor,
     gamma_log_norm,
-    gamma_p,
+    gamma_log_prefactor,
+    gamma_p_rows,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -87,6 +90,7 @@ __all__ = [
     "suffstat_sampler",
     "posterior",
     "rate_posterior",
+    "count_posterior",
     "check_rate_prior",
     "normal_posterior_variance",
 ]
@@ -429,293 +433,363 @@ class NormalPosterior:
         return HpdInterval(self.mean_value - half, self.mean_value + half, level)
 
 
-class _NumericPosterior:
-    """Quantiles, interval masses and highest-density intervals computed
-    from a scalar ``cdf``.
+def _log_power(c: np.ndarray, num: np.ndarray, den: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """``c log(num / den)``, through ``log1p(gap / den)`` with ``gap = num -
+    den`` formed by the caller where ``num`` is near ``den``, so that it
+    keeps its digits; 0 where ``c`` is, a power 0 being 1 at an edge too."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.where(np.abs(gap) < 0.5 * den, np.log1p(gap / den), np.log(num / den))
+        return np.where(c == 0.0, 0.0, c * log)
 
-    The gamma and beta posteriors supply ``_cdf`` for positive ``x``;
-    ``_log_pdf_at`` and ``_dlog_pdf_at``, the normalised log density and
-    its derivative at a float inside the support; ``_mode``; a starting
-    point ``_guess(p)``; ``_hi``, the support's upper edge or a point
-    above every representable quantile; and ``_edge_shapes``, the
+
+class _NumericPosterior:
+    """Gamma or beta posteriors, one row per parameter set: each field a
+    float or a 1-d array of rows.  The summaries return an array over the
+    rows, or a float when every field is a float.
+
+    The CDF is the incomplete gamma or beta function of
+    :mod:`bayessize.specfun`, one series per row, and the log density its
+    prefactor's log, formed about its peak.  Quantiles and highest-density
+    intervals are Newton iterations over every row at once, and a row's
+    floats come from elementwise operations and its own series: a block
+    of one gives them bit for bit.  A subclass supplies, for ``rows`` at
+    ``x`` inside the support, ``_cdf_parts`` (the CDF and the log density),
+    ``_dlog_pdf`` (the log density's first three derivatives) and
+    ``_log_ratio`` (the log density at ``x`` less that at ``y``); and
+    ``_guess(rows, p)``, ``_mode``, ``_hi`` (the support's upper edge or a
+    point past every representable quantile) and ``_edge_shapes``, the
     exponents ``e`` of the density's power laws ``x^(e - 1)`` at zero and
-    ``(1 - x)^(e - 1)`` at one (inf for the gamma's exponential tail),
-    below 1 of which the density is unbounded.
+    ``(1 - x)^(e - 1)`` at one (inf for the gamma's tail).
     """
 
-    def cdf(self, x: float) -> float:
-        if math.isnan(x):
+    _fields: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        values = [positive_rows(name, getattr(self, name)) for name in self._fields]
+        rows = np.broadcast_arrays(*(np.atleast_1d(v) for v in values))
+        for name, value, row in zip(self._fields, values, rows):
+            object.__setattr__(self, name, value)
+            object.__setattr__(self, "_" + name, row.copy())
+            getattr(self, "_" + name).setflags(write=False)
+        object.__setattr__(self, "_scalar", all(np.ndim(v) == 0 for v in values))
+        object.__setattr__(self, "_hpd_cache", {})
+
+    def _row(self, i: int) -> str:
+        fields = ", ".join(f"{k}={float(getattr(self, '_' + k)[i])!r}" for k in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __repr__(self) -> str:
+        return self._row(0) if self._scalar else f"{type(self).__name__}(<{len(self)} rows>)"
+
+    def __len__(self) -> int:
+        return getattr(self, "_" + self._fields[0]).size
+
+    def _out(self, values: np.ndarray):
+        return float(values[0]) if self._scalar else values
+
+    def _every(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Every row, and ``x`` (a float or one per row) as one float per row."""
+        return np.arange(len(self)), np.broadcast_to(np.asarray(x, dtype=float),
+                                                     (len(self),)).reshape(-1)
+
+    def _cdf(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The CDF of ``rows`` at ``x``: 0 at or below 0, 1 from ``_hi`` on."""
+        out = np.where(x <= 0.0, 0.0, 1.0)
+        inside = np.flatnonzero((x > 0.0) & (x < self._hi[rows]))
+        if inside.size:
+            out[inside] = self._cdf_parts(rows[inside], x[inside])[0]
+        return out
+
+    def cdf(self, x):
+        rows, x = self._every(x)
+        if np.isnan(x).any():
             raise DomainError("x must not be NaN")
-        return 0.0 if x <= 0.0 else self._cdf(x)
+        return self._out(self._cdf(rows, x))
 
-    def quantile(self, alpha: float) -> float:
-        """Invert ``cdf`` by Newton steps, bisecting whenever a step leaves
-        the bracket the evaluated points have built up.
-
-        The result is within 1e-8 in probability or, where no double comes
-        that close (a beta quantile within about 1e-16 of 1 when ``b`` is
-        small), a double next to the exact quantile.  Otherwise raises
-        ``AccuracyError``.  The last Newton correction, below 1e-12 of the
-        point, is applied: the HPD's equal-density ends need it.
-        """
-        p = open_unit("alpha", alpha)
-        lo, hi = 0.0, self._hi
-        x = min(max(self._guess(p), 1e-300), hi * (1.0 - 2.0**-52))
-        for _ in range(100):
-            err = self.cdf(x) - p
-            if err == 0.0:
-                return x
-            if err > 0.0:
-                hi = x
-            elif err < 0.0:
-                lo = x
-            # The CDF's slope is the density; capping the exponent sends a
-            # step from a vanishing density out of the bracket, not to inf.
-            new = x - err * math.exp(min(-self._log_pdf_at(x), 700.0))
-            if abs(new - x) <= 1e-12 * x and abs(err) <= 1e-8:
-                return new if lo < new < hi else x
-            if new == x:  # a step below one ulp: try the neighbouring double
-                new = math.nextafter(x, lo if err > 0.0 else hi)
-            if not lo < new < hi:
-                new = 0.5 * (lo + hi)
-                if not lo < new < hi:  # no double lies between lo and hi
-                    return x
-            x = new
-        raise AccuracyError(f"{self!r}: quantile did not reach 1e-8 at p={p!r}")
-
-    def interval_mass(self, lo: float, hi: float) -> float:
-        if not lo <= hi:
+    def interval_mass(self, lo, hi):
+        (rows, lo), hi = self._every(lo), self._every(hi)[1]
+        if not np.all(lo <= hi):
             raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
-        return max(self.cdf(hi) - self.cdf(lo), 0.0)
+        upper, lower = np.split(self._cdf(np.tile(rows, 2), np.concatenate((hi, lo))), 2)
+        return self._out(np.maximum(upper - lower, 0.0))
 
-    @cached_property
-    def _hpd_cache(self) -> dict[float, HpdInterval]:
-        """Intervals already found, by level."""
-        return {}
+    def quantile(self, alpha: float):
+        return self._out(self._quantile(np.arange(len(self)), open_unit("alpha", alpha)))
+
+    def _quantile(self, rows: np.ndarray, p: float) -> np.ndarray:
+        """Invert the CDF of ``rows`` at ``p``: from Newton's step ``s`` the
+        inverse CDF's Taylor series to fourth order, ``s (1 - h / 2 + (2 h^2
+        - k) / 6 + (7 h k - j - 6 h^3) / 24)`` with ``h = l' s``, ``k = l''
+        s^2``, ``j = l''' s^3`` and ``l`` the log density, its factor held
+        within [1/2, 2]; bisection where a step leaves the bracket a row's
+        evaluated points have built up.  A row's result is within 1e-8 in
+        probability or, where no double comes that close, next to the exact
+        quantile; else ``AccuracyError`` names it.  The last step, below
+        1e-12 of the point, is applied: the HPD's equal-density ends need it.
+        """
+        out, at = np.empty(rows.size), np.arange(rows.size)
+        lo, hi = np.zeros(rows.size), self._hi[rows]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = np.minimum(np.maximum(self._guess(rows, p), 1e-300), hi * (1.0 - 2.0**-52))
+            for _ in range(100):
+                cdf, log_pdf = self._cdf_parts(rows, x)
+                err = cdf - p
+                lo, hi = np.where(err < 0.0, x, lo), np.where(err > 0.0, x, hi)
+                # Capping the exponent sends a step from a vanishing density
+                # out of the bracket, not to inf.
+                step = -err * np.exp(np.minimum(-log_pdf, 700.0))
+                l1, l2, l3 = self._dlog_pdf(rows, x)
+                h, k = l1 * step, l2 * (step * step)
+                factor = 1.0 + (h * (8.0 * h - 12.0 - 6.0 * h * h + 7.0 * k) - 4.0 * k
+                                - l3 * step * step * step) / 24.0
+                new = x + step * np.fmin(np.fmax(factor, 0.5), 2.0)  # NaN gives 1/2
+                converged = np.abs(err) <= 1e-8
+                if converged.any():
+                    converged &= np.abs(new - x) <= 1e-12 * x
+                inside = (lo < new) & (new < hi)
+                if inside.all() and not converged.any():
+                    x = new
+                    continue
+                settled = np.where(inside, new, x)
+                # A step below one ulp tries the neighbouring double.
+                new = np.where(new == x, np.nextafter(x, np.where(err > 0.0, lo, hi)), new)
+                mid = 0.5 * (lo + hi)
+                bisect = ~((lo < new) & (new < hi))
+                stuck = bisect & ~((lo < mid) & (mid < hi))  # no double between lo and hi
+                finished = converged | stuck
+                out[at[finished]] = np.where(converged, settled, x)[finished]
+                if finished.all():
+                    return out
+                left = ~finished
+                x, at, rows = np.where(bisect, mid, new)[left], at[left], rows[left]
+                lo, hi = lo[left], hi[left]
+        raise AccuracyError(f"{self._row(int(rows[0]))}: quantile did not reach 1e-8 at p={p!r}")
 
     def hpd(self, level: float) -> HpdInterval:
-        """Highest-density interval: the shortest one of mass ``level``,
-        found by ``_hpd`` once per level and then kept."""
+        """Highest-density interval of each row, found once per level: ends
+        of equal density (Hyndman 1996; Chen and Shao 1999) from
+        ``_hpd_ends``, widened by doubling pads from an ulp until the mass
+        reaches ``level``.  A density unbounded at one edge, a shape below 1
+        there, is monotone and its interval ends at that edge; a row
+        unbounded at both raises ``UnsupportedShapeError``."""
         level = open_unit("level", level)
-        cached = self._hpd_cache.get(level)
-        if cached is None:
-            cached = self._hpd_cache[level] = self._hpd(level)
-        return cached
+        box = self._hpd_cache.get(level)
+        if box is None:
+            both = np.flatnonzero(np.maximum(*self._edge_shapes) < 1.0)
+            if both.size:
+                raise UnsupportedShapeError(
+                    "highest-density intervals need a density bounded at one edge; "
+                    f"{self._row(int(both[0]))} is unbounded at both edges of its support")
+            lo, hi = self._hpd_ends(level)
+            every = np.arange(len(self))
+            mass = self._cdf(every, hi) - self._cdf(every, lo)
+            pad_lo, pad_hi = np.spacing(lo), np.spacing(hi)
+            short = np.flatnonzero(mass < level)  # the quantiles' rounding can leave it short
+            while short.size:
+                lo[short] = np.maximum(lo[short] - pad_lo[short], 0.0)
+                hi[short] = np.minimum(hi[short] + pad_hi[short], self._hi[short])
+                mass[short] = self._cdf(short, hi[short]) - self._cdf(short, lo[short])
+                pad_lo[short] *= 2.0
+                pad_hi[short] *= 2.0
+                short = short[mass[short] < level]
+            box = self._hpd_cache[level] = HpdInterval(lo, hi, mass)
+        return HpdInterval(self._out(box.lo), self._out(box.hi), self._out(box.mass))
 
-    def _hpd(self, level: float) -> HpdInterval:
-        """The interval's ends have equal densities (Hyndman 1996; Chen and
-        Shao 1999) and are found by ``_hpd_ends``.  The mass is never below
-        ``level``: the ends are widened by ulps until it is reached.  A
-        density unbounded at one edge, a shape below 1 there, is monotone
-        and its interval ends at that edge; one unbounded at both edges
-        raises ``UnsupportedShapeError``.
+    def _hpd_ends(self, level: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's ends ``lo < mode < hi`` of equal log density ``l`` and
+        mass ``F(hi) - F(lo) = level``, by Newton steps in both ends of every
+        row at once from the equal-tail quantiles; the Jacobian's
+        determinant ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive.  Steps go in
+        ``log(lo)``, and in ``log(_hi - hi)`` past ``_hi / 2`` (else in
+        ``log(hi)``), where the edges' power laws are linear and an end keeps
+        its digits; one that leaves the bracket halves the distance to it.  A
+        row stops when both steps are below 1e-9 of its ends, the last one
+        applied.  An edge at least as dense as ``Q(level)`` or ``Q(1 -
+        level)`` is an end instead, 0 or ``_hi``; its density is taken at
+        ``x0``, the least positive double, or at ``top``, the last below
+        ``_hi``.
         """
-        if max(self._edge_shapes) < 1.0:
-            raise UnsupportedShapeError(
-                "highest-density intervals need a density bounded at one edge; "
-                f"{self!r} is unbounded at both edges of its support"
-            )
-        lo, hi = self._hpd_ends(level)
-        mass = self.cdf(hi) - self.cdf(lo)
-        pad_lo, pad_hi = math.ulp(lo), math.ulp(hi)
-        while mass < level:  # the quantiles' rounding can leave it short
-            lo, hi = max(lo - pad_lo, 0.0), min(hi + pad_hi, self._hi)
-            mass = self.cdf(hi) - self.cdf(lo)
-            pad_lo, pad_hi = 2.0 * pad_lo, 2.0 * pad_hi
-        return HpdInterval(lo, hi, mass)
-
-    def _hpd_ends(self, level: float) -> tuple[float, float]:
-        """Ends ``lo < mode < hi`` of equal log density ``l`` and mass
-        ``F(hi) - F(lo) = level``, by Newton steps in both ends at once from
-        the equal-tail quantiles.  The Jacobian's determinant
-        ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive.  Steps go in ``log(lo)``
-        and ``log(_hi - hi)``, where the edges' power laws are linear: an
-        end near an edge keeps its digits.  A step that leaves the bracket
-        halves the distance to it instead.  The last, below 1e-9 of both
-        ends, is applied.  An edge at least as dense as ``Q(level)`` or
-        ``Q(1 - level)`` is an end instead, returned as 0 or ``_hi``; its
-        density is taken at ``x0``, the least positive double, or at
-        ``top``, the last double below ``_hi``.
-        """
-        x0, edge, mode = _TINY, self._hi, self._mode
-        top = math.nextafter(edge, 0.0)
+        every, edge, mode = np.arange(len(self)), self._hi, self._mode
+        top, x0 = np.nextafter(edge, 0.0), np.full(len(self), _TINY)
         tail = 0.5 * (1.0 - level)
-        lo, hi = self.quantile(tail), min(self.quantile(1.0 - tail), top)
+        lo = self._quantile(every, tail)
+        hi = np.minimum(self._quantile(every, 1.0 - tail), top)
         # Unimodality: an edge that is an end is at least as dense as the
         # other end's equal-tail quantile.
-        l_x0, l_top = self._log_pdf_at(x0), self._log_pdf_at(top)
-        if l_x0 >= self._log_pdf_at(hi):
-            q = self.quantile(level)
-            if l_x0 >= self._log_pdf_at(min(q, top)):
-                return 0.0, q
-        if l_top >= self._log_pdf_at(lo):
-            q = self.quantile(1.0 - level)
-            if l_top >= self._log_pdf_at(min(q, top)):
-                return q, edge
-        lo = lo if x0 < lo < mode else 0.5 * (x0 + mode)
-        hi = hi if mode < hi <= top else 0.5 * (mode + top)
-        for _ in range(100):
-            l_lo, l_hi = self._log_pdf_at(lo), self._log_pdf_at(hi)
-            cdf_lo, f_lo = self._cdf(lo), math.exp(l_lo)
-            cdf_hi, f_hi = self._cdf(hi), math.exp(l_hi)
-            g = l_lo - l_hi
-            h = cdf_hi - cdf_lo - level
-            dl_lo, dl_hi = self._dlog_pdf_at(lo), self._dlog_pdf_at(hi)
-            # Positive unless both densities underflow: NaN steps then halve.
-            det = (dl_lo * f_hi - dl_hi * f_lo) or math.nan
-            step_lo = -(f_hi * g + dl_hi * h) / det
-            step_hi = -(f_lo * g + dl_lo * h) / det
-            done = abs(step_lo) <= 1e-9 * lo and abs(step_hi) <= 1e-9 * hi
-            new_lo = lo * math.exp(min(step_lo / lo, 700.0))
-            new_hi = edge - (edge - hi) * math.exp(min(-step_hi / (edge - hi), 700.0))
-            if not x0 < new_lo < mode:
-                new_lo = 0.5 * (lo + (x0 if new_lo <= x0 else mode))
-            if not mode < new_hi <= top:
-                new_hi = 0.5 * (hi + (top if new_hi > top else mode))
-            if done:
-                return new_lo, new_hi
-            lo, hi = new_lo, new_hi
-        raise AccuracyError(
-            f"{self!r}: HPD ends did not reach equal densities at level={level!r}"
-        )
+        newton = np.ones(len(self), dtype=bool)
+        for zero, end, other, p in ((True, x0, hi, level), (False, top, lo, 1.0 - level)):
+            rows = np.flatnonzero(newton & (self._log_ratio(every, end, other) >= 0.0))
+            if rows.size:
+                q = self._quantile(rows, p)
+                on = self._log_ratio(rows, end[rows], np.minimum(q, top[rows])) >= 0.0
+                lo[rows[on]], hi[rows[on]] = (0.0, q[on]) if zero else (q[on], edge[rows[on]])
+                newton[rows[on]] = False
+        rows = np.flatnonzero(newton)
+        x0, m, t, e, a, b = x0[rows], mode[rows], top[rows], edge[rows], lo[rows], hi[rows]
+        a = np.where((x0 < a) & (a < m), a, 0.5 * (x0 + m))
+        b = np.where((m < b) & (b <= t), b, 0.5 * (m + t))
+        live = np.arange(rows.size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(100):
+                if live.size == 0:
+                    lo[rows], hi[rows] = a, b
+                    return lo, hi
+                r, al, bl, xl, ml, tl, el = (v[live] for v in (rows, a, b, x0, m, t, e))
+                (cdf_lo, l_lo), (cdf_hi, l_hi) = self._cdf_parts(r, al), self._cdf_parts(r, bl)
+                f_lo, f_hi, h = np.exp(l_lo), np.exp(l_hi), cdf_hi - cdf_lo - level
+                g = self._log_ratio(r, al, bl)
+                dl_lo, dl_hi = self._dlog_pdf(r, al)[0], self._dlog_pdf(r, bl)[0]
+                # Positive unless both densities underflow: NaN steps then halve.
+                det = dl_lo * f_hi - dl_hi * f_lo
+                det = np.where(det == 0.0, np.nan, det)
+                step_lo, step_hi = -(f_hi * g + dl_hi * h) / det, -(f_lo * g + dl_lo * h) / det
+                done = (np.abs(step_lo) <= 1e-9 * al) & (np.abs(step_hi) <= 1e-9 * bl)
+                new_lo = al * np.exp(np.minimum(step_lo / al, 700.0))
+                new_hi = np.where(bl < 0.5 * el, bl * np.exp(np.minimum(step_hi / bl, 700.0)),
+                                  el - (el - bl) * np.exp(np.minimum(-step_hi / (el - bl), 700.0)))
+                a[live] = np.where((xl < new_lo) & (new_lo < ml), new_lo,
+                                   0.5 * (al + np.where(new_lo <= xl, xl, ml)))
+                b[live] = np.where((ml < new_hi) & (new_hi <= tl), new_hi,
+                                   0.5 * (bl + np.where(new_hi > tl, tl, ml)))
+                live = live[~done]
+        raise AccuracyError(f"{self._row(int(rows[live[0]]))}: HPD ends did not reach "
+                            f"equal densities at level={level!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class GammaPosterior(_NumericPosterior):
-    """Gamma posterior in the shape/rate parameterisation."""
+    """Gamma posteriors in the shape/rate parameterisation."""
 
     shape: float
     rate: float
+    _fields = ("shape", "rate")
 
-    def __post_init__(self):
-        check_fields(self, shape=positive, rate=positive)
+    def mean(self):
+        return self._out(self._shape / self._rate)
 
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    def variance(self) -> float:
-        return self.shape / (self.rate * self.rate)
+    def variance(self):
+        return self._out(self._shape / (self._rate * self._rate))
 
     @cached_property
-    def _log_norm(self) -> float:
-        """Log of the density's normalising constant, rate^shape / Gamma(shape)."""
-        return self.shape * math.log(self.rate) + self._cdf_log_norm
+    def _norm(self) -> np.ndarray:
+        return gamma_log_norm(self._shape)
+
+    def _cdf_parts(self, rows: np.ndarray, x: np.ndarray):
+        # The density k x^(k-1) e^-y rate^k / Gamma(k + 1) is k / x times
+        # the prefactor of P(k, y).
+        k, y = self._shape[rows], self._rate[rows] * x
+        prefactor = gamma_log_prefactor(k, y, self._norm[rows])
+        return gamma_p_rows(k, y, prefactor), (np.log(k) - np.log(x)) + prefactor
+
+    def _dlog_pdf(self, rows: np.ndarray, x: np.ndarray):
+        u = (self._shape[rows] - 1.0) / x
+        return u - self._rate[rows], -u / x, 2.0 * u / (x * x)
+
+    def _log_ratio(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``l(x) - l(y)``, exact where the density is flat."""
+        return _log_power(self._shape[rows] - 1.0, x, y, x - y) - self._rate[rows] * (x - y)
+
+    @property
+    def _edge_shapes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._shape, np.full(len(self), math.inf)
 
     @cached_property
-    def _cdf_log_norm(self) -> float:
-        """``-log Gamma(shape)``, the normaliser ``gamma_p`` would compute."""
-        return gamma_log_norm(self.shape)
+    def _mode(self) -> np.ndarray:
+        return np.maximum(self._shape - 1.0, 0.0) / self._rate
 
-    def _log_pdf_at(self, x: float) -> float:
-        return self._log_norm - self.rate * x + (self.shape - 1.0) * math.log(x)
-
-    def _dlog_pdf_at(self, x: float) -> float:
-        return (self.shape - 1.0) / x - self.rate
-
-    @property
-    def _edge_shapes(self) -> tuple[float, float]:
-        return self.shape, math.inf
-
-    @property
-    def _mode(self) -> float:
-        return max(self.shape - 1.0, 0.0) / self.rate
-
-    def _cdf(self, x: float) -> float:
-        y = self.rate * x
-        return 1.0 if math.isinf(y) else gamma_p(self.shape, y, self._cdf_log_norm)
-
-    @property
-    def _hi(self) -> float:
+    @cached_property
+    def _hi(self) -> np.ndarray:
         # Forty standard deviations (plus forty units for small shapes)
         # past the mean, where the upper tail is far below 1e-16.
-        k = self.shape
-        return (k + 40.0 * math.sqrt(k) + 40.0) / self.rate
+        return (self._shape + 40.0 * np.sqrt(self._shape) + 40.0) / self._rate
 
-    def _guess(self, p: float) -> float:
+    def _guess(self, rows: np.ndarray, p: float) -> np.ndarray:
         # Numerical Recipes 6.2.1: Wilson-Hilferty above shape 1, raised to
         # the power law y^k / Gamma(k + 1) >= P(k, y), a lower bound on the
         # quantile that is sharp in the far lower tail.  Below shape 1, the
         # power law near zero and an exponential tail beyond.
-        k = self.shape
-        if k > 1.0:
-            z = std_normal_quantile(p)
-            y = k * max(1.0 - 1.0 / (9.0 * k) + z / (3.0 * math.sqrt(k)), 0.0) ** 3
-            y = max(y, math.exp((math.log(p) + math.lgamma(k + 1.0)) / k))
-        else:
+        k = self._shape[rows]
+        y = k * np.maximum(1.0 - 1.0 / (9.0 * k) + std_normal_quantile(p) / (3.0 * np.sqrt(k)),
+                           0.0) ** 3
+        log_gamma = k * np.log(k) - k - self._norm[rows]  # lgamma(k + 1)
+        y = np.maximum(y, np.exp((math.log(p) + log_gamma) / k))
+        if k.min() <= 1.0:
             t = 1.0 - k * (0.253 + 0.12 * k)
-            y = (p / t) ** (1.0 / k) if p < t else 1.0 - math.log1p(-(p - t) / (1.0 - t))
-        return y / self.rate
+            small = np.where(p < t, (p / t) ** (1.0 / k), 1.0 - np.log1p(-(p - t) / (1.0 - t)))
+            y = np.where(k > 1.0, y, small)
+        return y / self._rate[rows]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BetaPosterior(_NumericPosterior):
-    """Beta posterior with shape pair ``(a, b)`` on the unit interval."""
+    """Beta posteriors with shape pair ``(a, b)`` on the unit interval."""
 
     a: float
     b: float
-    _hi = 1.0
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        check_fields(self, a=positive, b=positive)
+    def mean(self):
+        return self._out(self._a / (self._a + self._b))
 
-    def mean(self) -> float:
-        return self.a / (self.a + self.b)
-
-    def variance(self) -> float:
-        t = self.a + self.b
-        return self.a * self.b / (t * t * (t + 1.0))
+    def variance(self):
+        t = self._a + self._b
+        return self._out(self._a * self._b / (t * t * (t + 1.0)))
 
     @cached_property
-    def _log_norm(self) -> float:
-        """Log of the density's normalising constant, 1 / B(a, b)."""
-        return -(math.lgamma(self.a) + math.lgamma(self.b) - math.lgamma(self.a + self.b))
+    def _norm(self) -> np.ndarray:
+        return beta_log_norm(self._a, self._b)
+
+    def _cdf_parts(self, rows: np.ndarray, x: np.ndarray):
+        # The density x^(a-1) (1-x)^(b-1) / B(a, b) is the prefactor over x (1 - x).
+        a, b = self._a[rows], self._b[rows]
+        prefactor = beta_log_prefactor(a, b, x, self._norm[rows])
+        return beta_i_rows(a, b, x, prefactor), prefactor - np.log(x) - np.log1p(-x)
+
+    def _dlog_pdf(self, rows: np.ndarray, x: np.ndarray):
+        y = 1.0 - x
+        u, v = (self._a[rows] - 1.0) / x, (self._b[rows] - 1.0) / y
+        return u - v, -u / x - v / y, 2.0 * (u / (x * x) - v / (y * y))
+
+    def _log_ratio(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``l(x) - l(y)``, exact where the density is flat."""
+        return (_log_power(self._a[rows] - 1.0, x, y, x - y)
+                + _log_power(self._b[rows] - 1.0, 1.0 - x, 1.0 - y, y - x))
+
+    @property
+    def _edge_shapes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._a, self._b
 
     @cached_property
-    def _cdf_log_norm(self) -> float:
-        """``-log B(a, b)`` as ``beta_i`` would compute it, which rounds
-        differently from ``_log_norm``."""
-        return beta_log_norm(self.a, self.b)
+    def _mode(self) -> np.ndarray:
+        a, b = self._a, self._b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(a <= 1.0, 0.0, np.where(b <= 1.0, 1.0, (a - 1.0) / (a + b - 2.0)))
 
-    def _log_pdf_at(self, x: float) -> float:
-        return (self._log_norm + (self.a - 1.0) * math.log(x)
-                + (self.b - 1.0) * math.log1p(-x))
+    @cached_property
+    def _hi(self) -> np.ndarray:
+        return np.ones(len(self))
 
-    def _dlog_pdf_at(self, x: float) -> float:
-        return (self.a - 1.0) / x - (self.b - 1.0) / (1.0 - x)
-
-    @property
-    def _edge_shapes(self) -> tuple[float, float]:
-        return self.a, self.b
-
-    @property
-    def _mode(self) -> float:
-        a, b = self.a, self.b
-        return 0.0 if a <= 1.0 else 1.0 if b <= 1.0 else (a - 1.0) / (a + b - 2.0)
-
-    def _cdf(self, x: float) -> float:
-        return 1.0 if x >= 1.0 else beta_i(self.a, self.b, x, self._cdf_log_norm)
-
-    def _guess(self, p: float) -> float:
+    def _guess(self, rows: np.ndarray, p: float) -> np.ndarray:
         # Numerical Recipes 6.4.  Near 0 the CDF follows x^a / (a B(a, b))
         # and near 1 it follows 1 - (1 - x)^b / (b B(a, b)).  Solved for p,
         # the first law bounds the quantile from below when b >= 1 (above
         # when b < 1), the second from above when a >= 1 (below when a < 1).
-        a, b = self.a, self.b
-        ln_beta = -self._log_norm
-        lower = math.exp(min(math.log(a * p) + ln_beta, 0.0) / a)  # capped at 1
-        upper = -math.expm1(min(math.log(b * (1.0 - p)) + ln_beta, 0.0) / b)
-        if a < 1.0 and b < 1.0:
-            return lower if lower < a / (a + b) or upper <= 0.0 else upper
-        if a < 1.0 or b < 1.0:
-            return max(lower, upper) if a < 1.0 else min(lower, upper)
+        a, b = self._a[rows], self._b[rows]
+        # log B(a, b): at the mode of the prefactor its log is the norm alone
+        ln_beta = a * np.log(a / (a + b)) + b * np.log(b / (a + b)) - self._norm[rows]
+        lower = np.exp(np.minimum(np.log(a * p) + ln_beta, 0.0) / a)  # capped at 1
+        upper = -np.expm1(np.minimum(np.log(b * (1.0 - p)) + ln_beta, 0.0) / b)
         z = -std_normal_quantile(p)
-        al = (z * z - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        w = z * math.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
-            al + 5.0 / 6.0 - 2.0 / (3.0 * h)
-        )
-        x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
-        return min(max(x, lower), upper)  # a normal-based start, clipped
+        al, h = (z * z - 3.0) / 6.0, 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        w = z * np.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
+            al + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        x = np.minimum(np.maximum(a / (a + b * np.exp(np.minimum(2.0 * w, 700.0))), lower),
+                       upper)  # a normal-based start, clipped
+        if min(a.min(), b.min()) < 1.0:
+            both = np.where((lower < a / (a + b)) | (upper <= 0.0), lower, upper)
+            one = np.where(a < 1.0, np.maximum(lower, upper), np.minimum(lower, upper))
+            x = np.where((a < 1.0) & (b < 1.0), both, np.where((a < 1.0) | (b < 1.0), one, x))
+        return x
 
 
 # Exponential-rate posteriors, a block of rows at once
@@ -1249,6 +1323,26 @@ def normal_posterior_variance(sigma2: float, tau2: float, n: float) -> float:
     return positive("posterior variance", sigma2 * tau2 / (n * tau2 + sigma2))
 
 
+def count_posterior(family: LikelihoodFamily, prior, n: int, totals):
+    """The gamma or beta posteriors of ``n`` Poisson or Bernoulli
+    observations with ``totals`` (a float, or a 1-d array of rows) under
+    a gamma or beta ``prior``.  Anything else raises ``ConfigurationError``."""
+    s = np.asarray(totals, dtype=float)
+    if isinstance(family, Poisson) and isinstance(prior, GammaPrior):
+        bad = ~((s >= 0.0) & (s == np.floor(s)))
+        if bad.any():
+            raise DomainError(f"Poisson total must be a nonnegative integer, got "
+                              f"{float(s[bad].flat[0])!r}")
+        return GammaPosterior(shape=prior.b + totals, rate=prior.a + n)
+    if isinstance(family, Bernoulli) and isinstance(prior, BetaPrior):
+        bad = ~((s >= 0.0) & (s <= n) & (s == np.floor(s)))
+        if bad.any():
+            raise DomainError(f"Bernoulli total must be an integer in [0, n], got "
+                              f"{float(s[bad].flat[0])!r}")
+        return BetaPosterior(prior.a + totals, prior.b + (n - totals))
+    raise ConfigurationError(f"no conjugate update for family {family!r} with prior {prior!r}")
+
+
 def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterior:
     """Posterior for ``family`` under ``prior`` given a sufficient statistic.
 
@@ -1262,17 +1356,8 @@ def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterio
         mean = (stat.s + c * prior.mu0) / (1.0 + c)
         return NormalPosterior(mean, normal_posterior_variance(family.sigma2, prior.tau2, stat.n))
 
-    if isinstance(family, Poisson) and isinstance(prior, GammaPrior):
-        if stat.s < 0.0 or stat.s != math.floor(stat.s):
-            raise DomainError(f"Poisson total must be a nonnegative integer, got {stat.s!r}")
-        return GammaPosterior(shape=prior.b + stat.s, rate=prior.a + stat.n)
-
-    if isinstance(family, Bernoulli) and isinstance(prior, BetaPrior):
-        if stat.s < 0.0 or stat.s > stat.n or stat.s != math.floor(stat.s):
-            raise DomainError(
-                f"Bernoulli total must be an integer in [0, n], got {stat.s!r}"
-            )
-        return BetaPosterior(prior.a + stat.s, prior.b + (stat.n - stat.s))
+    if isinstance(family, (Poisson, Bernoulli)):
+        return count_posterior(family, prior, stat.n, stat.s)
 
     if isinstance(family, ExponentialRate) and isinstance(prior, BetaPrior):
         return rate_posterior(prior, stat.n, stat.s)

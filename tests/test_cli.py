@@ -625,6 +625,17 @@ def test_simulate_handles_posterior_shapes_below_one(argv, capsys):
     assert 0.0 < float(kv(out)["mean"]) < 1.0
 
 
+def test_simulate_serves_a_poisson_shape_of_2e8(capsys):
+    # Every posterior shape is about 2e8.  The value the scalar solver
+    # printed was 0.00554371246178631; the block kernel's, within 1e-8 of
+    # it, agrees with scipy's gammaincinv to 3e-16 relative.
+    code, out, _ = run(["simulate", "--model", "poisson", "--a", "1", "--b", "1",
+                        "--criterion", "alc", "--theta0", "20", "--n", "10000000",
+                        "--m", "8"], capsys)
+    assert code == 0
+    assert float(kv(out)["mean"]) == pytest.approx(0.00554371246178631, abs=1e-8)
+
+
 def test_simulate_repeats_are_byte_identical(capsys):
     argv = ["simulate", "--model", "exp", "--criterion", "alc",
             "--theta0", "0.25", "--n", "30", "--m", "40"]

@@ -48,6 +48,7 @@ from bayessize.models import (
     Poisson,
     RatePosterior,
     SufficientStat,
+    count_posterior,
     fisher_info,
     in_domain,
     inf_weighted_info,
@@ -521,7 +522,7 @@ def test_conjugate_posterior_moments_match_scipy(family, a, b, n, fraction):
 
 def test_quantile_failure_names_the_posterior(monkeypatch):
     post = GammaPosterior(2.0, 1.0)
-    monkeypatch.setattr(GammaPosterior, "_cdf", lambda self, x: math.nan)
+    monkeypatch.setattr(GammaPosterior, "_cdf_parts", lambda self, rows, x: (x * math.nan, x))
     with pytest.raises(AccuracyError, match=r"GammaPosterior\(shape=2\.0.*p=0\.3"):
         post.quantile(0.3)
 
@@ -1093,6 +1094,107 @@ def test_rate_rows_do_not_depend_on_their_block(theta0, n, b):
         assert [float.hex(evaluate(f, post)) for f in functionals] == [r[k] for r in runs[0]]
 
 
+@pytest.mark.parametrize("family, prior, theta0, n", [
+    (Poisson(), GammaPrior(2.5, 3.5), 1.5, 40),
+    (Poisson(), GammaPrior(1.0, 0.5), 0.05, 30),  # zero counts: a pole at 0
+    (Poisson(), GammaPrior(1.0, 1.0), 20.0, 100_000),
+    (Bernoulli(), BetaPrior(1.0, 1.0), 0.3, 60),
+    (Bernoulli(), BetaPrior(0.5, 0.5), 0.02, 40),  # Jeffreys, zero counts
+    (Bernoulli(), BetaPrior(0.5, 0.5), 0.999, 2000),  # full counts, a pole at 1
+])
+def test_conjugate_rows_do_not_depend_on_their_block(family, prior, theta0, n):
+    # Blocks of 1, 7 and 128 rows in two orders give the same floats, and a
+    # posterior built by posterior() from a float its row's.
+    draw = suffstat_sampler(family, theta0, n)(np.random.default_rng(3), 300)
+    totals = np.array(list(dict.fromkeys(draw.tolist())), dtype=float)
+    functionals = [PosteriorVariance(), PosteriorQuantile(0.05), CredibleLength(0.05),
+                   HpdLower(0.95), HpdUpper(0.95), HpdWidth(0.9),
+                   CenteredIntervalMass(0.1 * theta0), TailMassAbove(theta0)]
+    runs = []
+    for block in (1, 7, 128):
+        for order in (np.arange(totals.size), np.arange(totals.size)[::-1]):
+            values = np.empty((len(functionals), totals.size))
+            for start in range(0, totals.size, block):
+                rows = order[start:start + block]
+                post = count_posterior(family, prior, n, totals[rows])
+                for i, functional in enumerate(functionals):
+                    values[i, rows] = evaluate(functional, post)
+            runs.append([[float.hex(v) for v in row] for row in values.tolist()])
+    assert all(run == runs[0] for run in runs)
+    for k in (0, totals.size // 2, totals.size - 1):
+        post = posterior(family, prior, SufficientStat(n, float(totals[k])))
+        assert [float.hex(evaluate(f, post)) for f in functionals] == [r[k] for r in runs[0]]
+
+
+def _scipy_hpd(law, level, poles):
+    """The HPD ends from scipy alone: an end on a pole's edge or an edge
+    denser than the other end, or ends at tail masses ``u`` and ``u +
+    level`` of equal log density."""
+    gap = lambda u: law.logpdf(law.ppf(u)) - law.logpdf(law.ppf(u + level))  # noqa: E731
+    if poles == "low" or gap(1e-12) >= 0.0:
+        return 0.0, law.ppf(level)
+    if poles == "high" or gap(1.0 - level - 1e-12) <= 0.0:  # denser than any double below 1
+        return law.ppf(1.0 - level), 1.0
+    u = optimize.brentq(gap, 1e-12, 1.0 - level - 1e-12, xtol=1e-300, rtol=1e-15, maxiter=500)
+    return law.ppf(u), law.ppf(u + level)
+
+
+# Shapes from 1/2, a Jeffreys prior's zero count, to a billion.
+_WIDE_SHAPES = st.one_of(st.just(0.5), st.builds(lambda m, e: m * 10.0**e,
+                                                  st.floats(1.0, 10.0), st.integers(0, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["gamma", "beta"]), a=_WIDE_SHAPES, b=_WIDE_SHAPES,
+       p=st.floats(1e-3, 1.0 - 1e-3), level=st.floats(0.05, 0.99))
+@example(kind="beta", a=0.5, b=1e6 + 0.5, p=0.5, level=0.95)
+@example(kind="gamma", a=0.5, b=4.0, p=0.975, level=0.95)
+@example(kind="gamma", a=1e9, b=1e9, p=0.025, level=0.5)
+@example(kind="beta", a=1e9, b=1e9, p=1e-3, level=0.99)
+def test_conjugate_posteriors_match_scipy_from_half_to_a_billion(kind, a, b, p, level):
+    # The CDF, the quantile and the HPD's mass agree with scipy within 1e-8
+    # in probability.
+    # Probabilities stay within [1e-3, 1 - 1e-3]: at a = 1e9 scipy's own
+    # gammainc is 2e-6 from mpmath at the 1e-6 quantile, and this module is
+    # not.
+    if kind == "gamma":
+        post, law = GammaPosterior(a, b), stats.gamma(a, scale=1.0 / b)
+        poles = "low" if a <= 1.0 else None
+    else:
+        assume(max(a, b) > 1.0)  # unbounded at both edges, or flat: no one HPD
+        post, law = BetaPosterior(a, b), stats.beta(a, b)
+        poles = "low" if a <= 1.0 else "high" if b <= 1.0 else None
+    q = post.quantile(p)
+    if abs(law.cdf(q) - p) > 1e-8:  # only where no double is closer: q's neighbours straddle p
+        assert law.cdf(math.nextafter(q, -math.inf)) <= p <= law.cdf(math.nextafter(q, math.inf))
+    for x in law.ppf([1e-3, 0.3, 0.7, 1.0 - 1e-3]):
+        assert post.cdf(x) == pytest.approx(law.cdf(x), abs=1e-8)
+    # The ends hold their mass to 1e-8 under scipy, or to the ends' own
+    # resolution, 1e-9 of each, where the density makes that more.  scipy's
+    # log density
+    # carries about (a + b) * 1e-16 of rounding (1e-12 at a = 1e3, b = 1e7,
+    # where mpmath confirms this module's ends), which moves its own
+    # equal-density ends by up to a few 1e-8 relative.
+    box, ends = post.hpd(level), _scipy_hpd(law, level, poles)
+    slack = sum(law.pdf(end) * 1e-9 * end for end in (box.lo, box.hi) if 0.0 < end < 1.0)
+    assert level - 1e-8 <= law.cdf(box.hi) - law.cdf(box.lo) <= level + 1e-8 + slack
+    assert box.lo == pytest.approx(ends[0], rel=1e-7, abs=1e-8 * ends[1])
+    assert box.hi == pytest.approx(ends[1], rel=1e-7)
+
+
+def test_one_block_quantile_at_a_shape_of_a_billion_stays_in_two_megabytes():
+    import tracemalloc
+
+    post = GammaPosterior(1e9 + np.arange(8.0), 1.0)
+    tracemalloc.start()
+    try:
+        post.quantile(0.975)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
 def test_rate_posterior_refuses_a_row_past_its_error_bound(monkeypatch):
     # A row whose K-against-K/2 estimate misses the bound names itself.
     monkeypatch.setattr(models, "RATE_TOLERANCE", 0.0)
@@ -1206,28 +1308,35 @@ def test_exact_hpd_is_the_shortest_interval(post, level):
     assert abs(width - shortest) <= tol
     tail = 0.5 * (1.0 - level)
     assert width <= law.ppf(1.0 - tail) - law.ppf(tail) + tol
-    if box.lo > 0.0 and box.hi < post._hi:
-        slack = abs(post._dlog_pdf_at(box.lo)) * res_lo + abs(post._dlog_pdf_at(box.hi)) * res_hi
+    if box.lo > 0.0 and box.hi < post._hi[0]:
+        slope = np.abs(post._dlog_pdf(np.zeros(2, dtype=int), np.array([box.lo, box.hi]))[0])
+        slack = slope[0] * res_lo + slope[1] * res_hi
         assert abs(law.logpdf(box.lo) - law.logpdf(box.hi)) <= 1e-9 + slack
 
 
 def test_exact_hpd_takes_at_most_20_root_iterations(monkeypatch):
     # The equal-tail quantiles start the root, and an end on an edge takes
-    # one more quantile; each Newton step in both ends takes one l' pair.
-    quantiles, slopes = [], []
+    # one more quantile; each Newton step in both ends takes one l' pair
+    # (the quantiles' own Halley steps take l' too, and are not counted).
+    quantiles, slopes, solving = [], [], []
     for cls in (GammaPosterior, BetaPosterior):
-        quantile, dlog_pdf_at = cls.quantile, cls._dlog_pdf_at
+        quantile, dlog_pdf = cls._quantile, cls._dlog_pdf
 
-        def counted_quantile(self, alpha, quantile=quantile):
-            quantiles.append(alpha)
-            return quantile(self, alpha)
+        def counted_quantile(self, rows, p, quantile=quantile):
+            quantiles.append(p)
+            solving.append(p)
+            try:
+                return quantile(self, rows, p)
+            finally:
+                solving.pop()
 
-        def counted_slope(self, x, dlog_pdf_at=dlog_pdf_at):
-            slopes.append(x)
-            return dlog_pdf_at(self, x)
+        def counted_slope(self, rows, x, dlog_pdf=dlog_pdf):
+            if not solving:
+                slopes.append(x)
+            return dlog_pdf(self, rows, x)
 
-        monkeypatch.setattr(cls, "quantile", counted_quantile)
-        monkeypatch.setattr(cls, "_dlog_pdf_at", counted_slope)
+        monkeypatch.setattr(cls, "_quantile", counted_quantile)
+        monkeypatch.setattr(cls, "_dlog_pdf", counted_slope)
     rng = np.random.default_rng(2006)
     # Fresh copies: a posterior keeps the intervals it has already found.
     posts = [dataclasses.replace(post) for post, _ in _EDGE_EXAMPLES]

@@ -42,6 +42,7 @@ from bayessize.models import (
     NormalPrior,
     Poisson,
     SufficientStat,
+    count_posterior,
     posterior,
     rate_posterior,
     sample_suffstat,
@@ -437,6 +438,11 @@ _REPLAY_CASES = [
     (Bernoulli(), BetaPrior(1.5, 1.5), 0.3, 30, 120, _CONJUGATE_FUNCTIONALS),
     (ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 50, 40,
      [functional for _, functional in _RATE_FUNCTIONALS]),
+    # Jeffreys priors: zero and full counts give posteriors with a pole,
+    # whose HPD ends at that edge; and Poisson shapes near 1.5e5.
+    (Bernoulli(), BetaPrior(0.5, 0.5), 0.5, 5, 120, [HpdWidth(0.95), CredibleLength(0.05)]),
+    (Poisson(), GammaPrior(1.0, 0.5), 0.1, 10, 120, [HpdWidth(0.9), PosteriorQuantile(0.05)]),
+    (Poisson(), GammaPrior(2.5, 3.5), 1.5, 100_000, 60, [HpdWidth(0.95), TailMassAbove(1.5)]),
 ]
 
 
@@ -460,9 +466,9 @@ def test_simulate_many_equals_a_per_replicate_replay(family, prior, theta0, n, m
 )
 def test_posterior_is_built_once_per_distinct_total(monkeypatch, family, prior, theta0, n, m):
     # A timing-free guard: count totals have few distinct values, and each
-    # is turned into a statistic and a posterior once; exponential totals
-    # never repeat, and each is one row of one block of rate posteriors,
-    # with no statistic of its own.
+    # is one row of one block of gamma or beta posteriors; exponential
+    # totals never repeat, and each is one row of one block of rate
+    # posteriors.  No total builds a statistic or a posterior of its own.
     calls, stats = [], []
 
     def counting_posterior(family, prior, stat):
@@ -473,20 +479,25 @@ def test_posterior_is_built_once_per_distinct_total(monkeypatch, family, prior, 
         calls.extend(totals.tolist())
         return rate_posterior(prior, n, totals)
 
+    def counting_counts(family, prior, n, totals):
+        calls.extend(totals.tolist())
+        return count_posterior(family, prior, n, totals)
+
     def counting_stat(n, s):
         stats.append(s)
         return SufficientStat(n, s)
 
     monkeypatch.setattr(montecarlo, "posterior", counting_posterior)
     monkeypatch.setattr(montecarlo, "rate_posterior", counting_rows)
+    monkeypatch.setattr(montecarlo, "count_posterior", counting_counts)
     monkeypatch.setattr(montecarlo, "SufficientStat", counting_stat)
     simulate_many(family, prior, theta0, n, m, [PosteriorVariance(), HpdWidth(0.9)], seed=12)
     distinct = len(set(_totals(family, theta0, n, m, 12)))
+    assert stats == []
     if isinstance(family, ExponentialRate):
-        assert len(calls) == m and stats == []
+        assert len(calls) == m
     else:
-        assert len(calls) == len(stats) == distinct < m // 10
-        assert stats == calls
+        assert len(calls) == distinct < m // 10
     assert len(set(calls)) == len(calls)
 
 
@@ -501,10 +512,12 @@ def test_different_seeds_differ():
 
 def _split_into(monkeypatch, processes):
     """Make ``simulate_many`` split any run of at least ``processes``
-    replicates over ``processes`` processes, and count its forks."""
+    replicates over ``processes`` processes, Poisson and Bernoulli totals in
+    blocks of 4, and count its forks."""
     forks = []
     fork = os.fork
     monkeypatch.setattr(montecarlo, "_MIN_PER_PROCESS", 1)
+    monkeypatch.setattr(montecarlo, "_COUNT_BLOCK_ROWS", 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
     monkeypatch.setattr(os, "fork", lambda: forks.append(processes) or fork())
     return forks
@@ -535,7 +548,8 @@ def _refuse_hpd_at_a_pole(monkeypatch):
     place before any fork, so every child inherits it."""
 
     def evaluate_or_refuse(functional, post):
-        if isinstance(functional, HpdWidth) and min(getattr(post, "_edge_shapes", [1.0])) < 1.0:
+        shapes = getattr(post, "_edge_shapes", None)
+        if isinstance(functional, HpdWidth) and shapes and np.any(np.minimum(*shapes) < 1.0):
             raise UnsupportedShapeError(f"{post!r} is unbounded at an edge of its support")
         return evaluate(functional, post)
 
@@ -613,7 +627,7 @@ def test_bad_theta0_fails_as_replicate_0_before_any_fork(monkeypatch):
 @pytest.mark.parametrize("leave", [lambda: os._exit(5),
                                    lambda: os.kill(os.getpid(), signal.SIGKILL)])
 def test_a_child_that_exits_nonzero_has_its_range_redone(monkeypatch, leave):
-    family, prior, theta0, n, m, functionals = _REPLAY_CASES[-1]
+    family, prior, theta0, n, m, functionals = _REPLAY_CASES[4]  # the exponential rate
     serial = simulate_many(family, prior, theta0, n, m, functionals, seed=5)
     parent, built = os.getpid(), []
 

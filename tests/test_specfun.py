@@ -125,21 +125,24 @@ def test_incomplete_functions_raise_at_their_term_cap(monkeypatch):
 
 
 def test_incomplete_functions_converge_at_large_shapes():
-    # Near x = a the expansions need about 7 sqrt(a) terms, 1.25e5 at
-    # a = 3e8; the term cap keeps its margin there.  The log-space
-    # prefactor loses about a * log(a) * 1e-16 relative, hence the loose
-    # tolerances.  P(a, a) = 1/2 + 1/(3 sqrt(2 pi a)) + O(a^-3/2) (Temme).
-    a = 3e8
-    assert gamma_p(a, a) == pytest.approx(0.5 + 1.0 / (3.0 * math.sqrt(2.0 * math.pi * a)),
-                                          abs=1e-6)
-    assert beta_i(5e8, 5e8, 0.5) == pytest.approx(0.5, abs=1e-5)
-    assert beta_i(4e8, 5e8, 4.0 / 9.0) == pytest.approx(0.5, abs=1e-4)
+    # A block of rows: near x = a the series need about 9 sqrt(a) terms,
+    # 1.6e5 at a = 3e8, summed in chunks.  The prefactor, formed about its
+    # peak, keeps its digits: P(a, a) = 1/2 + 1/(3 sqrt(2 pi a)) + O(a^-3/2)
+    # (Temme), and I_{1/2}(a, a) = 1/2 by symmetry.
+    a = np.array([3e8, 3e8 + 1.0])
+    expected = 0.5 + 1.0 / (3.0 * np.sqrt(2.0 * math.pi * a))
+    assert gamma_p(a, a) == pytest.approx(expected, abs=1e-12)
+    assert beta_i(np.array([5e8, 4e8]), np.array([5e8, 5e8]), np.array([0.5, 4.0 / 9.0])) == (
+        pytest.approx([0.5, 0.5], abs=1e-4))
+    assert beta_i(5e8, 5e8, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_incomplete_functions_refuse_a_shape_of_2_to_the_53_before_any_loop():
-    # There shape + 1 rounds to shape; at 1e300 the loop would run 4e151 terms.
-    for call in (lambda: gamma_p(2.0**53, 2.0**53), lambda: gamma_p(1e300, 1.0),
-                 lambda: beta_i(0.5, 1e300, 0.3), lambda: beta_i(1e300, 1e300, 0.5)):
+    # There shape + 1 rounds to shape; at 1e300 the sum would run 4e151 terms.
+    for call in (lambda: gamma_p(np.array([2.0, 2.0**53]), np.array([1.0, 2.0**53])),
+                 lambda: gamma_p(1e300, 1.0),
+                 lambda: beta_i(np.array([0.5]), np.array([1e300]), np.array([0.3])),
+                 lambda: beta_i(1e300, 1e300, 0.5)):
         with pytest.raises(AccuracyError, match=r"2\*\*53 or more"):
             call()
 
