@@ -433,6 +433,15 @@ class NormalPosterior:
         return HpdInterval(self.mean_value - half, self.mean_value + half, level)
 
 
+def _normal_quantiles(p):
+    """:func:`std_normal_quantile` of each of ``p``, a float or an array of
+    a few distinct probabilities."""
+    if np.ndim(p) == 0:
+        return std_normal_quantile(p)
+    z = {v: std_normal_quantile(v) for v in set(p.tolist())}
+    return np.array([z[v] for v in p.tolist()])
+
+
 def _log_power(c: np.ndarray, num: np.ndarray, den: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """``c log(num / den)``, through ``log1p(gap / den)`` with ``gap = num -
     den`` formed by the caller where ``num`` is near ``den``, so that it
@@ -444,22 +453,19 @@ def _log_power(c: np.ndarray, num: np.ndarray, den: np.ndarray, gap: np.ndarray)
 
 class _NumericPosterior:
     """Gamma or beta posteriors, one row per parameter set: each field a
-    float or a 1-d array of rows.  The summaries return an array over the
-    rows, or a float when every field is a float.
-
-    The CDF is the incomplete gamma or beta function of
-    :mod:`bayessize.specfun`, one series per row, and the log density its
-    prefactor's log, formed about its peak.  Quantiles and highest-density
-    intervals are Newton iterations over every row at once, and a row's
-    floats come from elementwise operations and its own series: a block
-    of one gives them bit for bit.  A subclass supplies, for ``rows`` at
-    ``x`` inside the support, ``_cdf_parts`` (the CDF and the log density),
-    ``_dlog_pdf`` (the log density's first three derivatives) and
-    ``_log_ratio`` (the log density at ``x`` less that at ``y``); and
-    ``_guess(rows, p)``, ``_mode``, ``_hi`` (the support's upper edge or a
-    point past every representable quantile) and ``_edge_shapes``, the
-    exponents ``e`` of the density's power laws ``x^(e - 1)`` at zero and
-    ``(1 - x)^(e - 1)`` at one (inf for the gamma's tail).
+    float or a 1-d array of rows; the summaries return an array over the
+    rows, or a float when every field is a float.  The CDF is the
+    incomplete gamma or beta function of :mod:`bayessize.specfun`, one
+    series per row, and the log density its prefactor's log; quantiles
+    and HPD ends are Newton iterations over every row at once, and a
+    row's floats do not depend on its block.  A subclass supplies, for
+    ``rows`` at ``x`` inside the support, ``_cdf_parts`` (the CDF and the
+    log density), ``_dlog_pdf`` (its first three derivatives) and
+    ``_log_ratio`` (``l(x) - l(y)``); ``_guess(rows, p)``, ``_mode``, ``_hi``
+    (the support's upper edge or a point past every representable
+    quantile) and ``_edge_shapes``, the exponents ``e`` of the density's
+    power laws ``x^(e - 1)`` at zero and ``(1 - x)^(e - 1)`` at one (inf for
+    the gamma's tail).
     """
 
     _fields: tuple[str, ...] = ()
@@ -516,8 +522,16 @@ class _NumericPosterior:
     def quantile(self, alpha: float):
         return self._out(self._quantile(np.arange(len(self)), open_unit("alpha", alpha)))
 
-    def _quantile(self, rows: np.ndarray, p: float) -> np.ndarray:
-        """Invert the CDF of ``rows`` at ``p``: from Newton's step ``s`` the
+    def equal_tails(self, alpha: float):
+        """Each row's quantiles at ``alpha`` and ``1 - alpha``, the ends of a
+        central interval, found in one Newton iteration over both."""
+        every, p = np.arange(len(self)), open_unit("alpha", alpha)
+        both = self._quantile(np.tile(every, 2), np.repeat([p, 1.0 - p], len(self)))
+        return self._out(both[:len(self)]), self._out(both[len(self):])
+
+    def _quantile(self, rows: np.ndarray, p) -> np.ndarray:
+        """Invert the CDF of ``rows`` at ``p`` (a float, or one per row):
+        from Newton's step ``s`` the
         inverse CDF's Taylor series to fourth order, ``s (1 - h / 2 + (2 h^2
         - k) / 6 + (7 h k - j - 6 h^3) / 24)`` with ``h = l' s``, ``k = l''
         s^2``, ``j = l''' s^3`` and ``l`` the log density, its factor held
@@ -528,7 +542,7 @@ class _NumericPosterior:
         1e-12 of the point, is applied: the HPD's equal-density ends need it.
         """
         out, at = np.empty(rows.size), np.arange(rows.size)
-        lo, hi = np.zeros(rows.size), self._hi[rows]
+        lo, hi, p = np.zeros(rows.size), self._hi[rows], np.broadcast_to(p, rows.shape)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x = np.minimum(np.maximum(self._guess(rows, p), 1e-300), hi * (1.0 - 2.0**-52))
             for _ in range(100):
@@ -562,8 +576,9 @@ class _NumericPosterior:
                     return out
                 left = ~finished
                 x, at, rows = np.where(bisect, mid, new)[left], at[left], rows[left]
-                lo, hi = lo[left], hi[left]
-        raise AccuracyError(f"{self._row(int(rows[0]))}: quantile did not reach 1e-8 at p={p!r}")
+                lo, hi, p = lo[left], hi[left], p[left]
+        raise AccuracyError(f"{self._row(int(rows[0]))}: quantile did not reach 1e-8 "
+                            f"at p={float(p[0])!r}")
 
     def hpd(self, level: float) -> HpdInterval:
         """Highest-density interval of each row, found once per level: ends
@@ -612,8 +627,9 @@ class _NumericPosterior:
         every, edge, mode = np.arange(len(self)), self._hi, self._mode
         top, x0 = np.nextafter(edge, 0.0), np.full(len(self), _TINY)
         tail = 0.5 * (1.0 - level)
-        lo = self._quantile(every, tail)
-        hi = np.minimum(self._quantile(every, 1.0 - tail), top)
+        lo, hi = np.split(self._quantile(np.tile(every, 2), np.repeat([tail, 1.0 - tail],
+                                                                      len(self))), 2)
+        hi = np.minimum(hi, top)
         # Unimodality: an edge that is an end is at least as dense as the
         # other end's equal-tail quantile.
         newton = np.ones(len(self), dtype=bool)
@@ -709,10 +725,10 @@ class GammaPosterior(_NumericPosterior):
         # quantile that is sharp in the far lower tail.  Below shape 1, the
         # power law near zero and an exponential tail beyond.
         k = self._shape[rows]
-        y = k * np.maximum(1.0 - 1.0 / (9.0 * k) + std_normal_quantile(p) / (3.0 * np.sqrt(k)),
+        y = k * np.maximum(1.0 - 1.0 / (9.0 * k) + _normal_quantiles(p) / (3.0 * np.sqrt(k)),
                            0.0) ** 3
         log_gamma = k * np.log(k) - k - self._norm[rows]  # lgamma(k + 1)
-        y = np.maximum(y, np.exp((math.log(p) + log_gamma) / k))
+        y = np.maximum(y, np.exp((np.log(p) + log_gamma) / k))
         if k.min() <= 1.0:
             t = 1.0 - k * (0.253 + 0.12 * k)
             small = np.where(p < t, (p / t) ** (1.0 / k), 1.0 - np.log1p(-(p - t) / (1.0 - t)))
@@ -779,7 +795,7 @@ class BetaPosterior(_NumericPosterior):
         ln_beta = a * np.log(a / (a + b)) + b * np.log(b / (a + b)) - self._norm[rows]
         lower = np.exp(np.minimum(np.log(a * p) + ln_beta, 0.0) / a)  # capped at 1
         upper = -np.expm1(np.minimum(np.log(b * (1.0 - p)) + ln_beta, 0.0) / b)
-        z = -std_normal_quantile(p)
+        z = -_normal_quantiles(p)
         al, h = (z * z - 3.0) / 6.0, 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
         w = z * np.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
             al + 5.0 / 6.0 - 2.0 / (3.0 * h))

@@ -66,8 +66,8 @@ class MonteCarloEstimate:
 
 # Fewest distinct totals a process is given: a fork costs about as much as
 # evaluating 500 totals of the cheapest family, the exponential rate.  In
-# blocks of 256 with a credible length at n = 1e4, one rate total cost 30
-# us, one Bernoulli total 40 us and one Poisson total 57 us (2-core VM).
+# blocks of 256 with a credible length at n = 1e4, one rate total cost 21-30
+# us, one Bernoulli total 40 us and one Poisson total 57-59 us (2-core VM).
 _MIN_PER_PROCESS = 500
 _COUNT_BLOCK_ROWS = 256  # Poisson or Bernoulli totals in one block of posteriors
 

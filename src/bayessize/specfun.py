@@ -130,19 +130,21 @@ def _checked(name: str, x, hi: float, *shapes):
     return rows, scalar
 
 
-def _series(a, x, g, w, limit, done, describe):
+def _series(a, x, g, w, limit, negligible, describe):
     """Per row, the sum of ``t_0 = 1``, ``t_k = t_{k-1} r_k`` with ``r_k = x
     (g + k) / (a + k)`` (``x / (a + k)`` where ``g`` is None), ``r_k - 1 =
-    (e - k w) / (a + k)``; 1 where ``done``.
+    (e - k w) / (a + k)``; and the rows whose sum was not needed.
 
     The ratios fall below 1 past ``K = max(0, floor(e / w))``, the largest
     term, and ``log r <= r - 1``, so ``m`` terms past it the term is at
     most ``exp(w (m d - m (m + 1) / 2) / (a + K + m))`` of the largest, ``d
-    = e / w - K``: a quadratic's root takes that to ``e^-37``; ``limit``
-    caps it.  The terms are a cumulative product and the sum a cumulative
-    sum, read at the row's own last index and carried across chunks of
-    columns, so a row does not depend on its block.  A row whose last term
-    is not below 2^-52 of its sum raises ``AccuracyError`` as ``describe``.
+    = e / w - K``: a quadratic's root takes that to ``e^-37``.  A row that
+    needs ``limit`` terms or more is not summed where ``negligible(rows)``,
+    the other tail, is below 2^-55.  The terms are a cumulative product
+    and the sum a cumulative sum, read at the row's own last index and
+    carried across chunks of columns, so a row does not depend on its
+    block.  A row whose last term is not below 2^-52 of its sum raises
+    ``AccuracyError`` as ``describe``.
     """
     import numpy as np
 
@@ -153,7 +155,10 @@ def _series(a, x, g, w, limit, done, describe):
     cap = (a + top) * (8.0 * drop)
     count = top + np.ceil(0.5 * cap / np.maximum(np.sqrt(half * half + cap) - half, _EPS)) + 1.0
     count = np.minimum(count, limit)
-    if done.any():
+    done = np.zeros(a.size, dtype=bool)
+    capped = np.flatnonzero(count >= limit)
+    if capped.size:
+        done[capped] = negligible(capped)
         count[done] = 1.0
     total, last = np.empty(a.size), np.empty(a.size)
     for start in range(0, a.size, _SERIES_ROWS):
@@ -187,7 +192,7 @@ def _series(a, x, g, w, limit, done, describe):
     if bad.any() and (bad := bad & ~done).any():
         i = int(bad.argmax())
         raise AccuracyError(f"{describe(i)} did not converge in {int(count[i])} terms")
-    return total
+    return total, done
 
 
 def _log1p_less(t, far):
@@ -231,9 +236,9 @@ def gamma_p(a, x, log_prefactor=None):
     ``x >= 0``, per row of ``a`` and ``x`` (floats, or 1-d arrays):
     ``x^a e^-x / Gamma(a + 1) * sum_k x^k / (a + 1)_k``, the prefactor from
     ``log_prefactor = gamma_log_prefactor(a, x)`` when a caller holds it.
-    Where ``Q(a, x) <= prefactor * a / (x - max(a - 1, 0))`` is below
-    2^-55, P is 1.  Raises ``AccuracyError`` naming a row whose series has
-    not converged at its term cap.
+    A row whose series would reach its term cap is 1 where ``Q(a, x) <=
+    prefactor * a / (x - max(a - 1, 0))`` is below 2^-55, and else raises
+    ``AccuracyError`` naming it.
     """
     (a, x), scalar = _checked("gamma_p", x, sys.float_info.max, a)
     out = gamma_p_rows(a, x, gamma_log_prefactor(a, x) if log_prefactor is None
@@ -245,12 +250,12 @@ def gamma_p_rows(a, x, log_prefactor):
     """:func:`gamma_p` of rows already checked: 1-d float arrays of one length."""
     import numpy as np
 
-    done = x > a
-    if done.any():
-        gap = np.maximum(x - a + np.minimum(a, 1.0), _EPS)
-        done &= log_prefactor + np.log(a / gap) < _LOG_NEGLIGIBLE
-    total = _series(a, x, None, 1.0, _max_terms(a), done,
-                    lambda i: f"incomplete gamma P({float(a[i])!r}, {float(x[i])!r})")
+    def negligible(r):  # Q(a, x) <= prefactor * a / (x - max(a - 1, 0)) past x = a
+        gap = np.maximum(x[r] - a[r] + np.minimum(a[r], 1.0), _EPS)
+        return (x[r] > a[r]) & (log_prefactor[r] + np.log(a[r] / gap) < _LOG_NEGLIGIBLE)
+
+    total, done = _series(a, x, None, 1.0, _max_terms(a), negligible,
+                          lambda i: f"incomplete gamma P({float(a[i])!r}, {float(x[i])!r})")
     return np.where(done, 1.0, np.minimum(np.exp(log_prefactor) * total, 1.0))
 
 
@@ -292,10 +297,10 @@ def beta_i(a, b, x, log_prefactor=None):
     ``1 - I_{1-x}(b, a)`` above, except below the mean up to ``x = 3/4``,
     where the direct series keeps a small ``I`` to its last digits.  The
     prefactor comes from ``log_prefactor = beta_log_prefactor(a, b, x)``
-    when a caller holds it.  Where the other tail, a series of ratios below
-    ``rho < 1``, is at most ``prefactor / (b (1 - rho))`` and that is below
-    2^-55, the side is 1.  Raises ``AccuracyError`` naming a row whose
-    series has not converged at its term cap.
+    when a caller holds it.  A row whose series would reach its term cap is
+    1 on its side where the other tail, a series of ratios below ``rho <
+    1``, is at most ``prefactor / (b (1 - rho))`` and that is below 2^-55,
+    and else raises ``AccuracyError`` naming it.
     """
     (a, b, x), scalar = _checked("beta_i", x, 1.0, a, b)
     out = beta_i_rows(a, b, x, beta_log_prefactor(a, b, x) if log_prefactor is None
@@ -310,13 +315,15 @@ def beta_i_rows(a, b, x, log_prefactor):
     flip = (x > 0.5) & ~((x * (a + b) < a) & (x <= 0.75))
     p, q, z = np.where(flip, b, a), np.where(flip, a, b), np.where(flip, 1.0 - x, x)
     w = 1.0 - z
-    done = z * (p + q - 1.0) > p  # past the side's mean, where the other tail may vanish
-    if done.any():
-        rho = np.minimum(np.maximum(w * (p + q) / (q + 1.0), w), 1.0 - _EPS)
-        done &= (rho < 1.0 - _EPS) & (log_prefactor - np.log(q) - np.log1p(-rho)
-                                      < _LOG_NEGLIGIBLE)
-    total = _series(p, z, p + q - 1.0, w, _max_terms(np.maximum(a, b)), done, lambda i: (
-        f"incomplete beta I_{float(x[i])!r}({float(a[i])!r}, {float(b[i])!r})"))
+
+    def negligible(r):  # the other tail, of ratios below rho, past the side's mean
+        rho = np.minimum(np.maximum(w[r] * (p[r] + q[r]) / (q[r] + 1.0), w[r]), 1.0 - _EPS)
+        return ((rho < 1.0 - _EPS) & (z[r] * (p[r] + q[r] - 1.0) > p[r])
+                & (log_prefactor[r] - np.log(q[r]) - np.log1p(-rho) < _LOG_NEGLIGIBLE))
+
+    total, done = _series(p, z, p + q - 1.0, w, _max_terms(np.maximum(a, b)), negligible,
+                          lambda i: (f"incomplete beta I_{float(x[i])!r}"
+                                     f"({float(a[i])!r}, {float(b[i])!r})"))
     side = np.where(done, 1.0, np.minimum(np.exp(log_prefactor) / p * total, 1.0))
     return np.where(flip, 1.0 - side, side)
 
