@@ -16,7 +16,6 @@ hold the same count of numbers.  Exits 1 if any command differs, else 0.
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -65,13 +64,13 @@ def argvs() -> list[list[str]]:
     return runs
 
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
 def largest_gap(old: str, new: str) -> str:
     """The largest relative gap ``|a - b| / max(|a|, |b|)`` between the
     numbers of ``old`` and ``new`` taken in order, or why there is none."""
-    a, b = (_NUMBER.findall(text) for text in (old, new))
+    import re
+
+    number = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+    a, b = (re.findall(number, text) for text in (old, new))
     if len(a) != len(b):
         return f"{len(a)} numbers against {len(b)}"
     gaps = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(map(float, a), map(float, b))

@@ -17,7 +17,8 @@ which returns the checked value or raises ``DomainError("{name} must
 A number too large for a float, such as ``10**400``, is refused by the
 three float rules as ``"{name} {value!r} exceeds the largest float
 1.7976931348623157e+308"``.  :func:`check_fields` applies them to the
-fields of a frozen dataclass.
+fields of a frozen dataclass, and :func:`positive_rows` applies
+:func:`positive` to each element of an array of rows.
 """
 
 from __future__ import annotations
