@@ -105,11 +105,8 @@ def evaluate(functional: Functional, post) -> float:
     if isinstance(functional, PosteriorQuantile):
         return post.quantile(functional.alpha)
     if isinstance(functional, CredibleLength):
-        half = 0.5 * functional.alpha
-        if hasattr(post, "equal_tails"):  # both ends in one Newton iteration
-            lo, hi = post.equal_tails(half)
-            return hi - lo
-        return post.quantile(1.0 - half) - post.quantile(half)
+        lo, hi = post.equal_tails(0.5 * functional.alpha)
+        return hi - lo
     if isinstance(functional, HpdLower):
         return post.hpd(functional.level).lo
     if isinstance(functional, HpdUpper):

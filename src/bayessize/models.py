@@ -56,9 +56,7 @@ from .errors import (
 from .specfun import (
     beta_i_rows,
     beta_log_norm,
-    beta_log_prefactor,
     gamma_log_norm,
-    gamma_log_prefactor,
     gamma_p_rows,
     std_normal_cdf,
     std_normal_quantile,
@@ -411,6 +409,9 @@ class NormalPosterior:
     def quantile(self, alpha: float) -> float:
         return self.mean_value + self.sd * std_normal_quantile(open_unit("alpha", alpha))
 
+    def equal_tails(self, alpha: float) -> tuple[float, float]:
+        return self.quantile(alpha), self.quantile(1.0 - alpha)
+
     def cdf(self, x: float) -> float:
         if math.isnan(x):
             raise DomainError("x must not be NaN")
@@ -525,9 +526,12 @@ class _NumericPosterior:
     def equal_tails(self, alpha: float):
         """Each row's quantiles at ``alpha`` and ``1 - alpha``, the ends of a
         central interval, found in one Newton iteration over both."""
-        every, p = np.arange(len(self)), open_unit("alpha", alpha)
-        both = self._quantile(np.tile(every, 2), np.repeat([p, 1.0 - p], len(self)))
-        return self._out(both[:len(self)]), self._out(both[len(self):])
+        lo, hi = self._equal_tails(open_unit("alpha", alpha))
+        return self._out(lo), self._out(hi)
+
+    def _equal_tails(self, alpha: float) -> list[np.ndarray]:
+        return np.split(self._quantile(np.tile(np.arange(len(self)), 2),
+                                       np.repeat([alpha, 1.0 - alpha], len(self))), 2)
 
     def _quantile(self, rows: np.ndarray, p) -> np.ndarray:
         """Invert the CDF of ``rows`` at ``p`` (a float, or one per row):
@@ -626,9 +630,7 @@ class _NumericPosterior:
         """
         every, edge, mode = np.arange(len(self)), self._hi, self._mode
         top, x0 = np.nextafter(edge, 0.0), np.full(len(self), _TINY)
-        tail = 0.5 * (1.0 - level)
-        lo, hi = np.split(self._quantile(np.tile(every, 2), np.repeat([tail, 1.0 - tail],
-                                                                      len(self))), 2)
+        lo, hi = self._equal_tails(0.5 * (1.0 - level))
         hi = np.minimum(hi, top)
         # Unimodality: an edge that is an end is at least as dense as the
         # other end's equal-tail quantile.
@@ -693,9 +695,9 @@ class GammaPosterior(_NumericPosterior):
     def _cdf_parts(self, rows: np.ndarray, x: np.ndarray):
         # The density k x^(k-1) e^-y rate^k / Gamma(k + 1) is k / x times
         # the prefactor of P(k, y).
-        k, y = self._shape[rows], self._rate[rows] * x
-        prefactor = gamma_log_prefactor(k, y, self._norm[rows])
-        return gamma_p_rows(k, y, prefactor), (np.log(k) - np.log(x)) + prefactor
+        k = self._shape[rows]
+        cdf, prefactor = gamma_p_rows(k, self._rate[rows] * x, self._norm[rows])
+        return cdf, (np.log(k) - np.log(x)) + prefactor
 
     def _dlog_pdf(self, rows: np.ndarray, x: np.ndarray):
         u = (self._shape[rows] - 1.0) / x
@@ -757,9 +759,8 @@ class BetaPosterior(_NumericPosterior):
 
     def _cdf_parts(self, rows: np.ndarray, x: np.ndarray):
         # The density x^(a-1) (1-x)^(b-1) / B(a, b) is the prefactor over x (1 - x).
-        a, b = self._a[rows], self._b[rows]
-        prefactor = beta_log_prefactor(a, b, x, self._norm[rows])
-        return beta_i_rows(a, b, x, prefactor), prefactor - np.log(x) - np.log1p(-x)
+        cdf, prefactor = beta_i_rows(self._a[rows], self._b[rows], x, self._norm[rows])
+        return cdf, prefactor - np.log(x) - np.log1p(-x)
 
     def _dlog_pdf(self, rows: np.ndarray, x: np.ndarray):
         y = 1.0 - x
@@ -1198,6 +1199,9 @@ class RatePosterior:
 
     def quantile(self, alpha: float):
         return self._out(np.sin(self._quantile_phi(open_unit("alpha", alpha))) ** 2)
+
+    def equal_tails(self, alpha: float):
+        return self.quantile(alpha), self.quantile(1.0 - alpha)
 
     def hpd(self, level: float) -> HpdInterval:
         """Highest-density interval of each row, found once per level."""

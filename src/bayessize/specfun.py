@@ -25,11 +25,9 @@ __all__ = [
     "gamma_p",
     "gamma_p_rows",
     "gamma_log_norm",
-    "gamma_log_prefactor",
     "beta_i",
     "beta_i_rows",
     "beta_log_norm",
-    "beta_log_prefactor",
     "normal_moment",
     "normal_abs_moment",
     "hermite_poly",
@@ -102,21 +100,10 @@ def _stirling_error(z):
     return out
 
 
-def _rows(*values):
-    """``values`` as 1-d float arrays of one length, and whether all were floats."""
-    import numpy as np
-
-    if all(type(v) is np.ndarray and v.ndim == 1 and v.size == values[0].size for v in values):
-        return values, False
-    arrays = [np.asarray(v, dtype=float).reshape(-1) for v in values]
-    size = max(v.size for v in arrays)
-    scalar = all(np.ndim(v) == 0 for v in values)
-    return [v if v.size == size else np.broadcast_to(v, size) for v in arrays], scalar
-
-
 def _checked(name: str, x, hi: float, *shapes):
-    """:func:`_rows` of ``shapes``, refused unless positive and finite and
-    below 2**53, and of ``x``, refused unless inside ``[0, hi]``."""
+    """``shapes`` and ``x`` as 1-d float arrays of one length, and whether
+    all were floats; a shape is refused unless positive and finite and
+    below 2**53, and ``x`` unless inside ``[0, hi]``."""
     import numpy as np
 
     values = [positive_rows(k, v) for k, v in zip("ab", shapes)]
@@ -125,9 +112,9 @@ def _checked(name: str, x, hi: float, *shapes):
         value = finite("x", xs[~((xs >= 0.0) & (xs <= hi))][0].item())
         raise DomainError(f"{name} needs {'0 <= x <= 1' if hi == 1.0 else 'x >= 0'}, "
                           f"got {value!r}")
-    rows, scalar = _rows(*values, xs)
+    rows = np.broadcast_arrays(*(np.asarray(v, dtype=float).reshape(-1) for v in (*values, xs)))
     _max_terms(np.maximum(*rows[:-1]) if len(shapes) > 1 else rows[0])  # refuses 2**53
-    return rows, scalar
+    return rows, all(np.ndim(v) == 0 for v in (*values, xs))
 
 
 def _series(a, x, g, w, limit, negligible, describe):
@@ -210,45 +197,34 @@ def _log1p_less(t, far):
 
 
 def gamma_log_norm(a):
-    """``-log(2 pi a) / 2`` less Stirling's error of ``Gamma(a + 1)``: the
-    part of :func:`gamma_log_prefactor` set by ``a`` alone."""
+    """``-log(2 pi a) / 2`` less Stirling's error of ``Gamma(a + 1)``, per
+    row: the part of :func:`gamma_p_rows`' prefactor set by ``a`` alone."""
     import numpy as np
 
-    (a,), scalar = _rows(a)
-    out = -0.5 * np.log(2.0 * math.pi * a) - _stirling_error(a)
-    return float(out[0]) if scalar else out
+    return -0.5 * np.log(2.0 * math.pi * a) - _stirling_error(a)
 
 
-def gamma_log_prefactor(a, x, log_norm=None):
-    """``log(x^a e^-x / Gamma(a + 1))`` per row, formed about its peak at
-    ``x = a`` as ``a (log1p(t) - t) + log_norm`` with ``t = (x - a) / a``,
-    from ``log_norm = gamma_log_norm(a)`` when a caller holds it."""
-    import numpy as np
-
-    (a, x), scalar = _rows(a, x)
-    out = a * _log1p_less((x - a) / a, lambda r: np.log(x[r] / a[r])) + (
-        gamma_log_norm(a) if log_norm is None else log_norm)
-    return float(out[0]) if scalar else out
-
-
-def gamma_p(a, x, log_prefactor=None):
+def gamma_p(a, x):
     """Regularized lower incomplete gamma function ``P(a, x)``, ``a > 0``,
-    ``x >= 0``, per row of ``a`` and ``x`` (floats, or 1-d arrays):
-    ``x^a e^-x / Gamma(a + 1) * sum_k x^k / (a + 1)_k``, the prefactor from
-    ``log_prefactor = gamma_log_prefactor(a, x)`` when a caller holds it.
-    A row whose series would reach its term cap is 1 where ``Q(a, x) <=
-    prefactor * a / (x - max(a - 1, 0))`` is below 2^-55, and else raises
-    ``AccuracyError`` naming it.
-    """
+    ``x >= 0``, per row of ``a`` and ``x`` (floats, or 1-d arrays)."""
     (a, x), scalar = _checked("gamma_p", x, sys.float_info.max, a)
-    out = gamma_p_rows(a, x, gamma_log_prefactor(a, x) if log_prefactor is None
-                       else _rows(log_prefactor)[0][0])
+    out = gamma_p_rows(a, x, gamma_log_norm(a))[0]
     return float(out[0]) if scalar else out
 
 
-def gamma_p_rows(a, x, log_prefactor):
-    """:func:`gamma_p` of rows already checked: 1-d float arrays of one length."""
+def gamma_p_rows(a, x, log_norm):
+    """:func:`gamma_p` of rows already checked, 1-d float arrays of one
+    length, with ``log_norm = gamma_log_norm(a)``; and the log of its
+    prefactor ``x^a e^-x / Gamma(a + 1)``.  The sum is ``prefactor * sum_k
+    x^k / (a + 1)_k``, the prefactor formed about its peak at ``x = a`` as
+    ``a (log1p(t) - t) + log_norm`` with ``t = (x - a) / a``.  A row whose
+    series would reach its term cap is 1 where ``Q(a, x) <= prefactor * a /
+    (x - max(a - 1, 0))`` is below 2^-55, and else raises ``AccuracyError``
+    naming it.
+    """
     import numpy as np
+
+    log_prefactor = a * _log1p_less((x - a) / a, lambda r: np.log(x[r] / a[r])) + log_norm
 
     def negligible(r):  # Q(a, x) <= prefactor * a / (x - max(a - 1, 0)) past x = a
         gap = np.maximum(x[r] - a[r] + np.minimum(a[r], 1.0), _EPS)
@@ -256,63 +232,52 @@ def gamma_p_rows(a, x, log_prefactor):
 
     total, done = _series(a, x, None, 1.0, _max_terms(a), negligible,
                           lambda i: f"incomplete gamma P({float(a[i])!r}, {float(x[i])!r})")
-    return np.where(done, 1.0, np.minimum(np.exp(log_prefactor) * total, 1.0))
+    return np.where(done, 1.0, np.minimum(np.exp(log_prefactor) * total, 1.0)), log_prefactor
 
 
 def beta_log_norm(a, b):
     """``log(a b / (2 pi (a + b))) / 2`` plus the Stirling errors of
-    ``Gamma(a + b) / (Gamma(a) Gamma(b))``: the part of
-    :func:`beta_log_prefactor` set by ``a`` and ``b`` alone."""
+    ``Gamma(a + b) / (Gamma(a) Gamma(b))``, per row: the part of
+    :func:`beta_i_rows`' prefactor set by ``a`` and ``b`` alone."""
     import numpy as np
 
-    (a, b), scalar = _rows(a, b)
     both, first, second = np.split(_stirling_error(np.concatenate((a + b, a, b))), 3)
-    out = 0.5 * np.log(a * b / (2.0 * math.pi * (a + b))) + (both - first - second)
+    return 0.5 * np.log(a * b / (2.0 * math.pi * (a + b))) + (both - first - second)
+
+
+def beta_i(a, b, x):
+    """Regularized incomplete beta function ``I_x(a, b)``, ``0 <= x <= 1``,
+    per row of ``a``, ``b`` and ``x`` (floats, or 1-d arrays)."""
+    (a, b, x), scalar = _checked("beta_i", x, 1.0, a, b)
+    out = beta_i_rows(a, b, x, beta_log_norm(a, b))[0]
     return float(out[0]) if scalar else out
 
 
-def beta_log_prefactor(a, b, x, log_norm=None):
-    """``log(x^a (1 - x)^b / B(a, b))`` per row, formed about its peak at
-    ``x = a / (a + b)``: on the side where ``z = x <= 1/2`` (else ``z = 1 -
-    x`` and the shapes ``p``, ``q`` swapped, so ``1 - x`` keeps its digits),
-    with ``d = (p + q) z - p``, ``u = d / p`` and ``v = -d / q``, it is ``p
-    (log1p(u) - u) + q (log1p(v) - v) + log_norm``, from ``log_norm =
-    beta_log_norm(a, b)`` when a caller holds it."""
+def beta_i_rows(a, b, x, log_norm):
+    """:func:`beta_i` of rows already checked, 1-d float arrays of one
+    length, with ``log_norm = beta_log_norm(a, b)``; and the log of its
+    prefactor ``x^a (1 - x)^b / B(a, b)``.  The sum is ``prefactor / a *
+    2F1(a + b, 1; a + 1; x)`` where ``x <= 1/2``, and ``1 - I_{1-x}(b, a)``
+    above, except below the mean up to ``x = 3/4``, where the direct series
+    keeps a small ``I`` to its last digits.  The prefactor is formed about
+    its peak at ``x = a / (a + b)``: on the side where ``z = x <= 1/2``
+    (else ``z = 1 - x`` and the shapes ``p``, ``q`` swapped, so ``1 - x``
+    keeps its digits), with ``d = (p + q) z - p``, ``u = d / p`` and ``v =
+    -d / q``, it is ``p (log1p(u) - u) + q (log1p(v) - v) + log_norm``.  A
+    row whose series would reach its term cap is 1 on its side where the
+    other tail, a series of ratios below ``rho < 1``, is at most
+    ``prefactor / (b (1 - rho))`` and that is below 2^-55, and else raises
+    ``AccuracyError`` naming it.
+    """
     import numpy as np
 
-    (a, b, x), scalar = _rows(a, b, x)
-    flip = x > 0.5
-    p, q, z = np.where(flip, b, a), np.where(flip, a, b), np.where(flip, 1.0 - x, x)
+    half = x > 0.5
+    p, q, z = np.where(half, b, a), np.where(half, a, b), np.where(half, 1.0 - x, x)
     d = (p + q) * z - p
     v = -d / q  # above -1/2 where z <= 1/2
-    out = p * _log1p_less(d / p, lambda r: np.log(z[r]) + np.log1p(q[r] / p[r])) + q * (
-        np.log1p(v) - v) + (beta_log_norm(a, b) if log_norm is None else log_norm)
-    return float(out[0]) if scalar else out
-
-
-def beta_i(a, b, x, log_prefactor=None):
-    """Regularized incomplete beta function ``I_x(a, b)``, ``0 <= x <= 1``,
-    per row of ``a``, ``b`` and ``x`` (floats, or 1-d arrays): ``x^a (1 -
-    x)^b / (a B(a, b)) * 2F1(a + b, 1; a + 1; x)`` where ``x <= 1/2``, and
-    ``1 - I_{1-x}(b, a)`` above, except below the mean up to ``x = 3/4``,
-    where the direct series keeps a small ``I`` to its last digits.  The
-    prefactor comes from ``log_prefactor = beta_log_prefactor(a, b, x)``
-    when a caller holds it.  A row whose series would reach its term cap is
-    1 on its side where the other tail, a series of ratios below ``rho <
-    1``, is at most ``prefactor / (b (1 - rho))`` and that is below 2^-55,
-    and else raises ``AccuracyError`` naming it.
-    """
-    (a, b, x), scalar = _checked("beta_i", x, 1.0, a, b)
-    out = beta_i_rows(a, b, x, beta_log_prefactor(a, b, x) if log_prefactor is None
-                      else _rows(log_prefactor)[0][0])
-    return float(out[0]) if scalar else out
-
-
-def beta_i_rows(a, b, x, log_prefactor):
-    """:func:`beta_i` of rows already checked: 1-d float arrays of one length."""
-    import numpy as np
-
-    flip = (x > 0.5) & ~((x * (a + b) < a) & (x <= 0.75))
+    log_prefactor = p * _log1p_less(d / p, lambda r: np.log(z[r]) + np.log1p(q[r] / p[r])) + q * (
+        np.log1p(v) - v) + log_norm
+    flip = half & ~((x * (a + b) < a) & (x <= 0.75))
     p, q, z = np.where(flip, b, a), np.where(flip, a, b), np.where(flip, 1.0 - x, x)
     w = 1.0 - z
 
@@ -325,7 +290,7 @@ def beta_i_rows(a, b, x, log_prefactor):
                           lambda i: (f"incomplete beta I_{float(x[i])!r}"
                                      f"({float(a[i])!r}, {float(b[i])!r})"))
     side = np.where(done, 1.0, np.minimum(np.exp(log_prefactor) / p * total, 1.0))
-    return np.where(flip, 1.0 - side, side)
+    return np.where(flip, 1.0 - side, side), log_prefactor
 
 
 def normal_moment(order: int) -> float:
