@@ -817,10 +817,10 @@ _RATE_SEGMENTS = 256
 _RATE_DROP = 40.0
 # The bound on each row's relative error estimate.
 RATE_TOLERANCE = 1e-8
-# Rows in one block: the four node arrays a block holds at most at once
-# stay within 512 KiB, each below the 128 KiB above which malloc maps fresh
-# pages for every array.
-RATE_BLOCK_ROWS = (512 * 1024) // (4 * 8 * (_RATE_SEGMENTS + 1))
+# Rows in one block: four node arrays of them fill 1 MiB.  A block's numpy
+# dispatch costs the same at any size, so larger blocks are faster per row,
+# and its memory peaks at about 5.6 node arrays, so they raise peak RSS.
+RATE_BLOCK_ROWS = (1024 * 1024) // (4 * 8 * (_RATE_SEGMENTS + 1))
 _HALF_PI = 0.5 * math.pi
 
 
@@ -1024,24 +1024,29 @@ class RatePosterior:
 
         # Node CDF: each segment's Hermite integral, h/2 (g_i + g_i+1) +
         # h^2/12 (g'_i - g'_i+1), cumulated; at a reached edge the segment
-        # takes the missed mass in place of its h^2/12 g' term.
-        seg = np.add(g[:, :-1], g[:, 1:], out=cot[:, 1:])
-        seg *= 0.5 * h[:, None]
-        tmp = np.subtract(dg[:, :-1], dg[:, 1:], out=r[:, 1:])
-        tmp *= (h * h / 12.0)[:, None]
-        seg += tmp
-        seg[:, 0] += low[0][0]  # g' is 0 at an edge at 0
-        seg[:, -1] += high[0][0] + np.where(at1, h * h / 12.0 * dg[:, -1], 0.0)
+        # takes the missed mass in place of its h^2/12 g' term.  The
+        # differences run over the rows laid end to end, as whole arrays are
+        # faster than their column slices; a row's first column holds junk
+        # from the row before until it is set.
+        flat, dflat, tmp = g.reshape(-1), dg.reshape(-1), r.reshape(-1)
         cdf = cot
+        np.add(flat[:-1], flat[1:], out=cdf.reshape(-1)[1:])
+        cdf *= 0.5 * h[:, None]
+        np.subtract(dflat[:-1], dflat[1:], out=tmp[1:])
+        r *= (h * h / 12.0)[:, None]
+        cdf += r
+        cdf[:, 1] += low[0][0]  # g' is 0 at an edge at 0
+        cdf[:, -1] += high[0][0] + np.where(at1, h * h / 12.0 * dg[:, -1], 0.0)
         cdf[:, 0] = 0.0
-        np.cumsum(seg, axis=1, out=cdf[:, 1:])
+        np.cumsum(cdf, axis=1, out=cdf)
         # Euler-Maclaurin's next term, h^4/720 (f'''(x) - f'''(first node)),
         # with h^2 f''' the second difference of f' and none at the ends.
-        tmp = np.subtract(dg[:, 2:], dg[:, 1:-1], out=r[:, 1:-1])
-        tmp -= dg[:, 1:-1]
-        tmp += dg[:, :-2]
-        tmp *= (h * h / 720.0)[:, None]
-        cdf[:, 1:-1] += tmp
+        np.subtract(dflat[2:], dflat[1:-1], out=tmp[1:-1])
+        tmp[1:-1] -= dflat[1:-1]
+        tmp[1:-1] += dflat[:-2]
+        r *= (h * h / 720.0)[:, None]
+        r[:, 0] = r[:, -1] = 0.0
+        cdf += r
         for at, end, p, a, log_c in self._powers:
             part = np.exp(log_c + (p + 1.0) * np.log(h)) * (1.0 / (p + 1.0) + a * h * h / (p + 3.0))
             if end == 0:
@@ -1172,36 +1177,49 @@ class RatePosterior:
             raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
         return self._out(np.maximum(self._cdf(hi) - self._cdf(lo), 0.0))
 
-    def _start(self, p: float):
-        """Each row's segment whose node CDF brackets ``p``, its quartic, and
-        the fraction of it where the node CDF's chord reaches ``p``."""
-        i = np.count_nonzero(self._node_cdf[:, 1:-1] <= p, axis=1)
-        coef = self._segments(np.arange(i.size), i)
-        return i, coef, (p - coef[0]) / (coef[-1] - coef[0])
+    def _start(self, ps):
+        """For each probability in ``ps`` and each row: the segment whose
+        node CDF brackets it, the segment's quartic, the fraction of it
+        where the node CDF's chord reaches it, and the probability, each of
+        shape ``(len(ps), rows)``."""
+        # The count of inner nodes at or below p; K < 2**15, so 16 bits hold it.
+        i = (self._node_cdf <= np.reshape(ps, (-1, 1, 1)))[:, :, 1:-1].sum(axis=2, dtype=np.int16)
+        coef = self._segments(np.arange(len(self)), i)
+        p = np.repeat(ps, len(self)).reshape(i.shape)
+        return i, coef, (p - coef[0]) / (coef[-1] - coef[0]), p
 
-    def _quantile_phi(self, p: float) -> np.ndarray:
-        """Each row's point in ``phi`` where the CDF reaches ``p``: Newton
-        steps in its segment from the chord, kept inside it, until a step is
-        below 1e-13 of it (that last step applied)."""
-        i, coef, t = self._start(p)
-        live = np.arange(t.size)
+    def _quantile_phi(self, ps) -> np.ndarray:
+        """Each row's point in ``phi`` where the CDF reaches each ``p`` in
+        ``ps``, of shape ``(len(ps), rows)``: Newton steps in its segment
+        from the chord, kept inside it, until a step is below 1e-13 of it
+        (that last step applied), every point at once; a point that has
+        stopped keeps its place."""
+        i, coef, t, p = self._start(ps)
+        rows = np.broadcast_to(np.arange(len(self)), t.shape)
+        live = np.ones(t.shape, dtype=bool)
         for _ in range(100):
-            value, slope = self._within(live, i[live], [c[live] for c in coef], t[live])
+            value, slope = self._within(rows, i, coef, t)
             # A step from a slope that is not positive, far in a tail, is none.
             step = np.where(slope > 0.0, (value - p) / np.where(slope > 0.0, slope, 1.0), 0.0)
-            t[live] = np.minimum(np.maximum(t[live] - step, 0.0), 1.0)
-            live = live[~(np.abs(step) <= 1e-13)]
-            if live.size == 0:
+            t = np.where(live, np.minimum(np.maximum(t - step, 0.0), 1.0), t)
+            live &= ~(np.abs(step) <= 1e-13)
+            if not live.any():
                 break
         else:
-            raise AccuracyError(f"{self._row(int(live[0]))}: quantile did not converge at p={p!r}")
+            first = np.unravel_index(live.argmax(), t.shape)
+            raise AccuracyError(f"{self._row(int(rows[first]))}: quantile did not converge "
+                                f"at p={float(p[first])!r}")
         return self._phi0 + (i + t) * self._step
 
     def quantile(self, alpha: float):
-        return self._out(np.sin(self._quantile_phi(open_unit("alpha", alpha))) ** 2)
+        return self._out(np.sin(self._quantile_phi((open_unit("alpha", alpha),))[0]) ** 2)
 
     def equal_tails(self, alpha: float):
-        return self.quantile(alpha), self.quantile(1.0 - alpha)
+        """Each row's quantiles at ``alpha`` and ``1 - alpha``, found in one
+        Newton iteration over both."""
+        alpha = open_unit("alpha", alpha)
+        lo, hi = np.sin(self._quantile_phi((alpha, 1.0 - alpha))) ** 2
+        return self._out(lo), self._out(hi)
 
     def hpd(self, level: float) -> HpdInterval:
         """Highest-density interval of each row, found once per level."""
@@ -1212,20 +1230,20 @@ class RatePosterior:
         return HpdInterval(self._out(box.lo), self._out(box.hi), self._out(box.mass))
 
     def _newton_step(self, rows: np.ndarray, ends: np.ndarray, level: float) -> np.ndarray:
-        """The Newton step in ``phi`` of the HPD ends ``ends[0] < ends[1]`` of
-        ``rows`` towards equal ``l`` and mass ``level``.  The Jacobian's
+        """The Newton step in ``phi`` of the HPD ends ``ends[0] < ends[1]``,
+        of the rows ``rows[0] = rows[1]``, towards equal ``l`` and mass
+        ``level``.  The Jacobian's
         determinant ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive unless both
-        densities underflow; its steps are then NaN, and halve."""
-        cdf, dens = self._cdf_phi(np.concatenate((rows, rows)), ends.reshape(-1))
-        cdf, dens = cdf.reshape(2, -1), dens.reshape(2, -1)
+        densities underflow; its steps are then NaN, and halve.  Called
+        with division by zero and invalid values ignored."""
+        cdf, dens = self._cdf_phi(rows, ends)
         sin, cos, s = np.sin(ends), np.cos(ends), self.s.reshape(-1)[rows]
         a1, b1 = 2.0 * (self.shape - 1.0), 2.0 * (self.b - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            l = a1 * np.log(sin) + b1 * np.log(cos) - s * (sin * sin)
-            dl = a1 * (cos / sin) - b1 * (sin / cos) - (2.0 * s) * (sin * cos)
-            gap, excess = l[0] - l[1], cdf[1] - cdf[0] - level
-            det = dl[0] * dens[1] - dl[1] * dens[0]
-            return -np.stack((dens[1] * gap + dl[1] * excess, dens[0] * gap + dl[0] * excess)) / det
+        l = a1 * np.log(sin) + b1 * np.log(cos) - s * (sin * sin)
+        dl = a1 * (cos / sin) - b1 * (sin / cos) - (2.0 * s) * (sin * cos)
+        gap, excess = l[0] - l[1], cdf[1] - cdf[0] - level
+        det = dl[0] * dens[1] - dl[1] * dens[0]
+        return -(dens[::-1] * gap + dl[::-1] * excess) / det
 
     def _hpd(self, level: float) -> HpdInterval:
         """Ends ``lo < mode < hi`` of equal log density ``l`` and mass
@@ -1244,19 +1262,17 @@ class RatePosterior:
         """
         tail = 0.5 * (1.0 - level)
         aim = level + 8.0 * np.spacing(level)
-        ends = np.empty((2, len(self)))
-        for end, p in zip(ends, (tail, 1.0 - tail)):
-            i, _, t = self._start(p)
-            end[:] = self._phi0 + (i + t) * self._step
+        i, _, t, _ = self._start((tail, 1.0 - tail))
+        ends = self._phi0 + (i + t) * self._step
         newton = np.ones(len(self), dtype=bool)
         with np.errstate(divide="ignore"):
             if self.shape == 1.0:  # l(0) = 0
-                q = self._quantile_phi(level)
+                q = self._quantile_phi((level,))[0]
                 edge = 0.0 >= self._log_pdf(np.sin(q) ** 2)
                 ends[0, edge], ends[1, edge] = 0.0, q[edge]
                 newton &= ~edge
             if self.b == 1.0:  # l(1) = -s
-                q = self._quantile_phi(1.0 - level)
+                q = self._quantile_phi((1.0 - level,))[0]
                 edge = newton & (-self.s.reshape(-1) >= self._log_pdf(np.sin(q) ** 2))
                 ends[0, edge], ends[1, edge] = q[edge], _HALF_PI
                 newton &= ~edge
@@ -1266,23 +1282,35 @@ class RatePosterior:
         x = ends[:, rows]
         x[0] = np.where((first < x[0]) & (x[0] < mode), x[0], 0.5 * (first + mode))
         x[1] = np.where((mode < x[1]) & (x[1] <= last), x[1], 0.5 * (mode + last))
-        tol = 1e-8 * (last - first)
-        live = np.arange(rows.size)
-        for _ in range(100):
-            if live.size == 0:
-                break
-            old, f, m, t = x[:, live], first[live], mode[live], last[live]
-            step = self._newton_step(rows[live], old, aim)
-            new = old + step
-            new[0] = np.where((f < new[0]) & (new[0] < m), new[0],
-                              0.5 * (old[0] + np.where(new[0] <= f, f, m)))
-            new[1] = np.where((m < new[1]) & (new[1] <= t), new[1],
-                              0.5 * (old[1] + np.where(new[1] > t, t, m)))
-            x[:, live] = new
-            live = live[~np.all(np.abs(step) <= tol[live], axis=0)]
-        else:
-            raise AccuracyError(f"{self._row(int(rows[live[0]]))}: HPD ends did not reach "
-                                f"equal densities at level={level!r}")
+        # The rows still moving, each twice, one per end, and what their
+        # steps need, in one array gathered again only when some stop: the
+        # ends, their brackets first < lo < mode < hi <= last (hi below the
+        # double after last), the outer ends, the modes, the tolerances and
+        # the side of the mode each end is on.
+        live, at = np.arange(rows.size), np.stack((rows, rows))
+        tol, side = 1e-8 * (last - first), np.ones_like(mode)
+        state = np.stack((x, (first, mode), (mode, np.nextafter(last, 2.0)), (first, last),
+                          (mode, mode), (tol, tol), (-side, side)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(100):
+                if live.size == 0:
+                    break
+                old, below, above, outer, m, tol, side = state
+                step = self._newton_step(at, old, aim)
+                new = old + step
+                # An end stepped out of its bracket goes halfway to the
+                # bracket's end it passed: its outer end if it left on its own
+                # side of the mode, else (or if NaN) the mode.
+                state[0] = np.where((below < new) & (new < above), new,
+                                    0.5 * (old + np.where((new - m) * side > 0.0, outer, m)))
+                small = np.abs(step) <= tol
+                done = small[0] & small[1]
+                if done.any():
+                    x[:, live] = state[0]
+                    live, at, state = live[~done], at[:, ~done], state[:, :, ~done]
+            else:
+                raise AccuracyError(f"{self._row(int(rows[live[0]]))}: HPD ends did not reach "
+                                    f"equal densities at level={level!r}")
         ends[:, rows] = x
         # The rounding of the ends can leave the mass short: they start one
         # ulp of phi out, and the short ones go on out by doubling pads.
