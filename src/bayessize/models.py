@@ -1192,17 +1192,20 @@ class RatePosterior:
         """Each row's point in ``phi`` where the CDF reaches each ``p`` in
         ``ps``, of shape ``(len(ps), rows)``: Newton steps in its segment
         from the chord, kept inside it, until a step is below 1e-13 of it
-        (that last step applied), every point at once; a point that has
-        stopped keeps its place."""
+        (that last step applied) or comes back to where it was two steps
+        before, every point at once; a point that has stopped keeps its
+        place.  Where an ulp of the CDF moves the point by more than 1e-13
+        of a segment, rounding can hold it in such a cycle."""
         i, coef, t, p = self._start(ps)
         rows = np.broadcast_to(np.arange(len(self)), t.shape)
-        live = np.ones(t.shape, dtype=bool)
+        live, before = np.ones(t.shape, dtype=bool), np.full(t.shape, np.nan)
         for _ in range(100):
             value, slope = self._within(rows, i, coef, t)
             # A step from a slope that is not positive, far in a tail, is none.
             step = np.where(slope > 0.0, (value - p) / np.where(slope > 0.0, slope, 1.0), 0.0)
-            t = np.where(live, np.minimum(np.maximum(t - step, 0.0), 1.0), t)
-            live &= ~(np.abs(step) <= 1e-13)
+            new = np.where(live, np.minimum(np.maximum(t - step, 0.0), 1.0), t)
+            live &= ~((np.abs(step) <= 1e-13) | (new == before))
+            before, t = t, new
             if not live.any():
                 break
         else:
