@@ -9,6 +9,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -973,6 +974,68 @@ def test_rate_hpd_takes_at_most_8_newton_steps(monkeypatch, theta0, n):
     post.hpd(0.95)
     assert steps.max() <= 8
     assert steps.mean() <= 6.0
+
+
+def _counting(monkeypatch, *names):
+    """Count the calls of the ``RatePosterior`` methods ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(RatePosterior, name)
+
+        def counted(self, *args, method=method, name=name):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(RatePosterior, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [1, 7, models.RATE_BLOCK_ROWS])
+@pytest.mark.parametrize("alpha", [0.001, 0.025, 0.3])
+def test_rate_equal_tails_are_both_quantiles_from_one_start(monkeypatch, rows, alpha):
+    # A timing-free guard: both ends of every row come from one chord start
+    # and one Newton loop, and each is its quantile's float.
+    post = rate_posterior(BetaPrior(1.5, 1.5), 30, _bench_rows(0.5, 30).s[:rows])
+    quantiles = [post.quantile(alpha), post.quantile(1.0 - alpha)]
+    calls = _counting(monkeypatch, "_start")
+    ends = post.equal_tails(alpha)
+    assert calls["_start"] == 1
+    for end, quantile in zip(ends, quantiles):
+        assert [x.hex() for x in end] == [x.hex() for x in quantile]
+
+
+@pytest.mark.parametrize("theta0, n", _BENCH_RATE_CELLS)
+def test_rate_hpd_of_a_full_block_starts_once_and_evaluates_once_a_step(monkeypatch, theta0, n):
+    # A timing-free guard on the HPD's numpy work: one chord start for both
+    # ends, one CDF evaluation per Newton step and two for the mass.
+    # Measured on these cells at 127 rows: 4 to 6 steps and no pad pass.
+    post = rate_posterior(BetaPrior(1.5, 1.5), n,
+                          _bench_rows(theta0, n).s[:models.RATE_BLOCK_ROWS])
+    calls = _counting(monkeypatch, "_start", "_newton_step", "_cdf_phi", "_segments")
+    post.hpd(0.95)
+    assert calls["_start"] == 1
+    assert calls["_newton_step"] <= 6
+    assert calls["_cdf_phi"] == calls["_newton_step"] + 2
+    assert calls["_segments"] == calls["_cdf_phi"] + 1
+
+
+def test_a_full_rate_block_with_the_table_3_functionals_stays_within_1_5_mebibytes():
+    # A block's node arrays are RATE_BLOCK_ROWS x 257 doubles, 255 KiB at
+    # 127 rows; it keeps three and holds four at once while it is built.
+    # Measured: 1.09 MiB on this cell.
+    import tracemalloc
+
+    s = _bench_rows(0.5, 30).s[:models.RATE_BLOCK_ROWS]
+    tracemalloc.start()
+    try:
+        post = rate_posterior(BetaPrior(1.5, 1.5), 30, s)
+        for functional in (PosteriorVariance(), CredibleLength(0.05), HpdLower(0.95),
+                           HpdUpper(0.95), HpdWidth(0.95)):
+            evaluate(functional, post)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1024 * 1024
 
 
 def _reference_rate(shape, b, s):
