@@ -1235,16 +1235,24 @@ class RatePosterior:
     def _newton_step(self, rows: np.ndarray, ends: np.ndarray, level: float) -> np.ndarray:
         """The Newton step in ``phi`` of the HPD ends ``ends[0] < ends[1]``,
         of the rows ``rows[0] = rows[1]``, towards equal ``l`` and mass
-        ``level``.  The Jacobian's
-        determinant ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive unless both
-        densities underflow; its steps are then NaN, and halve.  Called
-        with division by zero and invalid values ignored."""
+        ``level``.  The gap ``l(lo) - l(hi)``, whose terms grow with the
+        shapes and the total while it goes to 0, is formed from ``sin lo -
+        sin hi = 2 cos(u) sin(v)`` and ``cos lo - cos hi = -2 sin(u)
+        sin(v)``, ``u`` and ``v`` half the sum and the difference of the
+        ends, as ``_log_ratio`` is, so that it keeps its digits.  The
+        Jacobian's determinant ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive
+        unless both densities underflow; its steps are then NaN, and halve.
+        Called with division by zero and invalid values ignored."""
         cdf, dens = self._cdf_phi(rows, ends)
         sin, cos, s = np.sin(ends), np.cos(ends), self.s.reshape(-1)[rows]
         a1, b1 = 2.0 * (self.shape - 1.0), 2.0 * (self.b - 1.0)
-        l = a1 * np.log(sin) + b1 * np.log(cos) - s * (sin * sin)
+        u, v = 0.5 * (ends[0] + ends[1]), np.sin(0.5 * (ends[0] - ends[1]))
+        up = 2.0 * np.cos(u) * v  # sin lo - sin hi
+        gap = (_log_power(a1, sin[0], sin[1], up)
+               + _log_power(b1, cos[0], cos[1], -2.0 * np.sin(u) * v)
+               - s[0] * (up * (sin[0] + sin[1])))
         dl = a1 * (cos / sin) - b1 * (sin / cos) - (2.0 * s) * (sin * cos)
-        gap, excess = l[0] - l[1], cdf[1] - cdf[0] - level
+        excess = cdf[1] - cdf[0] - level
         det = dl[0] * dens[1] - dl[1] * dens[0]
         return -(dens[::-1] * gap + dl[::-1] * excess) / det
 

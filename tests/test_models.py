@@ -976,6 +976,56 @@ def test_rate_hpd_takes_at_most_8_newton_steps(monkeypatch, theta0, n):
     assert steps.mean() <= 6.0
 
 
+def _mpmath_rate_hpd(shape, b, s, level):
+    """HPD of r^(shape-1) (1-r)^(b-1) exp(-s r) at 30 digits: ends of equal
+    log density about the mode, the cut found by secant steps on the mass,
+    each mass by mpmath quadrature."""
+    with mpmath.workdps(30):
+        shape, b, s, level = (mpmath.mpf(v) for v in (shape, b, s, level))
+
+        def l(r):
+            return (shape - 1) * mpmath.log(r) + (b - 1) * mpmath.log1p(-r) - s * r
+
+        mode = mpmath.findroot(lambda r: (shape - 1) / r - (b - 1) / (1 - r) - s,
+                               (shape - 1) / (s + b - 1))
+        sd = 1 / mpmath.sqrt((shape - 1) / mode**2 + (b - 1) / (1 - mode) ** 2)
+        top = l(mode)
+
+        def f(r):
+            return mpmath.exp(l(r) - top)
+
+        total = mpmath.quad(f, [mode + k * sd for k in (-40, -5, -1, 0, 1, 5, 40)])
+
+        def ends(cut):
+            w = sd * mpmath.sqrt(-2 * cut)
+            return [mpmath.findroot(lambda r: l(r) - top - cut, mode + side * w)
+                    for side in (-1, 1)]
+
+        def excess(cut):
+            lo, hi = ends(cut)
+            return mpmath.quad(f, [lo, mode, hi]) / total - level
+
+        z = mpmath.sqrt(2) * mpmath.erfinv(level)  # the normal approximation's cut
+        cut = mpmath.findroot(excess, (-z * z / 2, -z * z / 2 * 1.001), solver="secant")
+        return [float(end) for end in ends(cut)]
+
+
+def test_rate_hpd_at_a_small_level_past_half_a_million_observations():
+    # Here l(lo) - l(hi) cancels between terms of about 1e6; formed from
+    # them, its rounding held the Newton steps at +-3.15e-11 against a
+    # tolerance of 3.03e-11, and the HPD raised AccuracyError.  Formed from
+    # the ends' differences it converges, its ends centred on the
+    # reference's to 1e-8 of the width.  The width itself is 4e-8 short of the reference's:
+    # the node CDF's interpolated density is 4e-8 high inside this segment.
+    post = posterior(ExponentialRate(), BetaPrior(0.01, 17.58), SufficientStat(524289, 9217326.5))
+    box = post.hpd(0.001)
+    assert 0.001 <= box.mass <= 0.001 + 1e-12
+    lo, hi = _mpmath_rate_hpd(post.shape, post.b, float(post.s), 0.001)
+    assert abs((box.lo + box.hi) / 2.0 - (lo + hi) / 2.0) <= 1e-8 * (hi - lo)
+    assert box.hi - box.lo == pytest.approx(hi - lo, rel=1e-7)
+    assert evaluate(HpdWidth(0.001), post) == box.hi - box.lo
+
+
 def _counting(monkeypatch, *names):
     """Count the calls of the ``RatePosterior`` methods ``names``."""
     calls = dict.fromkeys(names, 0)
