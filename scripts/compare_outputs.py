@@ -8,9 +8,10 @@ Each tree runs in its own subprocess, with ``PYTHONPATH`` set to that
 tree's ``src`` directory, calling ``bayessize.cli.main`` once per argv.
 The list covers ``table 1|2|3``, ``size`` for every model and criterion,
 and ``eval`` and ``simulate`` for every model and functional, in text and
-CSV.  For a command whose output differs, it also prints the largest
-relative gap between corresponding numbers of the two outputs, when both
-hold the same count of numbers.  Exits 1 if any command differs, else 0.
+CSV, and the rate ``simulate`` at n = 1e5 with m = 2000.  For a command
+whose output differs, it also prints the largest relative gap between
+corresponding numbers of the two outputs, when both hold the same count
+of numbers.  Exits 1 if any command differs, else 0.
 """
 
 import argparse
@@ -58,6 +59,10 @@ def argvs() -> list[list[str]]:
             cell = [*base, *goal, "--theta0", theta0, "--n", "30"]
             runs += [["eval", *cell, *fmt] for fmt in _FORMATS]
             runs += [["simulate", *cell, "--m", "200", *fmt] for fmt in _FORMATS]
+    # The rate path at large shapes, over several blocks and the fork split
+    for criterion in ("alc", "apvc"):
+        runs += [["simulate", "--model", "exp", "--criterion", criterion, *_TARGETS[criterion],
+                  "--theta0", "0.5", "--n", "100000", "--m", "2000", *fmt] for fmt in _FORMATS]
     # size has no csv row; this one shows how it is refused
     runs.append(["size", "--model", "poisson", "--criterion", "apvc", "--eps", "0.01",
                  "--range", "0.5:2", "--format", "csv"])
