@@ -817,9 +817,10 @@ _RATE_SEGMENTS = 256
 _RATE_DROP = 40.0
 # The bound on each row's relative error estimate.
 RATE_TOLERANCE = 1e-8
-# Rows in one block: four node arrays of them fill 1 MiB.  A block's numpy
-# dispatch costs the same at any size, so larger blocks are faster per row,
-# and its memory peaks at about 5.6 node arrays, so they raise peak RSS.
+# Rows in one block: four node arrays of them fill 1 MiB.  Much of a block's
+# cost is numpy dispatch: 1000 table-3 totals took 29, 22 and 19 ms in blocks
+# of 63, 127 and 254 rows.  A block peaks at 4.4 node arrays, 1.1 MiB at 127
+# rows, and 127 rather than 63 raised rate-table's peak RSS by about 2 %.
 RATE_BLOCK_ROWS = (1024 * 1024) // (4 * 8 * (_RATE_SEGMENTS + 1))
 _HALF_PI = 0.5 * math.pi
 
@@ -1024,12 +1025,9 @@ class RatePosterior:
 
         # Node CDF: each segment's Hermite integral, h/2 (g_i + g_i+1) +
         # h^2/12 (g'_i - g'_i+1), cumulated; at a reached edge the segment
-        # takes the missed mass in place of its h^2/12 g' term.  The
-        # differences run over the rows laid end to end, as whole arrays are
-        # faster than their column slices; a row's first column holds junk
-        # from the row before until it is set.
-        flat, dflat, tmp = g.reshape(-1), dg.reshape(-1), r.reshape(-1)
-        cdf = cot
+        # takes the missed mass in place of its h^2/12 g' term.  Differences
+        # run over the rows end to end, each first column junk until it is set.
+        cdf, flat, dflat, tmp = cot, g.reshape(-1), dg.reshape(-1), r.reshape(-1)
         np.add(flat[:-1], flat[1:], out=cdf.reshape(-1)[1:])
         cdf *= 0.5 * h[:, None]
         np.subtract(dflat[:-1], dflat[1:], out=tmp[1:])
@@ -1178,10 +1176,9 @@ class RatePosterior:
         return self._out(np.maximum(self._cdf(hi) - self._cdf(lo), 0.0))
 
     def _start(self, ps):
-        """For each probability in ``ps`` and each row: the segment whose
-        node CDF brackets it, the segment's quartic, the fraction of it
-        where the node CDF's chord reaches it, and the probability, each of
-        shape ``(len(ps), rows)``."""
+        """For each ``p`` in ``ps`` and each row, as ``(len(ps), rows)`` arrays:
+        the segment whose node CDF brackets ``p``, its quartic, the fraction
+        of it where the node CDF's chord reaches ``p``, and ``p``."""
         # The count of inner nodes at or below p; K < 2**15, so 16 bits hold it.
         i = (self._node_cdf <= np.reshape(ps, (-1, 1, 1)))[:, :, 1:-1].sum(axis=2, dtype=np.int16)
         coef = self._segments(np.arange(len(self)), i)
@@ -1192,10 +1189,8 @@ class RatePosterior:
         """Each row's point in ``phi`` where the CDF reaches each ``p`` in
         ``ps``, of shape ``(len(ps), rows)``: Newton steps in its segment
         from the chord, kept inside it, until a step is below 1e-13 of it
-        (that last step applied) or comes back to where it was two steps
-        before, every point at once; a point that has stopped keeps its
-        place.  Where an ulp of the CDF moves the point by more than 1e-13
-        of a segment, rounding can hold it in such a cycle."""
+        (that last step applied), or until rounding cycles it back to where
+        it was two steps before; a point that has stopped keeps its place."""
         i, coef, t, p = self._start(ps)
         rows = np.broadcast_to(np.arange(len(self)), t.shape)
         live, before = np.ones(t.shape, dtype=bool), np.full(t.shape, np.nan)
@@ -1209,17 +1204,15 @@ class RatePosterior:
             if not live.any():
                 break
         else:
-            first = np.unravel_index(live.argmax(), t.shape)
-            raise AccuracyError(f"{self._row(int(rows[first]))}: quantile did not converge "
-                                f"at p={float(p[first])!r}")
+            raise AccuracyError(f"{self._row(int(live.argmax() % len(self)))}: quantile did "
+                                f"not converge at p={float(p[live][0])!r}")
         return self._phi0 + (i + t) * self._step
 
     def quantile(self, alpha: float):
         return self._out(np.sin(self._quantile_phi((open_unit("alpha", alpha),))[0]) ** 2)
 
     def equal_tails(self, alpha: float):
-        """Each row's quantiles at ``alpha`` and ``1 - alpha``, found in one
-        Newton iteration over both."""
+        """Each row's quantiles at ``alpha`` and ``1 - alpha``, in one loop."""
         alpha = open_unit("alpha", alpha)
         lo, hi = np.sin(self._quantile_phi((alpha, 1.0 - alpha))) ** 2
         return self._out(lo), self._out(hi)
@@ -1233,16 +1226,13 @@ class RatePosterior:
         return HpdInterval(self._out(box.lo), self._out(box.hi), self._out(box.mass))
 
     def _newton_step(self, rows: np.ndarray, ends: np.ndarray, level: float) -> np.ndarray:
-        """The Newton step in ``phi`` of the HPD ends ``ends[0] < ends[1]``,
-        of the rows ``rows[0] = rows[1]``, towards equal ``l`` and mass
-        ``level``.  The gap ``l(lo) - l(hi)``, whose terms grow with the
-        shapes and the total while it goes to 0, is formed from ``sin lo -
-        sin hi = 2 cos(u) sin(v)`` and ``cos lo - cos hi = -2 sin(u)
-        sin(v)``, ``u`` and ``v`` half the sum and the difference of the
-        ends, as ``_log_ratio`` is, so that it keeps its digits.  The
-        Jacobian's determinant ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive
-        unless both densities underflow; its steps are then NaN, and halve.
-        Called with division by zero and invalid values ignored."""
+        """The Newton step in ``phi`` of the HPD ends ``ends[0] < ends[1]``
+        of the rows ``rows[0] = rows[1]`` towards equal ``l`` and mass
+        ``level``, the gap ``l(lo) - l(hi)`` formed from ``sin lo - sin hi =
+        2 cos(u) sin(v)`` and ``cos lo - cos hi = -2 sin(u) sin(v)`` (``u``,
+        ``v`` half the ends' sum and difference), as its terms grow with n.
+        The Jacobian's determinant ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive
+        unless both densities underflow; its steps are then NaN, and halve."""
         cdf, dens = self._cdf_phi(rows, ends)
         sin, cos, s = np.sin(ends), np.cos(ends), self.s.reshape(-1)[rows]
         a1, b1 = 2.0 * (self.shape - 1.0), 2.0 * (self.b - 1.0)
@@ -1256,6 +1246,7 @@ class RatePosterior:
         det = dl[0] * dens[1] - dl[1] * dens[0]
         return -(dens[::-1] * gap + dl[::-1] * excess) / det
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def _hpd(self, level: float) -> HpdInterval:
         """Ends ``lo < mode < hi`` of equal log density ``l`` and mass
         ``F(hi) - F(lo) = level``, by Newton steps in ``phi`` in both ends of
@@ -1276,53 +1267,43 @@ class RatePosterior:
         i, _, t, _ = self._start((tail, 1.0 - tail))
         ends = self._phi0 + (i + t) * self._step
         newton = np.ones(len(self), dtype=bool)
-        with np.errstate(divide="ignore"):
-            if self.shape == 1.0:  # l(0) = 0
-                q = self._quantile_phi((level,))[0]
-                edge = 0.0 >= self._log_pdf(np.sin(q) ** 2)
-                ends[0, edge], ends[1, edge] = 0.0, q[edge]
-                newton &= ~edge
-            if self.b == 1.0:  # l(1) = -s
-                q = self._quantile_phi((1.0 - level,))[0]
-                edge = newton & (-self.s.reshape(-1) >= self._log_pdf(np.sin(q) ** 2))
-                ends[0, edge], ends[1, edge] = q[edge], _HALF_PI
-                newton &= ~edge
+        if self.shape == 1.0:  # l(0) = 0
+            q = self._quantile_phi((level,))[0]
+            edge = 0.0 >= self._log_pdf(np.sin(q) ** 2)
+            ends[0, edge], ends[1, edge] = 0.0, q[edge]
+            newton &= ~edge
+        if self.b == 1.0:  # l(1) = -s
+            q = self._quantile_phi((1.0 - level,))[0]
+            edge = newton & (-self.s.reshape(-1) >= self._log_pdf(np.sin(q) ** 2))
+            ends[0, edge], ends[1, edge] = q[edge], _HALF_PI
+            newton &= ~edge
         rows = np.flatnonzero(newton)
         first, last = self._phi0[rows], self._phi1[rows]
-        mode = np.arcsin(np.sqrt(self._mode[rows]))
-        x = ends[:, rows]
-        x[0] = np.where((first < x[0]) & (x[0] < mode), x[0], 0.5 * (first + mode))
-        x[1] = np.where((mode < x[1]) & (x[1] <= last), x[1], 0.5 * (mode + last))
-        # The rows still moving, each twice, one per end, and what their
-        # steps need, in one array gathered again only when some stop: the
-        # ends, their brackets first < lo < mode < hi <= last (hi below the
-        # double after last), the outer ends, the modes, the tolerances and
-        # the side of the mode each end is on.
-        live, at = np.arange(rows.size), np.stack((rows, rows))
-        tol, side = 1e-8 * (last - first), np.ones_like(mode)
-        state = np.stack((x, (first, mode), (mode, np.nextafter(last, 2.0)), (first, last),
-                          (mode, mode), (tol, tol), (-side, side)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(100):
-                if live.size == 0:
-                    break
-                old, below, above, outer, m, tol, side = state
-                step = self._newton_step(at, old, aim)
-                new = old + step
-                # An end stepped out of its bracket goes halfway to the
-                # bracket's end it passed: its outer end if it left on its own
-                # side of the mode, else (or if NaN) the mode.
-                state[0] = np.where((below < new) & (new < above), new,
-                                    0.5 * (old + np.where((new - m) * side > 0.0, outer, m)))
-                small = np.abs(step) <= tol
-                done = small[0] & small[1]
-                if done.any():
-                    x[:, live] = state[0]
-                    live, at, state = live[~done], at[:, ~done], state[:, :, ~done]
-            else:
-                raise AccuracyError(f"{self._row(int(rows[live[0]]))}: HPD ends did not reach "
-                                    f"equal densities at level={level!r}")
-        ends[:, rows] = x
+        mode, tol = np.arcsin(np.sqrt(self._mode[rows])), 1e-8 * (last - first)
+        # Per end of each moving row, gathered again when some stop: the end,
+        # its open bracket, (first, mode) or (mode, after last), outer end, mode, tol.
+        at, live = np.stack((rows, rows)), np.arange(rows.size)
+        state = np.stack((ends[:, rows], (first, mode), (mode, np.nextafter(last, 2.0)),
+                          (first, last), (mode, mode), (tol, tol)))
+        x, below, above, outer, m, _ = state
+        state[0] = np.where((below < x) & (x < above), x, 0.5 * (outer + m))
+        for _ in range(100):
+            if live.size == 0:
+                break
+            old, below, above, outer, m, tol = state
+            step = self._newton_step(at, old, aim)
+            new = old + step
+            # Out of its bracket, an end halves the distance to the end it
+            # passed: its outer end if on its side of the mode, else the mode.
+            state[0] = np.where((below < new) & (new < above), new,
+                                0.5 * (old + np.where((new - m) * (outer - m) > 0.0, outer, m)))
+            done = np.all(np.abs(step) <= tol, axis=0)
+            if done.any():
+                ends[:, rows[live]] = state[0]
+                live, at, state = live[~done], at[:, ~done], state[:, :, ~done]
+        else:
+            raise AccuracyError(f"{self._row(int(rows[live[0]]))}: HPD ends did not reach "
+                                f"equal densities at level={level!r}")
         # The rounding of the ends can leave the mass short: they start one
         # ulp of phi out, and the short ones go on out by doubling pads.
         pad = np.spacing(ends)
