@@ -818,7 +818,7 @@ _RATE_DROP = 40.0
 # The bound on each row's relative error estimate.
 RATE_TOLERANCE = 1e-8
 # Rows in one block: four node arrays of them fill 1 MiB.  Much of a block's
-# cost is numpy dispatch: 1000 table-3 totals took 29, 22 and 19 ms in blocks
+# cost is numpy dispatch: 1000 table-3 totals took 31, 22 and 21 ms in blocks
 # of 63, 127 and 254 rows.  A block peaks at 4.4 node arrays, 1.1 MiB at 127
 # rows, and 127 rather than 63 raised rate-table's peak RSS by about 2 %.
 RATE_BLOCK_ROWS = (1024 * 1024) // (4 * 8 * (_RATE_SEGMENTS + 1))
@@ -1309,15 +1309,14 @@ class RatePosterior:
         pad = np.spacing(ends)
         ends[0] = np.maximum(ends[0] - pad[0], 0.0)
         ends[1] = np.minimum(ends[1] + pad[1], _HALF_PI)
-        every = np.arange(len(self))
-        mass = self._cdf_at(every, ends[1]) - self._cdf_at(every, ends[0])
+        both = np.tile(np.arange(len(self)), (2, 1))
+        mass = np.diff(self._cdf_at(both, ends), axis=0)[0]  # F(hi) - F(lo)
         short = np.flatnonzero(mass < level)
         while short.size:
             ends[0, short] = np.maximum(ends[0, short] - pad[0, short], 0.0)
             ends[1, short] = np.minimum(ends[1, short] + pad[1, short], _HALF_PI)
             pad[:, short] *= 2.0
-            mass[short] = (self._cdf_at(short, ends[1, short])
-                           - self._cdf_at(short, ends[0, short]))
+            mass[short] = np.diff(self._cdf_at(both[:, short], ends[:, short]), axis=0)[0]
             short = short[mass[short] < level]
         lo, hi = np.sin(ends) ** 2
         for a in (lo, hi, mass):

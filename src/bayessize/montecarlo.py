@@ -64,10 +64,10 @@ class MonteCarloEstimate:
     seed: int
 
 
-# Fewest distinct totals a process is given: a fork costs about as much as
-# evaluating 500 totals of the cheapest family, the exponential rate.  In
-# blocks of 256 with a credible length at n = 1e4, one rate total cost 21-30
-# us, one Bernoulli total 40 us and one Poisson total 57-59 us (2-core VM).
+# Fewest distinct totals a process is given, so that a fork pays for itself.
+# With a credible length at n = 1e4, one rate total cost 14-15 us in blocks of
+# 127, one Bernoulli total 43-45 us and one Poisson total 53-56 us in blocks of
+# 256, and a bare fork, exit and wait about 2 ms (2-core VM).
 _MIN_PER_PROCESS = 500
 _COUNT_BLOCK_ROWS = 256  # Poisson or Bernoulli totals in one block of posteriors
 

@@ -1057,7 +1057,7 @@ def test_rate_equal_tails_are_both_quantiles_from_one_start(monkeypatch, rows, a
 @pytest.mark.parametrize("theta0, n", _BENCH_RATE_CELLS)
 def test_rate_hpd_of_a_full_block_starts_once_and_evaluates_once_a_step(monkeypatch, theta0, n):
     # A timing-free guard on the HPD's numpy work: one chord start for both
-    # ends, one CDF evaluation per Newton step and two for the mass.
+    # ends, one CDF evaluation per Newton step and one for both ends' mass.
     # Measured on these cells at 127 rows: 4 to 6 steps and no pad pass.
     post = rate_posterior(BetaPrior(1.5, 1.5), n,
                           _bench_rows(theta0, n).s[:models.RATE_BLOCK_ROWS])
@@ -1065,7 +1065,7 @@ def test_rate_hpd_of_a_full_block_starts_once_and_evaluates_once_a_step(monkeypa
     post.hpd(0.95)
     assert calls["_start"] == 1
     assert calls["_newton_step"] <= 6
-    assert calls["_cdf_phi"] == calls["_newton_step"] + 2
+    assert calls["_cdf_phi"] == calls["_newton_step"] + 1
     assert calls["_segments"] == calls["_cdf_phi"] + 1
 
 

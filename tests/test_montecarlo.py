@@ -501,6 +501,25 @@ def test_posterior_is_built_once_per_distinct_total(monkeypatch, family, prior, 
     assert len(set(calls)) == len(calls)
 
 
+def test_a_serial_table_3_cell_builds_one_rate_block_per_rate_block_rows_totals(monkeypatch):
+    # A timing-free guard on the blocks' fixed cost, which does not grow
+    # with their rows: a table-3 cell at m = 1000 in one process builds at
+    # most ceil(1000 / RATE_BLOCK_ROWS) blocks of rate posteriors.
+    sizes = []
+
+    def counting_rows(prior, n, totals):
+        sizes.append(totals.size)
+        return rate_posterior(prior, n, totals)
+
+    monkeypatch.setattr(montecarlo, "rate_posterior", counting_rows)
+    monkeypatch.setattr(montecarlo, "_MIN_PER_PROCESS", 10**9)
+    simulate_many(ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 30, 1000,
+                  [functional for _, functional in _RATE_FUNCTIONALS], seed=20060301)
+    assert RATE_BLOCK_ROWS >= 120
+    assert sum(sizes) == 1000
+    assert len(sizes) <= math.ceil(1000 / RATE_BLOCK_ROWS)
+
+
 def test_different_seeds_differ():
     args = (Poisson(), GammaPrior(2.5, 3.5), 0.5, 20, 50, PosteriorQuantile(0.05))
     assert simulate_g(*args, seed=1) != simulate_g(*args, seed=2)
