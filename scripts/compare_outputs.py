@@ -8,10 +8,11 @@ Each tree runs in its own subprocess, with ``PYTHONPATH`` set to that
 tree's ``src`` directory, calling ``bayessize.cli.main`` once per argv.
 The list covers ``table 1|2|3``, ``size`` for every model and criterion,
 and ``eval`` and ``simulate`` for every model and functional, in text and
-CSV, and the rate ``simulate`` at n = 1e5 with m = 2000.  For a command
-whose output differs, it also prints the largest relative gap between
-corresponding numbers of the two outputs, when both hold the same count
-of numbers.  Exits 1 if any command differs, else 0.
+CSV; the rate ``simulate`` at n = 1e5 with m = 2000, the Poisson and
+Bernoulli ones at n = 1e5 with m = 5000, and two rare-event Bernoulli
+ones.  For a command whose output differs, it also prints the largest
+relative gap between corresponding numbers of the two outputs, when both
+hold the same count of numbers.  Exits 1 if any command differs, else 0.
 """
 
 import argparse
@@ -63,6 +64,17 @@ def argvs() -> list[list[str]]:
     for criterion in ("alc", "apvc"):
         runs += [["simulate", "--model", "exp", "--criterion", criterion, *_TARGETS[criterion],
                   "--theta0", "0.5", "--n", "100000", "--m", "2000", *fmt] for fmt in _FORMATS]
+    # The gamma and beta blocks over many distinct totals and the fork split
+    for model, theta0 in (("poisson", "1.5"), ("bernoulli", "0.5")):
+        for criterion in ("alc", "acc"):
+            runs += [["simulate", "--model", model, *_MODELS[model][0], "--criterion", criterion,
+                      *_TARGETS[criterion], "--theta0", theta0, "--n", "100000", "--m", "5000",
+                      *fmt] for fmt in _FORMATS]
+    # Rare events, far in a tail of the incomplete beta function
+    for cell in (["--criterion", "es", "--theta1", "0.1", "--theta0", "0.001", "--n", "10000",
+                  "--m", "20"],
+                 ["--criterion", "acc", "--len", "0.2", "--theta0", "0.998", "--n", "35000"]):
+        runs += [["simulate", "--model", "bernoulli", *cell, *fmt] for fmt in _FORMATS]
     # size has no csv row; this one shows how it is refused
     runs.append(["size", "--model", "poisson", "--criterion", "apvc", "--eps", "0.01",
                  "--range", "0.5:2", "--format", "csv"])
@@ -84,10 +96,13 @@ def largest_gap(old: str, new: str) -> str:
 
 
 def run_tree(src: str, runs: list[list[str]]) -> list[list]:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    """[exit code, stdout, stderr] of each argv, the tree's path in a
+    warning's location written as ``SRC``."""
+    src = os.path.abspath(src)
     done = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(runs),
-                          capture_output=True, text=True, env=env, check=True)
-    return json.loads(done.stdout)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    return [[code, out, err.replace(src, "SRC")] for code, out, err in json.loads(done.stdout)]
 
 
 def main(argv=None) -> int:

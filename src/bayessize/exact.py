@@ -40,9 +40,10 @@ from .functionals import (
 from .models import (
     RATE_BLOCK_ROWS,
     BetaPrior,
+    ExponentialRate,
+    block_posterior,
     check_rate_prior,
     normal_posterior_variance,
-    rate_posterior,
 )
 from .specfun import std_normal_cdf, std_normal_quantile
 
@@ -306,7 +307,7 @@ def expbeta_expected_many(
         todo = np.flatnonzero((j % stride == 0) & ~done)
         for start in range(0, todo.size, RATE_BLOCK_ROWS):
             block = todo[start:start + RATE_BLOCK_ROWS]
-            post = rate_posterior(prior, n, s[block])
+            post = block_posterior(ExponentialRate(), prior, n, s[block])
             for i, functional in enumerate(functionals):
                 fvals[i, block] = evaluate(functional, post)
         done[todo] = True

@@ -13,10 +13,11 @@ samples in O(1) at any ``n``: a normal mean, or a Poisson, binomial or
 gamma total.  :func:`suffstat_sampler` draws a run's statistics with one
 generator call, and :func:`sample_suffstat` replays one of them.
 
-The gamma and beta posteriors, like the exponential-rate one, are blocks
-of rows, one per shape.  Their CDFs are the regularized incomplete gamma
-and beta functions of :mod:`bayessize.specfun`, and their quantiles one
-Newton iteration over every row.  The exponential-rate posterior's CDF
+The gamma, beta and exponential-rate posteriors are blocks of rows, one
+per total (:func:`block_posterior`), and share one summary API.  The
+gamma and beta CDFs are the regularized incomplete gamma and beta
+functions of :mod:`bayessize.specfun`, and their quantiles one Newton
+iteration over every row.  The exponential-rate posterior's CDF
 and quantiles come from the trapezoid rule on its nodes, certified to
 1e-8, but its log density is closed form.  Where bounded, all three
 densities are unimodal, and each highest-density interval is one Newton
@@ -87,8 +88,7 @@ __all__ = [
     "sample_suffstat",
     "suffstat_sampler",
     "posterior",
-    "rate_posterior",
-    "count_posterior",
+    "block_posterior",
     "check_rate_prior",
     "normal_posterior_variance",
 ]
@@ -452,14 +452,96 @@ def _log_power(c: np.ndarray, num: np.ndarray, den: np.ndarray, gap: np.ndarray)
         return np.where(c == 0.0, 0.0, c * log)
 
 
-class _NumericPosterior:
+class _Rows:
+    """The summaries shared by the gamma, beta and rate posteriors, blocks
+    with one row per parameter set.  ``cdf`` and ``interval_mass`` take a
+    float or one value per row, ``quantile``, ``equal_tails`` and ``hpd`` a
+    float; each returns an array over the rows, or a float when the block
+    was built from floats (``_scalar``).  A subclass supplies
+    ``_cdf(rows, x)``, the CDF of ``rows`` at one point each;
+    ``_quantiles(ps)``, every row's quantile at each ``p`` in ``ps``, of
+    shape ``(len(ps), rows)``; and ``_hpd(level)``, each row's
+    :class:`HpdInterval`, whose ends ``_widen`` moves out until the mass
+    reaches ``level``.  The intervals are found once per level.
+    """
+
+    __slots__ = ()
+
+    def _out(self, values: np.ndarray):
+        return float(values[0]) if self._scalar else values
+
+    def _every(self, name: str, x) -> np.ndarray:
+        """``x``, a float or one value per row, as one float per row."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return np.broadcast_to(x, (len(self),))
+        if x.shape != (len(self),):
+            raise DomainError(f"{name} must be a float or of shape ({len(self)},), one value "
+                              f"per row, got shape {x.shape}")
+        return x
+
+    def cdf(self, x):
+        x = self._every("x", x)
+        if np.isnan(x).any():
+            raise DomainError("x must not be NaN")
+        return self._out(self._cdf(np.arange(len(self)), x))
+
+    def interval_mass(self, lo, hi):
+        lo, hi = self._every("lo", lo), self._every("hi", hi)
+        if not np.all(lo <= hi):
+            raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
+        return self._out(np.maximum(self._mass(self._cdf, np.arange(len(self)), lo, hi), 0.0))
+
+    @staticmethod
+    def _mass(cdf, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``cdf(rows, hi) - cdf(rows, lo)``, in one call over both ends."""
+        both = cdf(np.tile(rows, 2), np.concatenate((hi, lo)))
+        return both[:rows.size] - both[rows.size:]
+
+    def quantile(self, alpha: float):
+        return self._out(self._quantiles((open_unit("alpha", alpha),))[0])
+
+    def equal_tails(self, alpha: float):
+        """Each row's quantiles at ``alpha`` and ``1 - alpha``, the ends of a
+        central interval, found in one Newton iteration over both."""
+        alpha = open_unit("alpha", alpha)
+        lo, hi = self._quantiles((alpha, 1.0 - alpha))
+        return self._out(lo), self._out(hi)
+
+    def hpd(self, level: float) -> HpdInterval:
+        level = open_unit("level", level)
+        box = self._hpd_cache.get(level)
+        if box is None:
+            box = self._hpd_cache[level] = self._hpd(level)
+            for a in (box.lo, box.hi, box.mass):
+                a.setflags(write=False)
+        return HpdInterval(self._out(box.lo), self._out(box.hi), self._out(box.mass))
+
+    def _widen(self, cdf, ends: np.ndarray, pad: np.ndarray, top: np.ndarray,
+               level: float) -> np.ndarray:
+        """Each row's mass ``cdf(hi) - cdf(lo)`` between its ``ends = (lo,
+        hi)``, which the rounding of the ends can leave short of ``level``:
+        the short rows' ends move out by their ``pad``, doubled each pass,
+        no further than 0 and ``top``, until it is not.  ``ends`` and ``pad``
+        change in place."""
+        mass = self._mass(cdf, np.arange(len(self)), *ends)
+        short = np.flatnonzero(mass < level)
+        while short.size:
+            ends[0, short] = np.maximum(ends[0, short] - pad[0, short], 0.0)
+            ends[1, short] = np.minimum(ends[1, short] + pad[1, short], top[short])
+            mass[short] = self._mass(cdf, short, *ends[:, short])
+            pad[:, short] *= 2.0
+            short = short[mass[short] < level]
+        return mass
+
+
+class _NumericPosterior(_Rows):
     """Gamma or beta posteriors, one row per parameter set: each field a
-    float or a 1-d array of rows; the summaries return an array over the
-    rows, or a float when every field is a float.  The CDF is the
-    incomplete gamma or beta function of :mod:`bayessize.specfun`, one
-    series per row, and the log density its prefactor's log; quantiles
-    and HPD ends are Newton iterations over every row at once, and a
-    row's floats do not depend on its block.  A subclass supplies, for
+    float or a 1-d array of rows.  The CDF is the incomplete gamma or beta
+    function of :mod:`bayessize.specfun`, one series per row, and the log
+    density its prefactor's log; quantiles and HPD ends are Newton
+    iterations over every row at once, and a row's floats do not depend
+    on its block.  A subclass supplies, for
     ``rows`` at ``x`` inside the support, ``_cdf_parts`` (the CDF and the
     log density), ``_dlog_pdf`` (its first three derivatives) and
     ``_log_ratio`` (``l(x) - l(y)``); ``_guess(rows, p)``, ``_mode``, ``_hi``
@@ -491,14 +573,6 @@ class _NumericPosterior:
     def __len__(self) -> int:
         return getattr(self, "_" + self._fields[0]).size
 
-    def _out(self, values: np.ndarray):
-        return float(values[0]) if self._scalar else values
-
-    def _every(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Every row, and ``x`` (a float or one per row) as one float per row."""
-        return np.arange(len(self)), np.broadcast_to(np.asarray(x, dtype=float),
-                                                     (len(self),)).reshape(-1)
-
     def _cdf(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The CDF of ``rows`` at ``x``: 0 at or below 0, 1 from ``_hi`` on."""
         out = np.where(x <= 0.0, 0.0, 1.0)
@@ -507,31 +581,10 @@ class _NumericPosterior:
             out[inside] = self._cdf_parts(rows[inside], x[inside])[0]
         return out
 
-    def cdf(self, x):
-        rows, x = self._every(x)
-        if np.isnan(x).any():
-            raise DomainError("x must not be NaN")
-        return self._out(self._cdf(rows, x))
-
-    def interval_mass(self, lo, hi):
-        (rows, lo), hi = self._every(lo), self._every(hi)[1]
-        if not np.all(lo <= hi):
-            raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
-        upper, lower = np.split(self._cdf(np.tile(rows, 2), np.concatenate((hi, lo))), 2)
-        return self._out(np.maximum(upper - lower, 0.0))
-
-    def quantile(self, alpha: float):
-        return self._out(self._quantile(np.arange(len(self)), open_unit("alpha", alpha)))
-
-    def equal_tails(self, alpha: float):
-        """Each row's quantiles at ``alpha`` and ``1 - alpha``, the ends of a
-        central interval, found in one Newton iteration over both."""
-        lo, hi = self._equal_tails(open_unit("alpha", alpha))
-        return self._out(lo), self._out(hi)
-
-    def _equal_tails(self, alpha: float) -> list[np.ndarray]:
-        return np.split(self._quantile(np.tile(np.arange(len(self)), 2),
-                                       np.repeat([alpha, 1.0 - alpha], len(self))), 2)
+    def _quantiles(self, ps) -> np.ndarray:
+        """Every row's quantile at each of ``ps``, in one Newton iteration."""
+        n = len(self)
+        return self._quantile(np.tile(np.arange(n), len(ps)), np.repeat(ps, n)).reshape(-1, n)
 
     def _quantile(self, rows: np.ndarray, p) -> np.ndarray:
         """Invert the CDF of ``rows`` at ``p`` (a float, or one per row):
@@ -584,54 +637,35 @@ class _NumericPosterior:
         raise AccuracyError(f"{self._row(int(rows[0]))}: quantile did not reach 1e-8 "
                             f"at p={float(p[0])!r}")
 
-    def hpd(self, level: float) -> HpdInterval:
-        """Highest-density interval of each row, found once per level: ends
-        of equal density (Hyndman 1996; Chen and Shao 1999) from
-        ``_hpd_ends``, widened by doubling pads from an ulp until the mass
-        reaches ``level``.  A density unbounded at one edge, a shape below 1
-        there, is monotone and its interval ends at that edge; a row
-        unbounded at both raises ``UnsupportedShapeError``."""
-        level = open_unit("level", level)
-        box = self._hpd_cache.get(level)
-        if box is None:
-            both = np.flatnonzero(np.maximum(*self._edge_shapes) < 1.0)
-            if both.size:
-                raise UnsupportedShapeError(
-                    "highest-density intervals need a density bounded at one edge; "
-                    f"{self._row(int(both[0]))} is unbounded at both edges of its support")
-            lo, hi = self._hpd_ends(level)
-            every = np.arange(len(self))
-            mass = self._cdf(every, hi) - self._cdf(every, lo)
-            pad_lo, pad_hi = np.spacing(lo), np.spacing(hi)
-            short = np.flatnonzero(mass < level)  # the quantiles' rounding can leave it short
-            while short.size:
-                lo[short] = np.maximum(lo[short] - pad_lo[short], 0.0)
-                hi[short] = np.minimum(hi[short] + pad_hi[short], self._hi[short])
-                mass[short] = self._cdf(short, hi[short]) - self._cdf(short, lo[short])
-                pad_lo[short] *= 2.0
-                pad_hi[short] *= 2.0
-                short = short[mass[short] < level]
-            box = self._hpd_cache[level] = HpdInterval(lo, hi, mass)
-        return HpdInterval(self._out(box.lo), self._out(box.hi), self._out(box.mass))
-
-    def _hpd_ends(self, level: float) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's ends ``lo < mode < hi`` of equal log density ``l`` and
-        mass ``F(hi) - F(lo) = level``, by Newton steps in both ends of every
-        row at once from the equal-tail quantiles; the Jacobian's
-        determinant ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive.  Steps go in
+    def _hpd(self, level: float) -> HpdInterval:
+        """Each row's highest-density interval (Hyndman 1996; Chen and Shao
+        1999): ends ``lo < mode < hi`` of equal log density ``l`` and mass
+        ``F(hi) - F(lo) = level``, by Newton steps in both ends of every row
+        at once from the equal-tail quantiles; the Jacobian's determinant
+        ``l'(lo) f(hi) - l'(hi) f(lo)`` is positive.  Steps go in
         ``log(lo)``, and in ``log(_hi - hi)`` past ``_hi / 2`` (else in
         ``log(hi)``), where the edges' power laws are linear and an end keeps
         its digits; one that leaves the bracket halves the distance to it.  A
         row stops when both steps are below 1e-9 of its ends, the last one
-        applied.  An edge at least as dense as ``Q(level)`` or ``Q(1 -
-        level)`` is an end instead, 0 or ``_hi``; its density is taken at
-        ``x0``, the least positive double, or at ``top``, the last below
-        ``_hi``.
+        applied, and ``_widen`` pads its ends from an ulp.  A density
+        unbounded at one edge, a shape below 1 there, is monotone and its
+        interval ends at that edge; a row unbounded at both raises
+        ``UnsupportedShapeError``.  An edge at least as dense as ``Q(level)``
+        or ``Q(1 - level)`` is an end instead, 0 or ``_hi``; its density is
+        taken at ``x0``, the least positive double, or at ``top``, the last
+        below ``_hi``.
         """
+        both = np.flatnonzero(np.maximum(*self._edge_shapes) < 1.0)
+        if both.size:
+            raise UnsupportedShapeError(
+                "highest-density intervals need a density bounded at one edge; "
+                f"{self._row(int(both[0]))} is unbounded at both edges of its support")
         every, edge, mode = np.arange(len(self)), self._hi, self._mode
         top, x0 = np.nextafter(edge, 0.0), np.full(len(self), _TINY)
-        lo, hi = self._equal_tails(0.5 * (1.0 - level))
-        hi = np.minimum(hi, top)
+        tail = 0.5 * (1.0 - level)
+        ends = self._quantiles((tail, 1.0 - tail))
+        lo, hi = ends
+        np.minimum(hi, top, out=hi)
         # Unimodality: an edge that is an end is at least as dense as the
         # other end's equal-tail quantile.
         newton = np.ones(len(self), dtype=bool)
@@ -650,8 +684,7 @@ class _NumericPosterior:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(100):
                 if live.size == 0:
-                    lo[rows], hi[rows] = a, b
-                    return lo, hi
+                    break
                 r, al, bl, xl, ml, tl, el = (v[live] for v in (rows, a, b, x0, m, t, e))
                 (cdf_lo, l_lo), (cdf_hi, l_hi) = self._cdf_parts(r, al), self._cdf_parts(r, bl)
                 f_lo, f_hi, h = np.exp(l_lo), np.exp(l_hi), cdf_hi - cdf_lo - level
@@ -670,8 +703,11 @@ class _NumericPosterior:
                 b[live] = np.where((ml < new_hi) & (new_hi <= tl), new_hi,
                                    0.5 * (bl + np.where(new_hi > tl, tl, ml)))
                 live = live[~done]
-        raise AccuracyError(f"{self._row(int(rows[live[0]]))}: HPD ends did not reach "
-                            f"equal densities at level={level!r}")
+            else:
+                raise AccuracyError(f"{self._row(int(rows[live[0]]))}: HPD ends did not "
+                                    f"reach equal densities at level={level!r}")
+        lo[rows], hi[rows] = a, b
+        return HpdInterval(lo, hi, self._widen(self._cdf, ends, np.spacing(ends), edge, level))
 
 
 @dataclass(frozen=True, repr=False)
@@ -877,7 +913,7 @@ def _edge_mass(p: float, log_c: np.ndarray, h: np.ndarray) -> np.ndarray:
     return -sign * np.exp(log_zeta + (p + 1.0) * np.log(h / (2.0 * math.pi)) + log_c)
 
 
-class RatePosterior:
+class RatePosterior(_Rows):
     """Posteriors of an exponential rate on (0, 1] under a beta prior, one
     row per sample sum ``s`` (a float, or a 1-d array of them).
 
@@ -914,13 +950,12 @@ class RatePosterior:
 
     A row's values come from elementwise operations and sums along the
     row, so they do not depend on the other rows of its block: a block of
-    one gives its row's floats bit for bit.  The summaries return an array
-    over the rows, or a float when ``s`` is a float.
+    one gives its row's floats bit for bit.
     """
 
     __slots__ = ("shape", "b", "s", "error_estimate", "_mode", "_phi0", "_phi1", "_step",
                  "_density", "_slope", "_node_cdf", "_mean", "_variance",
-                 "_hpd_cache", "_powers")
+                 "_hpd_cache", "_powers", "_scalar")
 
     # Edges and flat densities take logs of 0 and divide by 0, and a row
     # whose shapes or total leave the floats turns NaN; the error estimate
@@ -930,6 +965,7 @@ class RatePosterior:
         self.shape, self.b = shape, b
         self.s = np.array(s, dtype=float)
         self.s.setflags(write=False)
+        self._scalar = self.s.ndim == 0
         s = self.s.reshape(-1)
         K = _RATE_SEGMENTS
         # The phi density r^pa (1 - r)^pb exp(-s r) is log-concave in r.
@@ -1077,19 +1113,11 @@ class RatePosterior:
         return f"RatePosterior(shape={self.shape!r}, b={self.b!r}, s={float(self.s.flat[i])!r})"
 
     def __repr__(self) -> str:
-        s = repr(float(self.s)) if self.s.ndim == 0 else f"<{self.s.size} rows>"
+        s = repr(float(self.s)) if self._scalar else f"<{self.s.size} rows>"
         return f"RatePosterior(shape={self.shape!r}, b={self.b!r}, s={s})"
 
     def __len__(self) -> int:
         return self.s.size
-
-    def _out(self, values: np.ndarray):
-        """``values`` of the rows, or the float of a batch of one built from a float."""
-        return float(values[0]) if self.s.ndim == 0 else values
-
-    def _rows(self, x) -> np.ndarray:
-        """``x``, a float or one value per row, as one float per row."""
-        return np.broadcast_to(np.asarray(x, dtype=float), self.s.shape).reshape(-1)
 
     def mean(self):
         return self._out(self._mean)
@@ -1158,22 +1186,9 @@ class RatePosterior:
         cdf = np.minimum(np.maximum(self._cdf_phi(rows, phi)[0], 0.0), 1.0)
         return np.where(phi <= self._phi0[rows], 0.0, np.where(phi >= self._phi1[rows], 1.0, cdf))
 
-    def _cdf(self, x: np.ndarray) -> np.ndarray:
-        """The CDF of each row at its rate in ``x``."""
-        phi = np.arcsin(np.sqrt(np.minimum(np.maximum(x, 0.0), 1.0)))
-        return self._cdf_at(np.arange(x.size), phi)
-
-    def cdf(self, x):
-        x = self._rows(x)
-        if np.isnan(x).any():
-            raise DomainError("x must not be NaN")
-        return self._out(self._cdf(x))
-
-    def interval_mass(self, lo, hi):
-        lo, hi = self._rows(lo), self._rows(hi)
-        if not np.all(lo <= hi):
-            raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
-        return self._out(np.maximum(self._cdf(hi) - self._cdf(lo), 0.0))
+    def _cdf(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The CDF of ``rows`` at one rate each."""
+        return self._cdf_at(rows, np.arcsin(np.sqrt(np.minimum(np.maximum(x, 0.0), 1.0))))
 
     def _start(self, ps):
         """For each ``p`` in ``ps`` and each row, as ``(len(ps), rows)`` arrays:
@@ -1208,22 +1223,8 @@ class RatePosterior:
                                 f"not converge at p={float(p[live][0])!r}")
         return self._phi0 + (i + t) * self._step
 
-    def quantile(self, alpha: float):
-        return self._out(np.sin(self._quantile_phi((open_unit("alpha", alpha),))[0]) ** 2)
-
-    def equal_tails(self, alpha: float):
-        """Each row's quantiles at ``alpha`` and ``1 - alpha``, in one loop."""
-        alpha = open_unit("alpha", alpha)
-        lo, hi = np.sin(self._quantile_phi((alpha, 1.0 - alpha))) ** 2
-        return self._out(lo), self._out(hi)
-
-    def hpd(self, level: float) -> HpdInterval:
-        """Highest-density interval of each row, found once per level."""
-        level = open_unit("level", level)
-        box = self._hpd_cache.get(level)
-        if box is None:
-            box = self._hpd_cache[level] = self._hpd(level)
-        return HpdInterval(self._out(box.lo), self._out(box.hi), self._out(box.mass))
+    def _quantiles(self, ps) -> np.ndarray:
+        return np.sin(self._quantile_phi(ps)) ** 2
 
     def _newton_step(self, rows: np.ndarray, ends: np.ndarray, level: float) -> np.ndarray:
         """The Newton step in ``phi`` of the HPD ends ``ends[0] < ends[1]``
@@ -1309,18 +1310,8 @@ class RatePosterior:
         pad = np.spacing(ends)
         ends[0] = np.maximum(ends[0] - pad[0], 0.0)
         ends[1] = np.minimum(ends[1] + pad[1], _HALF_PI)
-        both = np.tile(np.arange(len(self)), (2, 1))
-        mass = np.diff(self._cdf_at(both, ends), axis=0)[0]  # F(hi) - F(lo)
-        short = np.flatnonzero(mass < level)
-        while short.size:
-            ends[0, short] = np.maximum(ends[0, short] - pad[0, short], 0.0)
-            ends[1, short] = np.minimum(ends[1, short] + pad[1, short], _HALF_PI)
-            pad[:, short] *= 2.0
-            mass[short] = np.diff(self._cdf_at(both[:, short], ends[:, short]), axis=0)[0]
-            short = short[mass[short] < level]
+        mass = self._widen(self._cdf_at, ends, pad, np.full(len(self), _HALF_PI), level)
         lo, hi = np.sin(ends) ** 2
-        for a in (lo, hi, mass):
-            a.setflags(write=False)
         return HpdInterval(lo, hi, mass)
 
 
@@ -1333,7 +1324,7 @@ Posterior = Union[NormalPosterior, GammaPosterior, BetaPosterior, RatePosterior]
 
 def check_rate_prior(prior) -> None:
     """Refuse ``prior`` unless it is a beta prior with ``b >= 1``: the rule
-    of every rate posterior, checked by :func:`rate_posterior`."""
+    of every rate posterior, checked by :func:`block_posterior`."""
     if not isinstance(prior, BetaPrior):
         raise ConfigurationError(f"the rate posterior needs a beta prior, got {prior!r}")
     if prior.b < 1.0:
@@ -1343,18 +1334,6 @@ def check_rate_prior(prior) -> None:
         )
 
 
-def rate_posterior(prior: BetaPrior, n: int, totals) -> RatePosterior:
-    """The exponential-rate posteriors of ``n`` observations with sample
-    sums ``totals`` (a float, or a 1-d array of rows) under the beta
-    ``prior``, rates restricted to (0, 1]."""
-    check_rate_prior(prior)
-    totals = np.asarray(totals, dtype=float)
-    bad = ~(totals > 0.0)  # NaN too
-    if bad.any():
-        raise DomainError(f"exponential total must be positive, got {float(totals[bad].flat[0])!r}")
-    return RatePosterior(prior.a + n, prior.b, totals)
-
-
 def normal_posterior_variance(sigma2: float, tau2: float, n: float) -> float:
     """Posterior variance of a normal mean after ``n`` draws of variance
     ``sigma2`` under a prior of variance ``tau2``, refused unless a positive
@@ -1362,10 +1341,12 @@ def normal_posterior_variance(sigma2: float, tau2: float, n: float) -> float:
     return positive("posterior variance", sigma2 * tau2 / (n * tau2 + sigma2))
 
 
-def count_posterior(family: LikelihoodFamily, prior, n: int, totals):
-    """The gamma or beta posteriors of ``n`` Poisson or Bernoulli
-    observations with ``totals`` (a float, or a 1-d array of rows) under
-    a gamma or beta ``prior``.  Anything else raises ``ConfigurationError``."""
+def block_posterior(family: LikelihoodFamily, prior, n: int, totals):
+    """The posteriors of ``n`` Poisson, Bernoulli or exponential-rate
+    observations with ``totals`` (a float, or a 1-d array of rows): a
+    block of gamma, beta or rate posteriors under a gamma or beta
+    ``prior``, one row per total.  Anything else raises
+    ``ConfigurationError``."""
     s = np.asarray(totals, dtype=float)
     if isinstance(family, Poisson) and isinstance(prior, GammaPrior):
         bad = ~((s >= 0.0) & (s == np.floor(s)))
@@ -1379,28 +1360,25 @@ def count_posterior(family: LikelihoodFamily, prior, n: int, totals):
             raise DomainError(f"Bernoulli total must be an integer in [0, n], got "
                               f"{float(s[bad].flat[0])!r}")
         return BetaPosterior(prior.a + totals, prior.b + (n - totals))
+    if isinstance(family, ExponentialRate) and isinstance(prior, BetaPrior):
+        check_rate_prior(prior)
+        bad = ~(s > 0.0)  # NaN too
+        if bad.any():
+            raise DomainError(f"exponential total must be positive, got {float(s[bad].flat[0])!r}")
+        return RatePosterior(prior.a + n, prior.b, s)
     raise ConfigurationError(f"no conjugate update for family {family!r} with prior {prior!r}")
 
 
 def posterior(family: LikelihoodFamily, prior, stat: SufficientStat) -> Posterior:
     """Posterior for ``family`` under ``prior`` given a sufficient statistic.
 
-    Supported pairs: normal/normal, Poisson/gamma, Bernoulli/beta, and
-    exponential-rate/beta (rates restricted to (0, 1]; a ``RatePosterior``
-    of one row, see :func:`rate_posterior`).  Anything else raises
-    ``ConfigurationError``.
+    Supported pairs: normal/normal, and Poisson/gamma, Bernoulli/beta and
+    exponential-rate/beta (rates restricted to (0, 1]), each a block of
+    one row built from a float (see :func:`block_posterior`).  Anything
+    else raises ``ConfigurationError``.
     """
     if isinstance(family, NormalKnownVariance) and isinstance(prior, NormalPrior):
         c = family.sigma2 / (stat.n * prior.tau2)
         mean = (stat.s + c * prior.mu0) / (1.0 + c)
         return NormalPosterior(mean, normal_posterior_variance(family.sigma2, prior.tau2, stat.n))
-
-    if isinstance(family, (Poisson, Bernoulli)):
-        return count_posterior(family, prior, stat.n, stat.s)
-
-    if isinstance(family, ExponentialRate) and isinstance(prior, BetaPrior):
-        return rate_posterior(prior, stat.n, stat.s)
-
-    raise ConfigurationError(
-        f"no conjugate update for family {family!r} with prior {prior!r}"
-    )
+    return block_posterior(family, prior, stat.n, stat.s)

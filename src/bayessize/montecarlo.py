@@ -39,9 +39,8 @@ from .models import (
     LikelihoodFamily,
     Poisson,
     SufficientStat,
-    count_posterior,
+    block_posterior,
     posterior,
-    rate_posterior,
     suffstat_sampler,
 )
 from .randomness import SeededGenerator, run_generator
@@ -181,9 +180,8 @@ def simulate_many(
     distinct = np.array(totals)
     processes = _process_count(len(totals))
     values = (np.empty if processes == 1 else _shared_table)((len(functionals), len(totals)))
-    rate = isinstance(family, ExponentialRate)
-    block = RATE_BLOCK_ROWS if rate else _COUNT_BLOCK_ROWS if isinstance(
-        family, (Poisson, Bernoulli)) else 1
+    block = (RATE_BLOCK_ROWS if isinstance(family, ExponentialRate)
+             else _COUNT_BLOCK_ROWS if isinstance(family, (Poisson, Bernoulli)) else 1)
 
     def fill_one(u: int) -> None:
         """Column ``u`` of ``values``, failing as the first replicate that
@@ -203,8 +201,7 @@ def simulate_many(
         """Columns ``lo:hi`` of ``values`` from one block of posteriors;
         False if any of it failed."""
         try:
-            post = (rate_posterior(prior, n, distinct[lo:hi]) if rate
-                    else count_posterior(family, prior, n, distinct[lo:hi]))
+            post = block_posterior(family, prior, n, distinct[lo:hi])
             for i, functional in enumerate(functionals):
                 values[i, lo:hi] = evaluate(functional, post)
         except Exception:

@@ -372,11 +372,11 @@ def test_table3_oracle_builds_at_most_128_posteriors_per_cell(monkeypatch):
     # A timing-free guard on the oracle's cost: the rule keeps roughly 100
     # points of step 0.2 at every table-3 cell, each one posterior row.
     built, per_call = [0], []
-    make_rows, oracle = exact.rate_posterior, tables.expbeta_expected_many
+    make_rows, oracle = exact.block_posterior, tables.expbeta_expected_many
 
-    def counting_rows(prior, n, totals):
+    def counting_rows(family, prior, n, totals):
         built[0] += len(totals)
-        return make_rows(prior, n, totals)
+        return make_rows(family, prior, n, totals)
 
     def counting_oracle(*args):
         before = built[0]
@@ -384,7 +384,7 @@ def test_table3_oracle_builds_at_most_128_posteriors_per_cell(monkeypatch):
         per_call.append(built[0] - before)
         return out
 
-    monkeypatch.setattr(exact, "rate_posterior", counting_rows)
+    monkeypatch.setattr(exact, "block_posterior", counting_rows)
     monkeypatch.setattr(tables, "expbeta_expected_many", counting_oracle)
     build_table(3, m=2)
     assert len(per_call) == 12

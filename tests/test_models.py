@@ -49,13 +49,12 @@ from bayessize.models import (
     Poisson,
     RatePosterior,
     SufficientStat,
-    count_posterior,
+    block_posterior,
     fisher_info,
     in_domain,
     inf_weighted_info,
     param_bounds,
     posterior,
-    rate_posterior,
     sample_suffstat,
     suffstat_sampler,
 )
@@ -667,7 +666,7 @@ def _bench_rows(theta0, n):
     fam, prior = ExponentialRate(), BetaPrior(1.5, 1.5)
     totals = [sample_suffstat(fam, theta0, n, SeededGenerator(2006, stream_id=j)).s
               for j in range(200)]
-    return rate_posterior(prior, n, np.array(totals))
+    return block_posterior(fam, prior, n, np.array(totals))
 
 
 @pytest.mark.parametrize("theta0, n", _BENCH_RATE_CELLS)
@@ -1046,7 +1045,8 @@ def _counting(monkeypatch, *names):
 def test_rate_equal_tails_are_both_quantiles_from_one_start(monkeypatch, rows, alpha):
     # A timing-free guard: both ends of every row come from one chord start
     # and one Newton loop, and each is its quantile's float.
-    post = rate_posterior(BetaPrior(1.5, 1.5), 30, _bench_rows(0.5, 30).s[:rows])
+    post = block_posterior(ExponentialRate(), BetaPrior(1.5, 1.5), 30,
+                           _bench_rows(0.5, 30).s[:rows])
     quantiles = [post.quantile(alpha), post.quantile(1.0 - alpha)]
     calls = _counting(monkeypatch, "_start")
     ends = post.equal_tails(alpha)
@@ -1060,8 +1060,8 @@ def test_rate_hpd_of_a_full_block_starts_once_and_evaluates_once_a_step(monkeypa
     # A timing-free guard on the HPD's numpy work: one chord start for both
     # ends, one CDF evaluation per Newton step and one for both ends' mass.
     # Measured on these cells at 127 rows: 4 to 6 steps and no pad pass.
-    post = rate_posterior(BetaPrior(1.5, 1.5), n,
-                          _bench_rows(theta0, n).s[:models.RATE_BLOCK_ROWS])
+    post = block_posterior(ExponentialRate(), BetaPrior(1.5, 1.5), n,
+                           _bench_rows(theta0, n).s[:models.RATE_BLOCK_ROWS])
     calls = _counting(monkeypatch, "_start", "_newton_step", "_cdf_phi", "_segments")
     post.hpd(0.95)
     assert calls["_start"] == 1
@@ -1079,7 +1079,7 @@ def test_a_full_rate_block_with_the_table_3_functionals_stays_within_1_5_mebibyt
     s = _bench_rows(0.5, 30).s[:models.RATE_BLOCK_ROWS]
     tracemalloc.start()
     try:
-        post = rate_posterior(BetaPrior(1.5, 1.5), 30, s)
+        post = block_posterior(ExponentialRate(), BetaPrior(1.5, 1.5), 30, s)
         for functional in (PosteriorVariance(), CredibleLength(0.05), HpdLower(0.95),
                            HpdUpper(0.95), HpdWidth(0.95)):
             evaluate(functional, post)
@@ -1209,7 +1209,7 @@ def test_rate_rows_do_not_depend_on_their_block(theta0, n, b):
             values = np.empty((len(functionals), totals.size))
             for start in range(0, totals.size, block):
                 rows = order[start:start + block]
-                post = rate_posterior(prior, n, totals[rows])
+                post = block_posterior(ExponentialRate(), prior, n, totals[rows])
                 for i, functional in enumerate(functionals):
                     values[i, rows] = evaluate(functional, post)
             runs.append([[float.hex(v) for v in row] for row in values.tolist()])
@@ -1241,7 +1241,7 @@ def test_conjugate_rows_do_not_depend_on_their_block(family, prior, theta0, n):
             values = np.empty((len(functionals), totals.size))
             for start in range(0, totals.size, block):
                 rows = order[start:start + block]
-                post = count_posterior(family, prior, n, totals[rows])
+                post = block_posterior(family, prior, n, totals[rows])
                 for i, functional in enumerate(functionals):
                     values[i, rows] = evaluate(functional, post)
             runs.append([[float.hex(v) for v in row] for row in values.tolist()])
@@ -1325,7 +1325,7 @@ def test_rate_posterior_refuses_a_row_past_its_error_bound(monkeypatch):
     monkeypatch.setattr(models, "RATE_TOLERANCE", 0.0)
     with pytest.raises(AccuracyError,
                        match=r"RatePosterior\(shape=11\.5, b=1\.0, s=7\.5\): error estimate"):
-        rate_posterior(BetaPrior(1.5, 1.0), 10, np.array([7.5, 9.0]))
+        block_posterior(ExponentialRate(), BetaPrior(1.5, 1.0), 10, np.array([7.5, 9.0]))
 
 
 def test_gamma_hpd_is_exact():
@@ -1479,19 +1479,66 @@ def test_exact_hpd_takes_at_most_20_root_iterations(monkeypatch):
 
 def test_hpd_functionals_share_one_root_per_posterior(monkeypatch):
     calls = []
-    hpd_ends = BetaPosterior._hpd_ends
+    for cls in (BetaPosterior, GammaPosterior, RatePosterior):
+        def counted(self, level, hpd=cls._hpd):
+            calls.append(self)
+            return hpd(self, level)
 
-    def counted(self, level):
-        calls.append(self)
-        return hpd_ends(self, level)
-
-    monkeypatch.setattr(BetaPosterior, "_hpd_ends", counted)
-    monkeypatch.setattr(GammaPosterior, "_hpd_ends", counted)
+        monkeypatch.setattr(cls, "_hpd", counted)
     beta, gamma = BetaPosterior(3.0, 8.0), GammaPosterior(3.0, 2.0)
-    for post in (beta, gamma):
-        lo, hi, width = (evaluate(f(0.95), post) for f in (HpdLower, HpdUpper, HpdWidth))
-        assert width == hi - lo
-    assert calls == [beta, gamma]
+    rate = block_posterior(ExponentialRate(), BetaPrior(1.5, 1.5), 30, np.array([50.0, 70.0]))
+    for post in (beta, gamma, rate):
+        for level in (0.95, 0.5):
+            lo, hi, width = (evaluate(f(level), post) for f in (HpdLower, HpdUpper, HpdWidth))
+            assert np.all(width == hi - lo)
+    assert calls == [beta, beta, gamma, gamma, rate, rate]
+
+
+# One cell of each block family, and its distinct totals in order of first draw.
+_BLOCK_CELLS = [(Poisson(), GammaPrior(2.5, 3.5), 1.5, 40),
+                (Bernoulli(), BetaPrior(1.0, 1.0), 0.3, 60),
+                (ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 30)]
+
+
+def _block_totals(family, theta0, n):
+    draw = suffstat_sampler(family, theta0, n)(np.random.default_rng(29), 200)
+    return np.array(list(dict.fromkeys(draw.tolist())), dtype=float)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("family, prior, theta0, n", _BLOCK_CELLS)
+def test_every_block_family_shares_one_row_api(family, prior, theta0, n, rows):
+    totals = _block_totals(family, theta0, n)[:rows]
+    single = block_posterior(family, prior, n, float(totals[0]))
+    block = block_posterior(family, prior, n, totals)
+    x = theta0 * np.linspace(0.7, 1.3, rows)
+    for post, lo, hi in ((single, 0.8 * theta0, 1.1 * theta0), (block, 0.8 * x, 1.1 * x),
+                         (block, 0.8 * theta0, 1.1 * theta0), (block, x, x)):
+        kind = float if post is single else np.ndarray
+        box = post.hpd(0.9)
+        for value in (post.cdf(hi), post.quantile(0.1), *post.equal_tails(0.1),
+                      box.lo, box.hi, box.mass, post.interval_mass(lo, hi)):
+            assert type(value) is kind
+            assert np.shape(value) == (() if kind is float else (rows,))
+        # interval_mass is the clipped difference of two CDF values, bit for bit
+        expected = np.maximum(np.subtract(post.cdf(hi), post.cdf(lo)), 0.0)
+        assert [v.hex() for v in np.atleast_1d(post.interval_mass(lo, hi)).tolist()] == (
+            [v.hex() for v in np.atleast_1d(expected).tolist()])
+        with pytest.raises(DomainError, match="NaN"):
+            post.cdf(math.nan)
+
+
+@pytest.mark.parametrize("family, prior, theta0, n", _BLOCK_CELLS)
+def test_a_block_refuses_x_of_another_row_count_by_name(family, prior, theta0, n):
+    post = block_posterior(family, prior, n, _block_totals(family, theta0, n)[:2])
+    for bad in (np.zeros(3), np.zeros(1), np.zeros((2, 1)), [[0.1, 0.2]]):
+        with pytest.raises(DomainError, match=r"^x must be a float or of shape \(2,\)"):
+            post.cdf(bad)
+        with pytest.raises(DomainError, match=r"^lo must be a float or of shape \(2,\)"):
+            post.interval_mass(bad, theta0)
+    single = block_posterior(family, prior, n, 1.0)
+    with pytest.raises(DomainError, match=r"of shape \(1,\), one value per row, got shape \(2,\)"):
+        single.cdf(np.zeros(2))
 
 
 @pytest.mark.parametrize("level", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
@@ -1528,7 +1575,8 @@ def test_grid_arrays_are_read_only():
     # the rows' sums, windows, node tables and moments are shared, never
     # written
     grid = _beta_grid(3.0, 3.0)
-    batch = rate_posterior(BetaPrior(1.5, 1.5), 30, np.array([50.0, 60.0, 70.0]))
+    batch = block_posterior(ExponentialRate(), BetaPrior(1.5, 1.5), 30,
+                            np.array([50.0, 60.0, 70.0]))
     kept = (grid._phi0, grid._phi1, grid._step, grid._mode, grid.error_estimate,
             batch.mean(), batch.variance())
     for array in (grid.s, grid._density, grid._slope, grid._node_cdf, *kept):

@@ -42,9 +42,8 @@ from bayessize.models import (
     NormalPrior,
     Poisson,
     SufficientStat,
-    count_posterior,
+    block_posterior,
     posterior,
-    rate_posterior,
     sample_suffstat,
     suffstat_sampler,
 )
@@ -475,21 +474,16 @@ def test_posterior_is_built_once_per_distinct_total(monkeypatch, family, prior, 
         calls.append(stat.s)
         return posterior(family, prior, stat)
 
-    def counting_rows(prior, n, totals):
+    def counting_rows(family, prior, n, totals):
         calls.extend(totals.tolist())
-        return rate_posterior(prior, n, totals)
-
-    def counting_counts(family, prior, n, totals):
-        calls.extend(totals.tolist())
-        return count_posterior(family, prior, n, totals)
+        return block_posterior(family, prior, n, totals)
 
     def counting_stat(n, s):
         stats.append(s)
         return SufficientStat(n, s)
 
     monkeypatch.setattr(montecarlo, "posterior", counting_posterior)
-    monkeypatch.setattr(montecarlo, "rate_posterior", counting_rows)
-    monkeypatch.setattr(montecarlo, "count_posterior", counting_counts)
+    monkeypatch.setattr(montecarlo, "block_posterior", counting_rows)
     monkeypatch.setattr(montecarlo, "SufficientStat", counting_stat)
     simulate_many(family, prior, theta0, n, m, [PosteriorVariance(), HpdWidth(0.9)], seed=12)
     distinct = len(set(_totals(family, theta0, n, m, 12)))
@@ -507,11 +501,11 @@ def test_a_serial_table_3_cell_builds_one_rate_block_per_rate_block_rows_totals(
     # most ceil(1000 / RATE_BLOCK_ROWS) blocks of rate posteriors.
     sizes = []
 
-    def counting_rows(prior, n, totals):
+    def counting_rows(family, prior, n, totals):
         sizes.append(totals.size)
-        return rate_posterior(prior, n, totals)
+        return block_posterior(family, prior, n, totals)
 
-    monkeypatch.setattr(montecarlo, "rate_posterior", counting_rows)
+    monkeypatch.setattr(montecarlo, "block_posterior", counting_rows)
     monkeypatch.setattr(montecarlo, "_MIN_PER_PROCESS", 10**9)
     simulate_many(ExponentialRate(), BetaPrior(1.5, 1.5), 0.5, 30, 1000,
                   [functional for _, functional in _RATE_FUNCTIONALS], seed=20060301)
@@ -650,13 +644,13 @@ def test_a_child_that_exits_nonzero_has_its_range_redone(monkeypatch, leave):
     serial = simulate_many(family, prior, theta0, n, m, functionals, seed=5)
     parent, built = os.getpid(), []
 
-    def dying_rows(prior, n, totals):
+    def dying_rows(family, prior, n, totals):
         if os.getpid() != parent:
             leave()
         built.extend(totals.tolist())
-        return rate_posterior(prior, n, totals)
+        return block_posterior(family, prior, n, totals)
 
-    monkeypatch.setattr(montecarlo, "rate_posterior", dying_rows)
+    monkeypatch.setattr(montecarlo, "block_posterior", dying_rows)
     forks = _split_into(monkeypatch, 3)
     split = simulate_many(family, prior, theta0, n, m, functionals, seed=5)
     _assert_no_children()
