@@ -415,18 +415,13 @@ class NormalPosterior:
     def cdf(self, x: float) -> float:
         if math.isnan(x):
             raise DomainError("x must not be NaN")
-        if math.isinf(x):
-            return 1.0 if x > 0 else 0.0
-        return std_normal_cdf((x - self.mean_value) / self.sd)
+        z = (x - self.mean_value) / self.sd  # infinite where x is, or past the floats
+        return (1.0 if z > 0 else 0.0) if math.isinf(z) else std_normal_cdf(z)
 
     def interval_mass(self, lo: float, hi: float) -> float:
         if not lo <= hi:
             raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
-        z_hi = (hi - self.mean_value) / self.sd
-        z_lo = (lo - self.mean_value) / self.sd
-        upper = (1.0 if z_hi > 0 else 0.0) if math.isinf(z_hi) else std_normal_cdf(z_hi)
-        lower = (1.0 if z_lo > 0 else 0.0) if math.isinf(z_lo) else std_normal_cdf(z_lo)
-        return max(upper - lower, 0.0)
+        return max(self.cdf(hi) - self.cdf(lo), 0.0)
 
     def hpd(self, level: float) -> HpdInterval:
         level = open_unit("level", level)

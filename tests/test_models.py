@@ -370,6 +370,10 @@ def test_normal_posterior_interval_mass():
     assert post.interval_mass(0.475, 0.525) == pytest.approx(0.14486, abs=2e-4)
     assert post.interval_mass(-math.inf, math.inf) == 1.0
     assert post.interval_mass(0.3, 0.3) == 0.0
+    # A standardised end past the floats is an infinite one, in cdf too.
+    narrow = NormalPosterior(0.25, 1e-300)
+    assert narrow.interval_mass(-1e200, 1e200) == 1.0
+    assert (narrow.cdf(-1e200), narrow.cdf(1e200)) == (0.0, 1.0)
 
 
 def test_normal_posterior_hpd_is_symmetric_quantile_pair():
