@@ -130,8 +130,10 @@ def _series(a, x, g, w, limit, negligible, describe):
     the other tail, is below 2^-55.  The terms are a cumulative product
     and the sum a cumulative sum, read at the row's own last index and
     carried across chunks of columns, so a row does not depend on its
-    block.  A row whose last term is not below 2^-52 of its sum raises
-    ``AccuracyError`` as ``describe``.
+    block.  A row whose terms pass the largest float, far on the side
+    where the function is 1, is not needed where ``negligible(rows)``.
+    Any other row whose sum is not finite, or whose last term is not below
+    2^-52 of its sum, raises ``AccuracyError`` as ``describe``.
     """
     import numpy as np
 
@@ -159,26 +161,32 @@ def _series(a, x, g, w, limit, negligible, describe):
                 np.divide(x[rows, None], terms, out=terms)
             else:
                 terms = np.divide((g[rows, None] + ks) * x[rows, None], terms, out=terms)
-            if k:
-                terms[:, 0] *= last[rows]
-            else:
-                terms[:, 0] = 1.0
-            np.cumprod(terms, axis=1, out=terms)
-            at = np.minimum(n, width).astype(np.intp) + np.arange(0, n.size * width, width) - 1
-            last[rows] = terms.take(at)
-            if k:
-                terms[:, 0] += total[rows]
-            np.cumsum(terms, axis=1, out=terms)
+            with np.errstate(over="ignore"):  # a sum past the floats is replaced or refused below
+                if k:
+                    terms[:, 0] *= last[rows]
+                else:
+                    terms[:, 0] = 1.0
+                np.cumprod(terms, axis=1, out=terms)
+                at = np.minimum(n, width).astype(np.intp) + np.arange(0, n.size * width, width) - 1
+                last[rows] = terms.take(at)
+                if k:
+                    terms[:, 0] += total[rows]
+                np.cumsum(terms, axis=1, out=terms)
             total[rows] = terms.take(at)
             more = n > width
             if not more.any():
                 break
             rows = np.flatnonzero(more) + start if k == 0.0 else rows[more]
             n, k = n[more] - width, k + width
-    bad = ~(last <= _EPS * total)
+    over = np.flatnonzero(~(total < math.inf))
+    if over.size:
+        done[over] = negligible(over)
+        total[over[done[over]]] = 1.0
+    bad = ~((last <= _EPS * total) & (total < math.inf))
     if bad.any() and (bad := bad & ~done).any():
         i = int(bad.argmax())
-        raise AccuracyError(f"{describe(i)} did not converge in {int(count[i])} terms")
+        raise AccuracyError(f"{describe(i)} did not converge in {int(count[i])} terms" if
+                            total[i] < math.inf else f"{describe(i)} summed past the largest float")
     return total, done
 
 
@@ -218,9 +226,9 @@ def gamma_p_rows(a, x, log_norm):
     prefactor ``x^a e^-x / Gamma(a + 1)``.  The sum is ``prefactor * sum_k
     x^k / (a + 1)_k``, the prefactor formed about its peak at ``x = a`` as
     ``a (log1p(t) - t) + log_norm`` with ``t = (x - a) / a``.  A row whose
-    series would reach its term cap is 1 where ``Q(a, x) <= prefactor * a /
-    (x - max(a - 1, 0))`` is below 2^-55, and else raises ``AccuracyError``
-    naming it.
+    series would reach its term cap or pass the largest float is 1 where
+    ``Q(a, x) <= prefactor * a / (x - max(a - 1, 0))`` is below 2^-55, and
+    else raises ``AccuracyError`` naming it.
     """
     import numpy as np
 
@@ -264,10 +272,10 @@ def beta_i_rows(a, b, x, log_norm):
     (else ``z = 1 - x`` and the shapes ``p``, ``q`` swapped, so ``1 - x``
     keeps its digits), with ``d = (p + q) z - p``, ``u = d / p`` and ``v =
     -d / q``, it is ``p (log1p(u) - u) + q (log1p(v) - v) + log_norm``.  A
-    row whose series would reach its term cap is 1 on its side where the
-    other tail, a series of ratios below ``rho < 1``, is at most
-    ``prefactor / (b (1 - rho))`` and that is below 2^-55, and else raises
-    ``AccuracyError`` naming it.
+    row whose series would reach its term cap or pass the largest float is
+    1 on its side where the other tail, a series of ratios below ``rho <
+    1``, is at most ``prefactor / (b (1 - rho))`` and that is below
+    2^-55, and else raises ``AccuracyError`` naming it.
     """
     import numpy as np
 

@@ -636,6 +636,19 @@ def test_simulate_serves_a_poisson_shape_of_2e8(capsys):
     assert float(kv(out)["mean"]) == pytest.approx(0.00554371246178631, abs=1e-8)
 
 
+@pytest.mark.parametrize("argv, mean", [
+    (["--criterion", "es", "--theta1", "0.1", "--theta0", "0.001", "--n", "10000", "--m", "20"],
+     "0.0"),
+    (["--criterion", "acc", "--len", "0.2", "--theta0", "0.998", "--n", "35000"], "1.0"),
+])
+def test_simulate_rare_bernoulli_events_far_in_a_beta_tail(argv, mean, capsys):
+    # Each posterior's incomplete beta function there is 1 or 0 on its far
+    # side, where the series' terms pass the largest float.
+    code, out, err = run(["simulate", "--model", "bernoulli", *argv], capsys)
+    assert (code, err) == (0, "")
+    assert kv(out)["mean"] == mean
+
+
 def test_simulate_repeats_are_byte_identical(capsys):
     argv = ["simulate", "--model", "exp", "--criterion", "alc",
             "--theta0", "0.25", "--n", "30", "--m", "40"]

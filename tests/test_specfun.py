@@ -5,6 +5,7 @@ frozen here; property tests re-derive them live where that is cheap.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -135,6 +136,43 @@ def test_incomplete_functions_converge_at_large_shapes():
     assert beta_i(np.array([5e8, 4e8]), np.array([5e8, 5e8]), np.array([0.5, 4.0 / 9.0])) == (
         pytest.approx([0.5, 0.5], abs=1e-4))
     assert beta_i(5e8, 5e8, 0.5) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b, x", [(10.0, 1e4, 0.1), (1e4, 10.0, 0.76)])
+def test_beta_i_where_its_terms_pass_the_largest_float(a, b, x):
+    # Far on the side where I is 1 (0 once flipped), the series' terms pass
+    # 1e308 before the term cap; the other tail is negligible there.
+    from scipy import special
+
+    from bayessize.models import BetaPosterior
+
+    expected = float(special.betainc(a, b, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert beta_i(a, b, x) == expected
+        assert BetaPosterior(a, b).cdf(x) == expected
+        rows = beta_i(np.array([a, 7.0]), np.array([b, 3.0]), np.array([x, 0.4]))
+    assert rows[0] == expected
+    assert rows[1] == pytest.approx(float(special.betainc(7.0, 3.0, 0.4)), rel=1e-10)
+
+
+def test_a_sum_past_the_largest_float_is_refused_where_the_other_tail_counts(monkeypatch):
+    monkeypatch.setattr(specfun, "_LOG_NEGLIGIBLE", -math.inf)
+    with pytest.raises(AccuracyError,
+                       match=r"incomplete beta I_0\.1\(10\.0, 10000\.0\) summed past the largest"):
+        beta_i(10.0, 1e4, 0.1)
+
+
+@pytest.mark.parametrize("a", [1e4, 1e6])
+def test_gamma_p_far_past_a_large_shape_stays_finite(a):
+    # Here the term cap comes before the terms pass the largest float.
+    from scipy import special
+
+    x = a + 39.0 * math.sqrt(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = gamma_p(a, x)
+    assert value == pytest.approx(float(special.gammainc(a, x)), abs=1e-15)
 
 
 def test_incomplete_functions_refuse_a_shape_of_2_to_the_53_before_any_loop():
