@@ -450,14 +450,13 @@ def _log_power(c: np.ndarray, num: np.ndarray, den: np.ndarray, gap: np.ndarray)
 class _Rows:
     """The summaries shared by the gamma, beta and rate posteriors, blocks
     with one row per parameter set.  ``cdf`` and ``interval_mass`` take a
-    float or one value per row, ``quantile``, ``equal_tails`` and ``hpd`` a
-    float; each returns an array over the rows, or a float when the block
-    was built from floats (``_scalar``).  A subclass supplies
-    ``_cdf(rows, x)``, the CDF of ``rows`` at one point each;
-    ``_quantiles(ps)``, every row's quantile at each ``p`` in ``ps``, of
-    shape ``(len(ps), rows)``; and ``_hpd(level)``, each row's
-    :class:`HpdInterval`, whose ends ``_widen`` moves out until the mass
-    reaches ``level``.  The intervals are found once per level.
+    float or one value per row, the others a float; each returns an array
+    over the rows, or a float when the block was built from floats
+    (``_scalar``).  A subclass supplies ``_cdf(rows, x)``, the CDF of
+    ``rows`` at one point each; ``_quantiles(ps)``, every row's quantile
+    at each ``p`` in ``ps``, of shape ``(len(ps), rows)``; and
+    ``_hpd(level)``, each row's :class:`HpdInterval`, found once per level,
+    whose ends ``_widen`` moves out until the mass reaches ``level``.
     """
 
     __slots__ = ()
@@ -485,13 +484,15 @@ class _Rows:
         lo, hi = self._every("lo", lo), self._every("hi", hi)
         if not np.all(lo <= hi):
             raise DomainError(f"interval must satisfy lo <= hi, got [{lo}, {hi}]")
-        return self._out(np.maximum(self._mass(self._cdf, np.arange(len(self)), lo, hi), 0.0))
+        mass = self._mass(self._cdf, np.arange(len(self)), np.concatenate((lo, hi)))
+        return self._out(np.maximum(mass, 0.0))
 
     @staticmethod
-    def _mass(cdf, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """``cdf(rows, hi) - cdf(rows, lo)``, in one call over both ends."""
-        both = cdf(np.tile(rows, 2), np.concatenate((hi, lo)))
-        return both[:rows.size] - both[rows.size:]
+    def _mass(cdf, rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """``cdf(hi) - cdf(lo)`` of ``rows`` between ``ends``, every ``lo``
+        and then every ``hi``, in one call over both."""
+        both = cdf(np.tile(rows, 2), ends.reshape(-1))
+        return both[rows.size:] - both[:rows.size]
 
     def quantile(self, alpha: float):
         return self._out(self._quantiles((open_unit("alpha", alpha),))[0])
@@ -519,12 +520,12 @@ class _Rows:
         the short rows' ends move out by their ``pad``, doubled each pass,
         no further than 0 and ``top``, until it is not.  ``ends`` and ``pad``
         change in place."""
-        mass = self._mass(cdf, np.arange(len(self)), *ends)
+        mass = self._mass(cdf, np.arange(len(self)), ends)
         short = np.flatnonzero(mass < level)
         while short.size:
             ends[0, short] = np.maximum(ends[0, short] - pad[0, short], 0.0)
             ends[1, short] = np.minimum(ends[1, short] + pad[1, short], top[short])
-            mass[short] = self._mass(cdf, short, *ends[:, short])
+            mass[short] = self._mass(cdf, short, ends[:, short])
             pad[:, short] *= 2.0
             short = short[mass[short] < level]
         return mass
@@ -536,14 +537,13 @@ class _NumericPosterior(_Rows):
     function of :mod:`bayessize.specfun`, one series per row, and the log
     density its prefactor's log; quantiles and HPD ends are Newton
     iterations over every row at once, and a row's floats do not depend
-    on its block.  A subclass supplies, for
-    ``rows`` at ``x`` inside the support, ``_cdf_parts`` (the CDF and the
-    log density), ``_dlog_pdf`` (its first three derivatives) and
-    ``_log_ratio`` (``l(x) - l(y)``); ``_guess(rows, p)``, ``_mode``, ``_hi``
-    (the support's upper edge or a point past every representable
-    quantile) and ``_edge_shapes``, the exponents ``e`` of the density's
-    power laws ``x^(e - 1)`` at zero and ``(1 - x)^(e - 1)`` at one (inf for
-    the gamma's tail).
+    on its block.  A subclass supplies, for ``rows`` at ``x`` inside the
+    support, ``_cdf_parts`` (the CDF and the log density), ``_dlog_pdf``
+    (its first three derivatives) and ``_log_ratio`` (``l(x) - l(y)``);
+    ``_guess(rows, p)``, ``_mode``, ``_hi`` (the support's upper edge or a
+    point past every representable quantile) and ``_edge_shapes``, the
+    exponents ``e`` of the density's power laws ``x^(e - 1)`` at zero and
+    ``(1 - x)^(e - 1)`` at one (inf for the gamma's tail).
     """
 
     _fields: tuple[str, ...] = ()
@@ -1306,8 +1306,7 @@ class RatePosterior(_Rows):
         ends[0] = np.maximum(ends[0] - pad[0], 0.0)
         ends[1] = np.minimum(ends[1] + pad[1], _HALF_PI)
         mass = self._widen(self._cdf_at, ends, pad, np.full(len(self), _HALF_PI), level)
-        lo, hi = np.sin(ends) ** 2
-        return HpdInterval(lo, hi, mass)
+        return HpdInterval(*np.sin(ends) ** 2, mass)
 
 
 Posterior = Union[NormalPosterior, GammaPosterior, BetaPosterior, RatePosterior]
