@@ -9,10 +9,11 @@ tree's ``src`` directory, calling ``bayessize.cli.main`` once per argv.
 The list covers ``table 1|2|3``, ``size`` for every model and criterion,
 and ``eval`` and ``simulate`` for every model and functional, in text and
 CSV; the rate ``simulate`` at n = 1e5 with m = 2000, the Poisson and
-Bernoulli ones at n = 1e5 with m = 5000, and two rare-event Bernoulli
-ones.  For a command whose output differs, it also prints the largest
-relative gap between corresponding numbers of the two outputs, when both
-hold the same count of numbers.  Exits 1 if any command differs, else 0.
+Bernoulli ones at n = 1e5 with m = 5000, two rare-event Bernoulli ones,
+and a ``simulate`` refused for its ``--m`` and one for its ``--seed``.
+For a command whose output differs, it also prints the largest relative
+gap between corresponding numbers of the two outputs, when both hold the
+same count of numbers.  Exits 1 if any command differs, else 0.
 """
 
 import argparse
@@ -75,6 +76,9 @@ def argvs() -> list[list[str]]:
                   "--m", "20"],
                  ["--criterion", "acc", "--len", "0.2", "--theta0", "0.998", "--n", "35000"]):
         runs += [["simulate", "--model", "bernoulli", *cell, *fmt] for fmt in _FORMATS]
+    # A replicate count and a seed that simulate refuses before its draw
+    runs += [["simulate", "--model", "normal", *_MODELS["normal"][0], "--criterion", "apvc",
+              "--theta0", "0.5", "--n", "30", *bad] for bad in (["--m", "1"], ["--seed", "-1"])]
     # size has no csv row; this one shows how it is refused
     runs.append(["size", "--model", "poisson", "--criterion", "apvc", "--eps", "0.01",
                  "--range", "0.5:2", "--format", "csv"])

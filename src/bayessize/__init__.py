@@ -6,9 +6,14 @@ how many observations guarantee a posterior accuracy target on average
 are for the bundled conjugate studies (:mod:`bayessize.exact`), and how
 simulated estimates behave next to both (:mod:`bayessize.montecarlo`).
 Leading-order expansion terms live in :mod:`bayessize.expansions`, the
-underlying scalar kernels in :mod:`bayessize.specfun`, and the model
-layer in :mod:`bayessize.models`.  ``bayessize table 1|2|3`` on the
-command line rebuilds the bundled benchmark tables.
+underlying scalar kernels in :mod:`bayessize.specfun`, the model layer
+in :mod:`bayessize.models`, and the gamma, beta and rate posteriors, as
+blocks of rows, in :mod:`bayessize.blocks`.  ``bayessize table 1|2|3``
+on the command line rebuilds the bundled benchmark tables.
+
+numpy is loaded on the first array work (a simulation, the rate oracle
+or a block posterior), not by importing the package, so sizing and
+closed-form evaluation run without it.
 """
 
 from .criteria import (

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import secrets
 import sys
 
 from .criteria import (
@@ -66,6 +65,7 @@ from .models import (
     suffstat_sampler,
 )
 from .montecarlo import simulate_g
+from .randomness import check_seed
 from .tables import (
     DEFAULT_ALPHA,
     DEFAULT_REPLICATES,
@@ -179,6 +179,8 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     if args.fresh_seed:
+        import secrets  # hmac and hashlib, loaded only for a fresh seed
+
         args.seed = secrets.randbits(63)
     return args
 
@@ -274,8 +276,9 @@ def _resolve(settings: argparse.Namespace) -> argparse.Namespace:
     ``size``, else the functional) and the ``family``; for ``eval`` and
     ``simulate`` also the leading-order ``g_star``, whose evaluation checks
     ``theta0`` against the family's domain and ``n`` against the largest
-    float, the ``prior`` and ``exact`` (see :func:`_exact`).  ``table``
-    leaves its index, ``m`` and seed to ``build_table``."""
+    float, the ``prior`` and ``exact`` (see :func:`_exact`); for
+    ``simulate`` also numpy's sampler limits, ``m`` and the seed.
+    ``table`` leaves its index, ``m`` and seed to ``build_table``."""
     command = settings.command
     if command == "table":
         return settings
@@ -296,6 +299,8 @@ def _resolve(settings: argparse.Namespace) -> argparse.Namespace:
         normal_posterior_variance(family.sigma2, settings.prior.tau2, n)
     if command == "simulate":
         suffstat_sampler(family, theta0, n)
+        integer("--m", settings.m, 2)
+        check_seed("--seed", settings.seed)
     settings.exact = _exact(settings)
     if command == "eval" and settings.format == "csv" and settings.exact is None:
         raise DomainError("no exact value for this model and functional; a csv row "

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AccuracyError,
     ConfigurationError,
@@ -38,7 +36,6 @@ from .functionals import (
     evaluate,
 )
 from .models import (
-    RATE_BLOCK_ROWS,
     BetaPrior,
     ExponentialRate,
     block_posterior,
@@ -267,13 +264,17 @@ def expbeta_expected_many(
     sits on the multiples of a step ``h`` at which the log weight is
     within 28 of its peak.  The functionals are evaluated at the points of
     step ``h / 2`` on their rate posteriors, built in blocks of
-    ``RATE_BLOCK_ROWS`` rows (see :class:`bayessize.models.RatePosterior`),
+    ``RATE_BLOCK_ROWS`` rows (see :class:`bayessize.blocks.RatePosterior`),
     sharing one sweep; every other point gives the step-``h`` rule.
     ``T_{h/2}`` is returned with the error estimate
     ``|T_h - T_{h/2}| / |T_{h/2}|``.  ``h`` starts at 0.4 and is halved,
     reusing every point, while an estimate is above 1e-5; past ``h = 0.1``
     (points 0.05 apart) it raises ``AccuracyError``.
     """
+    import numpy as np  # loaded on the first rate oracle
+
+    from .blocks import RATE_BLOCK_ROWS
+
     theta0, n = check_rate_study(theta0, prior), integer("n", n)
     if not functionals:
         raise DomainError("at least one functional is required")

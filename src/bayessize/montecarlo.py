@@ -8,7 +8,7 @@ sufficient statistic, so the functionals are evaluated once per distinct
 total drawn, in order of first draw, and one gather gives every replicate
 its total's values.  Exponential-rate totals are evaluated a block of
 ``RATE_BLOCK_ROWS`` rows at a time (see
-:class:`bayessize.models.RatePosterior`), Poisson and Bernoulli totals a
+:class:`bayessize.blocks.RatePosterior`), Poisson and Bernoulli totals a
 block of ``_COUNT_BLOCK_ROWS`` gamma or beta posteriors at a time, and
 normal totals one at a time.
 
@@ -27,13 +27,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ReplicateError, integer
 from .functionals import Functional, evaluate
 from .models import (
-    RATE_BLOCK_ROWS,
     Bernoulli,
     ExponentialRate,
     LikelihoodFamily,
@@ -44,6 +42,9 @@ from .models import (
     suffstat_sampler,
 )
 from .randomness import SeededGenerator, run_generator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SeededGenerator",
@@ -82,6 +83,8 @@ def _process_count(k: int) -> int:
 def _shared_table(shape: tuple[int, int]) -> np.ndarray:
     """A float table in anonymous shared memory, written by forked children."""
     import mmap  # only a split run needs it
+
+    import numpy as np
 
     return np.frombuffer(mmap.mmap(-1, shape[0] * shape[1] * 8), dtype=np.float64).reshape(shape)
 
@@ -161,6 +164,10 @@ def simulate_many(
     first failing replicate raises the same ``ReplicateError`` as a serial
     run.
     """
+    import numpy as np  # loaded on the first simulation
+
+    from .blocks import RATE_BLOCK_ROWS
+
     integer("n", n)
     integer("m", m, 2)
     if not functionals:

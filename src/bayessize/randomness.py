@@ -21,29 +21,34 @@ pins the property for every sampler.
 from __future__ import annotations
 
 from collections.abc import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, integer
 
-__all__ = ["SeededGenerator", "run_generator"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["SeededGenerator", "check_seed", "run_generator"]
 
 # Most values a replay draws at once, so replaying a large index allocates little.
 _CHUNK = 4096
 
 
-def _check_seed(seed) -> None:
-    if integer("seed", seed, 0) >= 2**64:  # a seed is one unsigned 64-bit word
-        raise DomainError(f"seed must be below 2^64, got {seed!r}")
+def check_seed(name: str, seed) -> None:
+    """Refuse ``seed``, by ``name``, unless an integer in [0, 2^64)."""
+    if integer(name, seed, 0) >= 2**64:  # a seed is one unsigned 64-bit word
+        raise DomainError(f"{name} must be below 2^64, got {seed!r}")
 
 
 def run_generator(seed: int) -> np.random.Generator:
     """numpy's ``default_rng(seed)``: the one generator a run at ``seed`` draws from.
 
-    ``numpy.random`` is imported here, on the first simulation, rather
-    than when the CLI loads.
+    numpy and ``numpy.random`` are imported here, on the first simulation,
+    rather than when the CLI loads.
     """
-    _check_seed(seed)
+    import numpy as np
+
+    check_seed("seed", seed)
     return np.random.default_rng(seed)
 
 
@@ -55,7 +60,7 @@ class SeededGenerator:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        _check_seed(seed)
+        check_seed("seed", seed)
         integer("stream_id", stream_id, 0)
         self.seed = seed
         self.stream_id = stream_id

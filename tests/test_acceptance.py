@@ -43,9 +43,9 @@ from bayessize.functionals import (
     PosteriorQuantile,
     PosteriorVariance,
 )
+from bayessize.blocks import BetaPosterior
 from bayessize.models import (
     Bernoulli,
-    BetaPosterior,
     BetaPrior,
     ExponentialRate,
     NormalKnownVariance,

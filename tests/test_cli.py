@@ -8,6 +8,7 @@ golden cells from ``reference_tables``.
 
 import contextlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -54,6 +55,64 @@ def test_importing_the_cli_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.splitlines() == ["[]", "0 1 []"]
+
+
+def test_planning_commands_load_no_numpy():
+    # Sizing, closed-form eval and tables 1 and 2 are scalar Python, so they
+    # never pay for loading numpy, and a bad --m or --seed is refused before
+    # it loads; a simulation, the rate oracle and table 3 load it on first use.
+    flags = {
+        "normal": ["--sigma2", "0.2", "--mu0", "0.25", "--tau2", "0.3"],
+        "poisson": ["--a", "2.5", "--b", "3.5"],
+        "bernoulli": [],
+        "exp": [],
+    }
+    # Per model: a planning range and an alternative outside it for es.
+    spans = {"normal": ("0.1:0.9", "0.05"), "poisson": ("0.5:2", "0.25"),
+             "bernoulli": ("0.2:0.4", "0.6"), "exp": ("0.25:0.75", "0.9")}
+    goals = {"apvc": ["--eps", "0.01"], "acc": ["--len", "0.1"], "alc": ["--len", "0.1"]}
+    cell = ["--theta0", "0.5", "--n", "30"]
+    scalar = []
+    for model, (span, theta1) in spans.items():
+        base = ["size", "--model", model, *flags[model], "--range", span, "--criterion"]
+        scalar += [[*base, criterion, *target] for criterion, target in goals.items()]
+        scalar.append([*base, "es", "--theta1", theta1])
+    goals.update({"alc-quantile": [], "es": ["--theta1", "0.6"]})
+    for model, criteria in (("normal", goals), ("poisson", ["apvc"]), ("bernoulli", ["apvc"])):
+        scalar += [["eval", "--model", model, *flags[model], *cell, "--criterion", criterion,
+                    *goals[criterion], "--format", fmt]
+                   for criterion in criteria for fmt in ("text", "csv")]
+    scalar += [["table", which, "--format", fmt]
+               for which in ("1", "2") for fmt in ("text", "csv")]
+    simulate = ["simulate", "--model", "normal", *flags["normal"], "--criterion", "apvc", *cell]
+    refused = [[*simulate, "--m", "1"], [*simulate, "--seed", "-1"]]
+    loading = [[*simulate, "--m", "20"],
+               ["eval", "--model", "exp", "--criterion", "alc", *cell],
+               ["table", "3", "--m", "24"]]
+    code = (
+        "import contextlib, io, json, sys, bayessize.cli\n"
+        "runs = [[None, 'numpy' in sys.modules, '']]\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        code = bayessize.cli.main(argv)\n"
+        "    runs.append([code, 'numpy' in sys.modules, err.getvalue()])\n"
+        "json.dump(runs, sys.stdout)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(scalar + refused + loading),
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    runs = json.loads(result.stdout)
+    assert runs[0] == [None, False, ""]
+    for argv, run_ in zip(scalar, runs[1:]):
+        assert run_ == [0, False, ""], (argv, run_)
+    assert runs[1 + len(scalar):-len(loading)] == [
+        [1, False, "error: --m must be an integer >= 2, got 1\n"],
+        [1, False, "error: --seed must be an integer >= 0, got -1\n"],
+    ]
+    assert runs[-len(loading):] == [[0, True, ""]] * len(loading)
 
 
 def run(argv, capsys):

@@ -39,10 +39,9 @@ from bayessize.functionals import (
     PosteriorVariance,
     TailMassAbove,
 )
+from bayessize.blocks import BetaPosterior, GammaPosterior
 from bayessize.models import (
-    BetaPosterior,
     BetaPrior,
-    GammaPosterior,
     GammaPrior,
     NormalKnownVariance,
     NormalPosterior,

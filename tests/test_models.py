@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, optimize, special, stats
 
+import bayessize.blocks as blocks
 import bayessize.specfun as specfun
 from bayessize.errors import (
     AccuracyError,
@@ -23,7 +24,6 @@ from bayessize.errors import (
     DomainError,
     UnsupportedShapeError,
 )
-import bayessize.models as models
 from bayessize.functionals import (
     CenteredIntervalMass,
     CredibleLength,
@@ -35,19 +35,17 @@ from bayessize.functionals import (
     TailMassAbove,
     evaluate,
 )
+from bayessize.blocks import BetaPosterior, GammaPosterior, RatePosterior
 from bayessize.models import (
     GRID_NODES,
     Bernoulli,
-    BetaPosterior,
     BetaPrior,
     ExponentialRate,
-    GammaPosterior,
     GammaPrior,
     NormalKnownVariance,
     NormalPosterior,
     NormalPrior,
     Poisson,
-    RatePosterior,
     SufficientStat,
     block_posterior,
     fisher_info,
@@ -1044,7 +1042,7 @@ def _counting(monkeypatch, *names):
     return calls
 
 
-@pytest.mark.parametrize("rows", [1, 7, models.RATE_BLOCK_ROWS])
+@pytest.mark.parametrize("rows", [1, 7, blocks.RATE_BLOCK_ROWS])
 @pytest.mark.parametrize("alpha", [0.001, 0.025, 0.3])
 def test_rate_equal_tails_are_both_quantiles_from_one_start(monkeypatch, rows, alpha):
     # A timing-free guard: both ends of every row come from one chord start
@@ -1065,7 +1063,7 @@ def test_rate_hpd_of_a_full_block_starts_once_and_evaluates_once_a_step(monkeypa
     # ends, one CDF evaluation per Newton step and one for both ends' mass.
     # Measured on these cells at 127 rows: 4 to 6 steps and no pad pass.
     post = block_posterior(ExponentialRate(), BetaPrior(1.5, 1.5), n,
-                           _bench_rows(theta0, n).s[:models.RATE_BLOCK_ROWS])
+                           _bench_rows(theta0, n).s[:blocks.RATE_BLOCK_ROWS])
     calls = _counting(monkeypatch, "_start", "_newton_step", "_cdf_phi", "_segments")
     post.hpd(0.95)
     assert calls["_start"] == 1
@@ -1080,7 +1078,7 @@ def test_a_full_rate_block_with_the_table_3_functionals_stays_within_1_5_mebibyt
     # Measured: 1.09 MiB on this cell.
     import tracemalloc
 
-    s = _bench_rows(0.5, 30).s[:models.RATE_BLOCK_ROWS]
+    s = _bench_rows(0.5, 30).s[:blocks.RATE_BLOCK_ROWS]
     tracemalloc.start()
     try:
         post = block_posterior(ExponentialRate(), BetaPrior(1.5, 1.5), 30, s)
@@ -1326,7 +1324,7 @@ def test_one_block_quantile_at_a_shape_of_a_billion_stays_in_two_megabytes():
 
 def test_rate_posterior_refuses_a_row_past_its_error_bound(monkeypatch):
     # A row whose K-against-K/2 estimate misses the bound names itself.
-    monkeypatch.setattr(models, "RATE_TOLERANCE", 0.0)
+    monkeypatch.setattr(blocks, "RATE_TOLERANCE", 0.0)
     with pytest.raises(AccuracyError,
                        match=r"RatePosterior\(shape=11\.5, b=1\.0, s=7\.5\): error estimate"):
         block_posterior(ExponentialRate(), BetaPrior(1.5, 1.0), 10, np.array([7.5, 9.0]))

@@ -31,12 +31,11 @@ from bayessize.functionals import (
     TailMassAbove,
     evaluate,
 )
+from bayessize.blocks import RATE_BLOCK_ROWS, GammaPosterior
 from bayessize.models import (
-    RATE_BLOCK_ROWS,
     Bernoulli,
     BetaPrior,
     ExponentialRate,
-    GammaPosterior,
     GammaPrior,
     NormalKnownVariance,
     NormalPrior,

@@ -144,7 +144,7 @@ def test_beta_i_where_its_terms_pass_the_largest_float(a, b, x):
     # 1e308 before the term cap; the other tail is negligible there.
     from scipy import special
 
-    from bayessize.models import BetaPosterior
+    from bayessize.blocks import BetaPosterior
 
     expected = float(special.betainc(a, b, x))
     with warnings.catch_warnings():
