@@ -10,7 +10,9 @@ The list covers ``table 1|2|3``, ``size`` for every model and criterion,
 and ``eval`` and ``simulate`` for every model and functional, in text and
 CSV; the rate ``simulate`` at n = 1e5 with m = 2000, the Poisson and
 Bernoulli ones at n = 1e5 with m = 5000, two rare-event Bernoulli ones,
-and a ``simulate`` refused for its ``--m`` and one for its ``--seed``.
+a ``simulate`` refused for its ``--m`` and one for its ``--seed``, and
+seven usage errors: no command, ``bogus``, ``size --bogus 1``, ``table``,
+``table x``, ``size ... --eps abc`` and ``eval ... --n 1.5``.
 For a command whose output differs, it also prints the largest relative
 gap between corresponding numbers of the two outputs, when both hold the
 same count of numbers.  Exits 1 if any command differs, else 0.
@@ -82,6 +84,11 @@ def argvs() -> list[list[str]]:
     # size has no csv row; this one shows how it is refused
     runs.append(["size", "--model", "poisson", "--criterion", "apvc", "--eps", "0.01",
                  "--range", "0.5:2", "--format", "csv"])
+    # Usage errors, each printed with the usage of the parser that found it
+    normal = ["--model", "normal", *_MODELS["normal"][0], "--criterion", "apvc"]
+    runs += [[], ["bogus"], ["size", "--bogus", "1"], ["table"], ["table", "x"],
+             ["size", *normal, "--eps", "abc", "--range", "0.1:0.9"],
+             ["eval", *normal, "--theta0", "0.5", "--n", "1.5"]]
     return runs
 
 

@@ -7,10 +7,11 @@ one of the bundled benchmark tables.  Results go to stdout (or ``--out``);
 diagnostics go to stderr.  Exit codes: 0 success, 1 usage or domain
 error, 2 criterion unsatisfiable, 3 numerical-accuracy failure.
 
-``main`` merges the flags with the config file and the defaults
-(``_merge``), then ``_resolve`` checks every input the subcommand uses
-and builds its objects once, before any work; each ``_cmd_*`` only
-computes and formats.
+``main`` parses a call with its command's own parser; the top-level
+parser serves help and mistakes, so each keeps its usage (``_parse``).
+It merges the flags with the config file and the defaults (``_merge``),
+then ``_resolve`` checks every input the subcommand uses and builds its
+objects once, before any work; each ``_cmd_*`` only computes and formats.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ def _add_options(sub: argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bayessize", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # name -> the command's parser, for _parse
     for name in ("size", "eval", "simulate"):
         _add_options(subs.add_parser(name))
     table = subs.add_parser("table")
@@ -367,8 +369,19 @@ def _emit(text: str, out_path: str | None):
         fh.write(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, by the command's own parser
+    alone when ``argv`` starts with a command word and leaves nothing over."""
     parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        settings, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return settings
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse reads a negative LO ("--range -0.55:-0.26") as a flag; the
     # "--range=LO:HI" form parses either sign.  A following option is left
@@ -377,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         if argv[i] == "--range" and not argv[i + 1].startswith("--"):
             argv[i : i + 2] = [f"--range={argv[i + 1]}"]
     try:
-        settings = _resolve(_merge(parser.parse_args(argv)))
+        settings = _resolve(_merge(_parse(argv)))
         text = _COMMANDS[settings.command](settings)
     except _UsageError as exc:
         if exc.usage:

@@ -42,7 +42,7 @@ from .models import (
     check_rate_prior,
     normal_posterior_variance,
 )
-from .specfun import std_normal_cdf, std_normal_quantile
+from .specfun import gamma_log_norm, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "ExactEval",
@@ -248,6 +248,14 @@ def check_rate_study(theta0: float, prior: BetaPrior) -> float:
     return theta0
 
 
+def _log_weight_peak(n: int) -> float:
+    """``n log n - n - lgamma(n) - log(n) / 2``, formed without cancelling
+    as ``-log(2 pi) / 2`` less Stirling's error of ``Gamma(n)``."""
+    import numpy as np
+
+    return float(gamma_log_norm(np.array([float(n)]))[0]) + 0.5 * math.log(n)
+
+
 def expbeta_expected_many(
     functionals: list[Functional],
     theta0: float,
@@ -292,7 +300,7 @@ def expbeta_expected_many(
     drop = root * z - n * np.expm1(z / root)
     keep = drop >= -w
     j, z, drop = j[keep], z[keep], drop[keep]
-    peak = n * math.log(n) - n - math.lgamma(n) - 0.5 * math.log(n)
+    peak = _log_weight_peak(n)
     with np.errstate(over="ignore"):  # a weight past the floats fails the error estimate
         weight = np.exp(peak + drop)
     s = n * np.exp(z / root) / theta0

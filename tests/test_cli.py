@@ -7,6 +7,7 @@ golden cells from ``reference_tables``.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -383,6 +384,79 @@ def test_shared_parser_matches_a_fresh_one(capsys):
     assert [code for code, _, _ in shared] == [0, 0, 1, 0]
     assert "--eps: invalid float value" in shared[2][2]
     assert shared[0] == shared[3]
+
+
+def _compare_outputs_argvs():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.argvs()
+
+
+def _joined(argv):
+    """``argv`` with each ``--key value`` pair written ``--key=value``."""
+    out = []
+    for word in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and not word.startswith("--"):
+            out[-1] += f"={word}"
+        else:
+            out.append(word)
+    return out
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: a namespace, or the usage error it raises."""
+    try:
+        return parse(list(argv))
+    except cli._UsageError as exc:
+        return "usage error", str(exc), exc.usage
+
+
+def test_a_command_parses_as_the_top_level_parser_parses_it():
+    top = cli._build_parser().parse_args
+    for argv in _compare_outputs_argvs():
+        for form in (argv, _joined(argv)):
+            assert _parsed(cli._parse, form) == _parsed(top, form), form
+
+
+_NORMAL_APVC = ["--model", "normal", "--sigma2", "0.2", "--criterion", "apvc"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["size", "--bogus", "1"], ["table"], ["table", "x"],
+    ["size", *_NORMAL_APVC, "--eps", "abc", "--range", "0.1:0.9"],
+    ["eval", *_NORMAL_APVC, "--mu0", "0", "--tau2", "1", "--theta0", "0.5", "--n", "1.5"],
+])
+def test_a_usage_error_is_the_same_through_both_paths(argv):
+    refused = _parsed(cli._parse, argv)
+    assert refused == _parsed(cli._build_parser().parse_args, argv)
+    assert refused[0] == "usage error" and refused[2].startswith("usage: bayessize")
+
+
+def test_command_help_is_the_same_through_both_paths(capsys):
+    helps = []
+    for parse in (cli._parse, cli._build_parser().parse_args):
+        with pytest.raises(SystemExit) as stop:
+            parse(["size", "-h"])
+        helps.append((stop.value.code, capsys.readouterr()))
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and helps[0][1].out.startswith("usage: bayessize size")
+
+
+def test_a_valid_command_never_reaches_the_top_level_parser(monkeypatch, capsys):
+    # The top-level parser would scan every flag only to hand them on.
+    parser, calls = cli._build_parser(), []
+    parse_args = parser.parse_args
+    quick = [argv for argv in _compare_outputs_argvs()
+             if (argv[:1] in (["size"], ["eval"]) or argv[:2] in (["table", "1"], ["table", "2"]))
+             and not isinstance(_parsed(parse_args, argv), tuple)]
+    monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or parse_args(argv))
+    codes = {main(argv) for argv in quick}
+    capsys.readouterr()
+    assert calls == [] and 0 in codes
+    assert main(["size", "--bogus", "1"]) == 1 and calls == [["size", "--bogus", "1"]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ posterior mean (an independent derivation path from the library's).
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
@@ -420,6 +421,24 @@ def test_oracle_variance_has_information_limit():
     # n * E(var) approaches theta0^2, the inverse information at the truth
     val = expbeta_expected(PosteriorVariance(), 0.5, 10_000).value
     assert 10_000 * val == pytest.approx(0.25, rel=0.02)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 10**4, 10**7, 10**9, 10**11])
+def test_oracle_log_weight_peak_matches_mpmath(n):
+    # n log n - n - lgamma(n) - log(n) / 2 tends to -log(2 pi) / 2; summed as
+    # written its terms cancel, losing 1.2e-6 at n = 1e9.
+    with mpmath.workdps(40):
+        big = mpmath.mpf(n)
+        ref = big * mpmath.log(big) - big - mpmath.loggamma(big) - mpmath.log(big) / 2
+        assert abs(exact._log_weight_peak(n) - ref) <= 5e-15
+
+
+def test_oracle_variance_meets_its_limit_at_a_billion_observations():
+    # E(var) / (theta0^2 / n) - 1 is about 3 / n here; the oracle's own
+    # relative error must stay well below the 1e-8 bound.
+    theta0, n = 0.5, 10**9
+    val = expbeta_expected(PosteriorVariance(), theta0, n, BetaPrior(1.5, 1.5)).value
+    assert abs(val / (theta0**2 / n) - 1.0) < 1e-8
 
 
 def test_oracle_interval_length_near_benchmark_value():

@@ -747,7 +747,8 @@ def _moments_by_quad(post):
     # the closed-form density's mass, mean and variance on (0, 1)
     mode, log_k = _reference_log_density(post.shape, post.b, float(post.s))
     f = lambda r: math.exp(log_k(r)) if 0.0 < r < 1.0 else 0.0  # noqa: E731
-    points = [mode] if 0.0 < mode < 1.0 else None
+    # a breakpoint next to an end would leave quad a sliver it cannot resolve
+    points = [mode] if 1e-6 < mode < 1.0 - 1e-6 else None
 
     def q(g):
         return integrate.quad(g, 0.0, 1.0, points=points, limit=400, epsabs=0.0,
@@ -760,6 +761,7 @@ def _moments_by_quad(post):
 
 @settings(max_examples=80, deadline=None)
 @given(grid=_GRIDS)
+@example(grid=_beta_grid(1.5, 1.0000000000000002))  # its mode is 4e-16 below 1
 def test_grid_normalisation_is_exact_at_the_ends(grid):
     # One cumulative sum gives the node CDF and the total it is divided by;
     # the mean and variance are those of the closed-form density.
